@@ -1,10 +1,9 @@
 """asckit: low-complexity acoustic scene classification toolkit.
 
-Implements the full desk-scale pipeline: WAV ingestion, three spectrogram
-front-ends (log-mel, constant-Q, gammatone) stacked with delta features,
-online batch augmentation, an inception-residual network family trained
-with a KL + L2 objective, product-rule late fusion, and a synthetic
-device-mismatch benchmark generator.
+WAV ingestion and 10 s segmentation, three spectrogram front-ends (log-mel,
+constant-Q, gammatone) stacked with delta features, a binary feature cache,
+online batch augmentation (crop, mask, mixup), a small autograd engine and
+the inception-residual network family with its weight files.
 """
 
 __version__ = "0.1.0"

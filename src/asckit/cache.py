@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import Reader, atomic_write
 from .errors import IOFailure, ShapeMismatch
 from .frontend import FRONTENDS
 
@@ -36,12 +37,15 @@ class FeatureSet:
 
 
 def write_cache(path, frontend: str, records) -> int:
-    """Write (features [F,T,C], label, device_tag) records; returns count."""
+    """Write (features [F,T,C], label 0..255, device_tag) records; returns count.
+
+    On any error no file is left at `path`, or the one already there is kept.
+    """
     if frontend not in _FRONTEND_IDS:
         raise IOFailure(f"unknown frontend {frontend!r}")
     count = 0
     dims = None
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         for features, label, device in records:
             feats = np.asarray(features, dtype="<f4")
             if feats.ndim != 3:
@@ -52,9 +56,11 @@ def write_cache(path, frontend: str, records) -> int:
                 fh.write(struct.pack("<HB3I", _VERSION, _FRONTEND_IDS[frontend], *dims))
             elif feats.shape != dims:
                 raise ShapeMismatch(f"record shape {feats.shape} != cache dims {dims}")
+            if not 0 <= int(label) <= 255:
+                raise IOFailure(f"record {count}: label {label} outside 0..255")
             tag = str(device).encode("utf-8")
             if len(tag) > 255:
-                raise IOFailure(f"device tag too long: {device!r}")
+                raise IOFailure(f"record {count}: device tag too long: {device!r}")
             fh.write(struct.pack("<BB", int(label), len(tag)))
             fh.write(tag)
             fh.write(feats.tobytes())
@@ -66,34 +72,19 @@ def write_cache(path, frontend: str, records) -> int:
 
 def read_cache(path) -> FeatureSet:
     """Load a feature cache written by write_cache."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 19 or raw[:4] != _MAGIC:
-        raise IOFailure(f"{path}: not a feature cache")
-    version, frontend_id, f_dim, t_dim, c_dim = struct.unpack_from("<HB3I", raw, 4)
-    if version != _VERSION:
-        raise IOFailure(f"{path}: unsupported cache version {version}")
+    rd = Reader(path)
+    frontend_id, *dims = rd.header(_MAGIC, _VERSION, "<B3I")
     names = {i: n for n, i in _FRONTEND_IDS.items()}
     if frontend_id not in names:
-        raise IOFailure(f"{path}: unknown frontend id {frontend_id}")
-    rec_floats = f_dim * t_dim * c_dim
+        rd.fail(f"unknown frontend id {frontend_id}", len(_MAGIC) + 2)
     feats, labels, devices = [], [], []
-    pos = 19
-    while pos < len(raw):
-        if pos + 2 > len(raw):
-            raise IOFailure(f"{path}: truncated record header")
-        label, tag_len = struct.unpack_from("<BB", raw, pos)
-        pos += 2
-        tag = raw[pos : pos + tag_len].decode("utf-8")
-        pos += tag_len
-        end = pos + rec_floats * 4
-        if end > len(raw):
-            raise IOFailure(f"{path}: truncated record payload")
-        block = np.frombuffer(raw, dtype="<f4", count=rec_floats, offset=pos)
-        feats.append(block.reshape(f_dim, t_dim, c_dim))
+    while rd.pos < len(rd.raw):
+        label, tag_len = rd.unpack("<BB", f"record {len(feats)} header")
+        devices.append(rd.text(tag_len, f"record {len(feats)} device tag"))
         labels.append(label)
-        devices.append(tag)
-        pos = end
+        feats.append(rd.floats(dims, f"record {len(feats)} payload"))
+    if not feats:
+        rd.fail("no records")
     return FeatureSet(
         frontend=names[frontend_id],
         features=np.stack(feats),

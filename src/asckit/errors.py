@@ -62,27 +62,10 @@ class UnknownVariant(AscKitError):
 
 
 class WeightsNotLoaded(AscKitError):
-    """A weight file does not cover the network's parameters."""
+    """A weight file does not match the model's parameters and buffers."""
 
 
-# training
-class NonPositivePrediction(AscKitError):
-    """Predicted probabilities must be strictly positive for the KL loss."""
-
-
-class EpochOutOfRange(AscKitError):
-    """Epoch index outside the configured schedule."""
-
-
-# evaluation
-class LengthMismatch(AscKitError):
-    """Aligned arrays (predictions, labels, devices) differ in length."""
-
-
-# dataset generation / CLI
+# binary files
 class IOFailure(AscKitError):
-    """Reading or writing a dataset artifact failed."""
-
-
-class ConfigError(AscKitError):
-    """Run configuration could not be parsed or contains unknown keys."""
+    """Reading or writing a weight file or feature cache failed; for
+    malformed input the message names the path and the byte offset."""

@@ -91,7 +91,65 @@ def _split_channels(total: int, n_branches: int = 3) -> list[int]:
 # layers
 
 
-class Conv2D:
+class Module:
+    """Base for layers and networks.
+
+    Parameters and buffers are found by walking the instance attributes in
+    assignment order, recursing into child modules and lists of them: a
+    `T.Parameter` attribute is a parameter, an `np.ndarray` attribute is a
+    buffer saved as `<self.name>.<attribute>`.
+    """
+
+    def _leaves(self):
+        for attr, value in vars(self).items():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Module):
+                    yield from item._leaves()
+                else:
+                    yield self, attr, item
+
+    def params(self) -> list:
+        return list(_unique((v.name, v) for _, _, v in self._leaves()
+                            if isinstance(v, T.Parameter)).values())
+
+    def buffers(self) -> dict:
+        return _unique((f"{m.name}.{attr}", v) for m, attr, v in self._leaves()
+                       if isinstance(v, np.ndarray))
+
+    def state_dict(self) -> dict:
+        return _unique([(p.name, p.data) for p in self.params()]
+                       + list(self.buffers().items()))
+
+    def save(self, path):
+        T.save_weights(path, self.state_dict())
+
+    def load(self, path):
+        """Replace every parameter and buffer from a weight file. Nothing is
+        assigned unless the file has every entry with the model's shape."""
+        named = T.load_weights(path)
+        for name, current in self.state_dict().items():
+            if name not in named:
+                raise WeightsNotLoaded(f"{path}: file is missing {name}")
+            if named[name].shape != current.shape:
+                raise WeightsNotLoaded(
+                    f"{path}: {name}: file shape {named[name].shape} != {current.shape}"
+                )
+        for p in self.params():
+            p.data = named[p.name].astype(np.float32)
+        for name, buf in self.buffers().items():
+            buf[...] = named[name]
+
+
+def _unique(pairs) -> dict:
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise ConfigMismatch(f"duplicate parameter or buffer name {name!r}")
+        out[name] = value
+    return out
+
+
+class Conv2D(Module):
     def __init__(self, name, kf, kt, cin, cout, rng, stride=1, padding="same"):
         limit = np.sqrt(6.0 / (kf * kt * cin))
         self.w = T.Parameter(
@@ -106,14 +164,8 @@ class Conv2D:
     def __call__(self, x, mode, rng):
         return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
-    def params(self):
-        return [self.w, self.b]
 
-    def buffers(self):
-        return {}
-
-
-class Dense:
+class Dense(Module):
     def __init__(self, name, din, dout, rng):
         limit = np.sqrt(6.0 / din)
         self.w = T.Parameter(
@@ -126,14 +178,8 @@ class Dense:
     def __call__(self, x, mode, rng):
         return T.dense(x, self.w, self.b)
 
-    def params(self):
-        return [self.w, self.b]
 
-    def buffers(self):
-        return {}
-
-
-class BatchNorm:
+class BatchNorm(Module):
     def __init__(self, name, channels, eps=1e-3, momentum=0.99):
         self.name = name
         self.gamma = T.Parameter(np.ones(channels, dtype=np.float32),
@@ -150,15 +196,8 @@ class BatchNorm:
                             self.running_var, mode, eps=self.eps,
                             momentum=self.momentum)
 
-    def params(self):
-        return [self.gamma, self.beta]
 
-    def buffers(self):
-        return {f"{self.name}.running_mean": self.running_mean,
-                f"{self.name}.running_var": self.running_var}
-
-
-class _ConvBnRelu:
+class _ConvBnRelu(Module):
     def __init__(self, name, kf, kt, cin, cout, rng):
         self.conv = Conv2D(f"{name}.conv", kf, kt, cin, cout, rng)
         self.bn = BatchNorm(f"{name}.bn", cout)
@@ -166,14 +205,8 @@ class _ConvBnRelu:
     def __call__(self, x, mode, rng):
         return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
 
-    def params(self):
-        return self.conv.params() + self.bn.params()
 
-    def buffers(self):
-        return self.bn.buffers()
-
-
-class InceptionUnit:
+class InceptionUnit(Module):
     """Three parallel conv branches (3x3, 1x1, 4x1) concatenated, then BN."""
 
     KERNELS = ((3, 3), (1, 1), (4, 1))
@@ -191,18 +224,8 @@ class InceptionUnit:
         merged = T.concat([br(x, mode, rng) for br in self.branches], axis=3)
         return self.bn(merged, mode, rng)
 
-    def params(self):
-        return [p for br in self.branches for p in br.params()] + self.bn.params()
 
-    def buffers(self):
-        out = {}
-        for br in self.branches:
-            out.update(br.buffers())
-        out.update(self.bn.buffers())
-        return out
-
-
-class IncResUnit:
+class IncResUnit(Module):
     """Branches conv(Kx1), conv(KxK), conv(1xK) -> stride-1 average pooling
     with the same kernels -> summed, plus a projected residual path."""
 
@@ -226,20 +249,8 @@ class IncResUnit:
         shortcut = self.proj(x, mode, rng) if self.proj is not None else x
         return T.add(merged, shortcut)
 
-    def params(self):
-        out = [p for br in self.branches for p in br.params()]
-        if self.proj is not None:
-            out += self.proj.params()
-        return out
 
-    def buffers(self):
-        out = {}
-        for br in self.branches:
-            out.update(br.buffers())
-        return out
-
-
-class _BlockTail:
+class _BlockTail(Module):
     """MP[2x2] -> dropout -> residual normalization shared by all blocks."""
 
     def __init__(self, dropout_p, rn_lambda):
@@ -252,7 +263,7 @@ class _BlockTail:
         return T.residual_norm(x, self.rn_lambda)
 
 
-class InceptionBlock:
+class InceptionBlock(Module):
     def __init__(self, cfg: ArchConfig, cin, rng, name="inception"):
         self.units = []
         for i, cout in enumerate(cfg.inception_channels):
@@ -266,17 +277,8 @@ class InceptionBlock:
             x = unit(x, mode, rng)
         return self.tail(x, mode, rng)
 
-    def params(self):
-        return [p for u in self.units for p in u.params()]
 
-    def buffers(self):
-        out = {}
-        for u in self.units:
-            out.update(u.buffers())
-        return out
-
-
-class IncResBlock:
+class IncResBlock(Module):
     def __init__(self, cfg: ArchConfig, block_index, cin, rng):
         if block_index not in (0, 1, 2):
             raise ConfigMismatch(f"block index {block_index} out of range")
@@ -295,18 +297,8 @@ class IncResBlock:
             x = unit(x, mode, rng)
         return self.tail(self.bn(x, mode, rng), mode, rng)
 
-    def params(self):
-        return [p for u in self.units for p in u.params()] + self.bn.params()
 
-    def buffers(self):
-        out = {}
-        for u in self.units:
-            out.update(u.buffers())
-        out.update(self.bn.buffers())
-        return out
-
-
-class PoolingHead:
+class PoolingHead(Module):
     """Three per-channel pooled features -> optional hidden FC -> classifier."""
 
     def __init__(self, cfg: ArchConfig, cin, rng, name="head"):
@@ -327,19 +319,12 @@ class PoolingHead:
                           mode, rng)
         return T.softmax(self.classifier(h, mode, rng), axis=1)
 
-    def params(self):
-        out = self.hidden.params() if self.hidden is not None else []
-        return out + self.classifier.params()
-
-    def buffers(self):
-        return {}
-
 
 # ---------------------------------------------------------------------------
 # assembled networks
 
 
-class Network:
+class Network(Module):
     """Backbone + head over [B, 128, 256, 3] inputs."""
 
     def __init__(self, cfg: ArchConfig, seed: int = 0):
@@ -376,44 +361,8 @@ class Network:
             trace.append(("head", out.shape))
         return out
 
-    def params(self) -> list:
-        out = [p for b in self.blocks for p in b.params()] + self.head.params()
-        names = [p.name for p in out]
-        if len(set(names)) != len(names):
-            raise ConfigMismatch("duplicate parameter names")
-        return out
 
-    def buffers(self) -> dict:
-        out = {}
-        for b in self.blocks:
-            out.update(b.buffers())
-        return out
-
-    def state_dict(self) -> dict:
-        named = {p.name: p.data for p in self.params()}
-        named.update(self.buffers())
-        return named
-
-    def save(self, path):
-        T.save_weights(path, self.state_dict())
-
-    def load(self, path):
-        named = T.load_weights(path)
-        for p in self.params():
-            if p.name not in named:
-                raise WeightsNotLoaded(f"file is missing parameter {p.name}")
-            if named[p.name].shape != p.data.shape:
-                raise WeightsNotLoaded(
-                    f"{p.name}: file shape {named[p.name].shape} != {p.data.shape}"
-                )
-            p.data = named[p.name].astype(np.float32).copy()
-        for name, buf in self.buffers().items():
-            if name not in named:
-                raise WeightsNotLoaded(f"file is missing buffer {name}")
-            buf[...] = named[name].astype(np.float64)
-
-
-class EmbeddingClassifier:
+class EmbeddingClassifier(Module):
     """Hidden FC + softmax classifier over fixed-length embedding vectors."""
 
     def __init__(self, dim: int = 2048, n_classes: int = N_CLASSES,
@@ -434,25 +383,6 @@ class EmbeddingClassifier:
         if trace is not None:
             trace.append(("embedding_head", out.shape))
         return out
-
-    def params(self):
-        return self.hidden.params() + self.classifier.params()
-
-    def buffers(self):
-        return {}
-
-    def state_dict(self):
-        return {p.name: p.data for p in self.params()}
-
-    def save(self, path):
-        T.save_weights(path, self.state_dict())
-
-    def load(self, path):
-        named = T.load_weights(path)
-        for p in self.params():
-            if p.name not in named:
-                raise WeightsNotLoaded(f"file is missing parameter {p.name}")
-            p.data = named[p.name].astype(np.float32).copy()
 
 
 def build_network(variant, seed: int = 0) -> Network:

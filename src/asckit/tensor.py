@@ -17,7 +17,8 @@ import struct
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .container import Reader, atomic_write
+from .errors import IOFailure, ShapeMismatch
 
 
 class Tensor:
@@ -484,12 +485,14 @@ _WEIGHT_VERSION = 1
 def save_weights(path, named_arrays: dict) -> None:
     """Write named float32 tensors: magic, version u16, count u32, then
     per entry a u16-length-prefixed name, rank u8, dims u32 each, payload."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_WEIGHT_MAGIC)
         fh.write(struct.pack("<HI", _WEIGHT_VERSION, len(named_arrays)))
         for name, arr in named_arrays.items():
             arr = np.asarray(arr, dtype="<f4")
             encoded = name.encode("utf-8")
+            if len(encoded) > 0xFFFF:
+                raise IOFailure(f"{path}: entry name over 65535 bytes: {name[:40]!r}...")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
@@ -498,25 +501,17 @@ def save_weights(path, named_arrays: dict) -> None:
 
 
 def load_weights(path) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 10 or raw[:4] != _WEIGHT_MAGIC:
-        raise ShapeMismatch(f"{path}: not a weight file")
-    version, count = struct.unpack_from("<HI", raw, 4)
-    if version != _WEIGHT_VERSION:
-        raise ShapeMismatch(f"{path}: unsupported weight version {version}")
-    pos = 10
+    """Named read-only float32 arrays from a file written by save_weights."""
+    rd = Reader(path)
+    (count,) = rd.header(_WEIGHT_MAGIC, _WEIGHT_VERSION, "<I")
     named = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        rank = raw[pos]
-        pos += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        named[name] = np.frombuffer(raw, dtype="<f4", count=n, offset=pos).reshape(dims)
-        pos += 4 * n
+        start = rd.pos
+        (name_len,) = rd.unpack("<H", "name length")
+        name = rd.text(name_len, "name")
+        (rank,) = rd.unpack("<B", "rank")
+        dims = rd.unpack(f"<{rank}I", f"{name} dims")
+        if name in named:
+            rd.fail(f"duplicate entry {name!r}", start)
+        named[name] = rd.floats(dims, f"{name} payload")
     return named

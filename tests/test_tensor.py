@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asckit import tensor as T
-from asckit.errors import ShapeMismatch
+from asckit.errors import IOFailure, ShapeMismatch
 
 
 class TestConv2d:
@@ -260,5 +260,5 @@ class TestWeightsIO:
     def test_reject_junk(self, tmp_path):
         p = tmp_path / "bad.ascw"
         p.write_bytes(b"nope")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IOFailure):
             T.load_weights(p)
