@@ -89,21 +89,27 @@ def load_wav(path) -> AudioClip:
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels < 1:
         raise MalformedHeader(f"{path}: zero channels")
+    if sample_rate <= 0:
+        raise MalformedHeader(f"{path}: non-positive sample rate {sample_rate}")
     if audio_format == 1 and bits == 16:
-        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 1.0 / 32768.0
     elif audio_format == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedEncoding(
             f"{path}: format {audio_format}/{bits}-bit (want PCM16 or float32)"
         )
-    if x.size == 0:
+    frame = n_channels * bits // 8
+    if len(data) % frame:
+        raise MalformedHeader(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number of "
+            f"{n_channels}-channel {bits}-bit frames"
+        )
+    if not data:
         raise EmptyAudio(f"{path}: empty data chunk")
+    x = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
     if n_channels > 1:
-        x = x[: (x.size // n_channels) * n_channels]
         x = x.reshape(-1, n_channels).mean(axis=1)
-    if x.size == 0:
-        raise EmptyAudio(f"{path}: empty data chunk")
     return AudioClip(samples=x, sample_rate=int(sample_rate))
 
 

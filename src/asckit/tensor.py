@@ -6,9 +6,10 @@ inputs and a backward closure on the output tensor; `backward` walks the
 implicit graph in reverse topological order and accumulates gradients
 into every tensor that requires them.
 
-Storage follows the input dtype (float32 in training, float64 in the
-gradient test-suite); statistics (means/variances) and full reductions
-always accumulate in float64.
+Every op stores its output, and every gradient, in its input's dtype
+(float32 in training, float64 in the gradient test-suite); statistics
+(means/variances) and full reductions accumulate in float64 and are cast
+back to that dtype before they broadcast.
 """
 
 from __future__ import annotations
@@ -244,13 +245,32 @@ def _pad_amounts(size, k, s, padding):
     return total // 2, total - total // 2, out
 
 
-def _window_cols(xp, kf, kt, sf, st):
-    """[B*of*ot, kf*kt*C] patch matrix from a padded input."""
-    v = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
-    v = v[:, ::sf, ::st]  # [B, of, ot, C, kf, kt]
-    b, of, ot = v.shape[:3]
-    cols = v.transpose(0, 1, 2, 4, 5, 3).reshape(b * of * ot, kf * kt * xp.shape[3])
-    return cols, of, ot
+def _windows(x, kernel, stride, padding):
+    """Sliding (frequency, time) windows of a [B, F, T, C] array.
+
+    Returns a [B, of, ot, kf, kt, C] view of the input zero-padded per
+    `padding` ('same': symmetric, extra cell trailing, ceil(input/stride)
+    windows; 'valid': none), and `fold`, the view's adjoint: it scatter-adds
+    a gradient of the view's shape (or one broadcasting to it) back onto a
+    [B, F, T, C] array.
+    """
+    kf, kt = _pair(kernel)
+    sf, st = _pair(stride)
+    pf0, pf1, of = _pad_amounts(x.shape[1], kf, sf, padding)
+    pt0, pt1, ot = _pad_amounts(x.shape[2], kt, st, padding)
+    if pf0 or pf1 or pt0 or pt1:
+        x = np.pad(x, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(x, (kf, kt), axis=(1, 2))
+    view = view[:, ::sf, ::st].transpose(0, 1, 2, 4, 5, 3)
+
+    def fold(g):
+        gp = np.zeros_like(x)
+        for u in range(kf):
+            for v in range(kt):
+                gp[:, u : u + sf * of : sf, v : v + st * ot : st] += g[:, :, :, u, v]
+        return gp[:, pf0 : x.shape[1] - pf1, pt0 : x.shape[2] - pt1]
+
+    return view, fold
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
@@ -263,41 +283,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
     kf, kt, cin, cout = w.shape
-    sf, st = _pair(stride)
-    pf0, pf1, of = _pad_amounts(x.shape[1], kf, sf, padding)
-    pt0, pt1, ot = _pad_amounts(x.shape[2], kt, st, padding)
-    if padding == "same" and (x.shape[1] + pf0 + pf1 < kf or x.shape[2] + pt0 + pt1 < kt):
-        raise ShapeMismatch("kernel larger than padded input")
-    if pf0 or pf1 or pt0 or pt1:
-        xp = np.pad(x.data, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
-    else:
-        xp = x.data
-    cols, of, ot = _window_cols(xp, kf, kt, sf, st)
+    view, fold = _windows(x.data, (kf, kt), stride, padding)
+    batch, of, ot = view.shape[:3]
     w2 = w.data.reshape(kf * kt * cin, cout)
-    y = cols @ w2
+    y = view.reshape(-1, kf * kt * cin) @ w2
     if b is not None:
         if b.shape != (cout,):
             raise ShapeMismatch(f"conv bias: {b.shape}")
         y = y + b.data
-    batch = x.shape[0]
     out = _result(y.reshape(batch, of, ot, cout), (x, w) if b is None else (x, w, b),
                   "conv2d")
     if out.requires_grad:
         def _bw(g):
             g2 = g.reshape(-1, cout)
             if w.requires_grad:
-                cols_again, _, _ = _window_cols(xp, kf, kt, sf, st)
-                w.accumulate((cols_again.T @ g2).reshape(w.shape))
+                w.accumulate((view.reshape(-1, kf * kt * cin).T @ g2).reshape(w.shape))
             if b is not None and b.requires_grad:
                 b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
             if x.requires_grad:
-                gw = (g2 @ w2.T).reshape(batch, of, ot, kf, kt, cin)
-                gxp = np.zeros_like(xp)
-                for u in range(kf):
-                    for v_ in range(kt):
-                        gxp[:, u : u + sf * of : sf, v_ : v_ + st * ot : st, :] += \
-                            gw[:, :, :, u, v_, :]
-                x.accumulate(gxp[:, pf0 : xp.shape[1] - pf1, pt0 : xp.shape[2] - pt1, :])
+                x.accumulate(fold((g2 @ w2.T).reshape(view.shape)))
         out._backward = _bw
     return out
 
@@ -308,25 +312,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
 
 def max_pool(x: Tensor, kernel, stride=None) -> Tensor:
     """Window max over (frequency, time); kernel must fit the input."""
-    kf, kt = _pair(kernel)
-    sf, st = _pair(stride) if stride is not None else (kf, kt)
-    if x.shape[1] < kf or x.shape[2] < kt:
-        raise ShapeMismatch(f"max_pool kernel {kernel} exceeds input {x.shape}")
-    v = np.lib.stride_tricks.sliding_window_view(x.data, (kf, kt), axis=(1, 2))
-    v = v[:, ::sf, ::st]
-    b, of, ot, c = v.shape[:4]
-    flat = v.reshape(b, of, ot, c, kf * kt)
-    idx = flat.argmax(axis=4)
-    out = _result(np.take_along_axis(flat, idx[..., None], axis=4)[..., 0],
-                  (x,), "max_pool")
+    view, fold = _windows(x.data, kernel, kernel if stride is None else stride, "valid")
+    b, of, ot, kf, kt, c = view.shape
+    flat = view.reshape(b, of, ot, kf * kt, c)
+    idx = flat.argmax(axis=3)[:, :, :, None]
+    out = _result(np.take_along_axis(flat, idx, axis=3)[:, :, :, 0], (x,), "max_pool")
     if out.requires_grad:
         def _bw(g):
-            gx = np.zeros_like(x.data)
-            bb, ff, tt, cc = np.indices((b, of, ot, c), sparse=False)
-            fpos = ff * sf + idx // kt
-            tpos = tt * st + idx % kt
-            np.add.at(gx, (bb, fpos, tpos, cc), g)
-            x.accumulate(gx)
+            hot = np.arange(kf * kt)[:, None] == idx
+            x.accumulate(fold((hot * g[:, :, :, None]).reshape(view.shape)))
         out._backward = _bw
     return out
 
@@ -337,36 +331,39 @@ def avg_pool(x: Tensor, kernel, stride=1, padding: str = "valid") -> Tensor:
     'same' zero-pads and divides by the true window overlap (cells inside
     the unpadded input), so edges are unbiased.
     """
-    kf, kt = _pair(kernel)
-    sf, st = _pair(stride)
-    pf0, pf1, of = _pad_amounts(x.shape[1], kf, sf, padding)
-    pt0, pt1, ot = _pad_amounts(x.shape[2], kt, st, padding)
-    if pf0 or pf1 or pt0 or pt1:
-        xp = np.pad(x.data, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
-    else:
-        xp = x.data
-    v = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))[:, ::sf, ::st]
-    sums = v.sum(axis=(4, 5))
-    ones = np.zeros(xp.shape[1:3])
-    ones[pf0 : xp.shape[1] - pf1, pt0 : xp.shape[2] - pt1] = 1.0
-    counts = np.lib.stride_tricks.sliding_window_view(ones, (kf, kt))[::sf, ::st].sum(
-        axis=(2, 3)
-    )
-    out = _result(sums / counts[None, :, :, None], (x,), "avg_pool")
+    view, fold = _windows(x.data, kernel, stride, padding)
+    ones, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel, stride,
+                       padding)
+    counts = ones.sum(axis=(3, 4))
+    out = _result(view.sum(axis=(3, 4)) / counts, (x,), "avg_pool")
     if out.requires_grad:
         def _bw(g):
-            gn = g / counts[None, :, :, None]
-            gxp = np.zeros_like(xp)
-            for u in range(kf):
-                for v_ in range(kt):
-                    gxp[:, u : u + sf * of : sf, v_ : v_ + st * ot : st, :] += gn
-            x.accumulate(gxp[:, pf0 : xp.shape[1] - pf1, pt0 : xp.shape[2] - pt1, :])
+            gn = (g / counts)[:, :, :, None, None]
+            x.accumulate(fold(np.broadcast_to(gn, view.shape)))
         out._backward = _bw
     return out
 
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+def _standardize(x, mu, var, eps):
+    """(x - mu) / sqrt(var + eps) and the inverse deviation, in x's dtype."""
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    return (x - mu.astype(x.dtype)) * inv, inv
+
+
+def _standardize_grad(g, xhat, scale, axes):
+    """Gradient through `scale * xhat` where xhat was standardized with the
+    mean and variance over `axes` of the same input (Ioffe & Szegedy, 2015).
+
+    The means accumulate in float64 and are cast to g's dtype before they
+    broadcast, so no full-size float64 temporary is made.
+    """
+    g_mean = g.mean(axis=axes, keepdims=True, dtype=np.float64).astype(g.dtype)
+    gx_mean = (g * xhat).mean(axis=axes, keepdims=True, dtype=np.float64).astype(g.dtype)
+    return scale * (g - g_mean - xhat * gx_mean)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
@@ -386,9 +383,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
         running_var += (1.0 - momentum) * var
     else:
         mu, var = running_mean, running_var
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    mu = mu.astype(x.dtype)
-    xhat = (x.data - mu) * inv
+    xhat, inv = _standardize(x.data, mu, var, eps)
     out = _result(gamma.data * xhat + beta.data, (x, gamma, beta), "batch_norm")
     if out.requires_grad:
         def _bw(g):
@@ -397,10 +392,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
             if not x.requires_grad:
                 return
             if mode == "train":
-                g_mean = g.mean(axis=axes, keepdims=True, dtype=np.float64)
-                gx_mean = (g * xhat).mean(axis=axes, keepdims=True, dtype=np.float64)
-                dx = gamma.data * inv * (g - g_mean - xhat * gx_mean)
-                x.accumulate(dx.astype(x.dtype))
+                x.accumulate(_standardize_grad(g, xhat, gamma.data * inv, axes))
             else:
                 x.accumulate(g * gamma.data * inv)
         out._backward = _bw
@@ -418,15 +410,11 @@ def residual_norm(x: Tensor, lam: float = 0.4, eps: float = 1e-5) -> Tensor:
     axes = (2, 3)
     mu = x.data.mean(axis=axes, keepdims=True, dtype=np.float64)
     var = x.data.var(axis=axes, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    xhat = (x.data - mu.astype(x.dtype)) * inv
+    xhat, inv = _standardize(x.data, mu, var, eps)
     out = _result(lam * x.data + xhat, (x,), "residual_norm")
     if out.requires_grad:
         def _bw(g):
-            g_mean = g.mean(axis=axes, keepdims=True, dtype=np.float64)
-            gx_mean = (g * xhat).mean(axis=axes, keepdims=True, dtype=np.float64)
-            dx = lam * g + inv * (g - g_mean - xhat * gx_mean)
-            x.accumulate(dx.astype(x.dtype))
+            x.accumulate(lam * g + _standardize_grad(g, xhat, inv, axes))
         out._backward = _bw
     return out
 

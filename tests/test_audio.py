@@ -92,6 +92,33 @@ class TestLoadWav:
         with pytest.raises(EmptyAudio):
             load_wav(p)
 
+    @pytest.mark.parametrize("fmt,bits,payload", [(1, 16, b"\x01\x02\x03"),
+                                                  (3, 32, b"\x00" * 6)],
+                             ids=["pcm16-3-bytes", "float32-6-bytes"])
+    def test_partial_sample_payload(self, tmp_path, fmt, bits, payload):
+        p = tmp_path / "partial.wav"
+        hdr = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(payload), b"WAVE",
+            b"fmt ", 16, fmt, 1, 32000, 32000 * bits // 8, bits // 8, bits,
+            b"data", len(payload),
+        )
+        p.write_bytes(hdr + payload)
+        with pytest.raises(MalformedHeader, match="partial.wav"):
+            load_wav(p)
+
+    def test_partial_stereo_frame(self, tmp_path):
+        p = tmp_path / "odd.wav"
+        write_pcm16(p, np.zeros(5, dtype=np.int16), 32000, n_channels=2)
+        with pytest.raises(MalformedHeader, match="odd.wav"):
+            load_wav(p)
+
+    def test_zero_sample_rate(self, tmp_path):
+        p = tmp_path / "rate0.wav"
+        write_pcm16(p, np.zeros(10, dtype=np.int16), 0)
+        with pytest.raises(MalformedHeader, match="rate0.wav"):
+            load_wav(p)
+
     def test_save_load_roundtrip(self, tmp_path):
         p = tmp_path / "rt.wav"
         rng = np.random.default_rng(7)

@@ -132,11 +132,16 @@ class TestPooling:
     def test_max_pool_overlapping(self, rng):
         x = T.Tensor(well_spaced(rng, (1, 7, 7, 2)), requires_grad=True)
         check(lambda x: T.max_pool(x, 3, stride=2), [x])
+        x = T.Tensor(well_spaced(rng, (2, 7, 6, 2)), requires_grad=True)
+        check(lambda x: T.max_pool(x, (3, 2), stride=(2, 1)), [x])
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    def test_avg_pool(self, rng, padding):
+    # the asymmetric "same" kernels are the ones IncResUnit pools with
+    @pytest.mark.parametrize("kernel,padding", [(3, "same"), (3, "valid"),
+                                                ((3, 1), "same"), ((1, 3), "same")],
+                             ids=["same", "valid", "same-3x1", "same-1x3"])
+    def test_avg_pool(self, rng, kernel, padding):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
-        check(lambda x: T.avg_pool(x, 3, stride=1, padding=padding), [x])
+        check(lambda x: T.avg_pool(x, kernel, stride=1, padding=padding), [x])
 
     def test_avg_pool_strided_same(self, rng):
         x = T.Tensor(rng.normal(size=(2, 5, 8, 2)), requires_grad=True)

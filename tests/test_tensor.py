@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asckit import models
 from asckit import tensor as T
 from asckit.errors import IOFailure, ShapeMismatch
 
@@ -232,6 +233,50 @@ class TestBackward:
             return T.global_pool(h, "avg_channel").data
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
+
+
+def _f32(rng, *shape):
+    return T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+
+FLOAT32_OPS = {
+    "add": lambda r: T.add(_f32(r, 2, 3), _f32(r, 2, 3)),
+    "mul": lambda r: T.mul(_f32(r, 2, 3), _f32(r, 2, 3)),
+    "scale": lambda r: T.scale(_f32(r, 2, 3), -2.5),
+    "log": lambda r: T.log(T.Tensor(np.full((2, 3), 0.5, np.float32))),
+    "tsum": lambda r: T.tsum(_f32(r, 2, 3)),
+    "reshape": lambda r: T.reshape(_f32(r, 2, 3), (3, 2)),
+    "concat": lambda r: T.concat([_f32(r, 2, 3), _f32(r, 2, 1)], axis=1),
+    "relu": lambda r: T.relu(_f32(r, 2, 3)),
+    "softmax": lambda r: T.softmax(_f32(r, 2, 3), axis=1),
+    "dropout": lambda r: T.dropout(_f32(r, 4, 4), 0.5, "train", r),
+    "dense": lambda r: T.dense(_f32(r, 2, 3), _f32(r, 3, 4), _f32(r, 4)),
+    "conv2d": lambda r: T.conv2d(_f32(r, 1, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3),
+                                 stride=2),
+    "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2), 2),
+    "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3), padding="same"),
+    "avg_pool_valid": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), 2, stride=2),
+    "batch_norm_train": lambda r: T.batch_norm(
+        _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
+    "batch_norm_eval": lambda r: T.batch_norm(
+        _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "eval"),
+    "residual_norm": lambda r: T.residual_norm(_f32(r, 2, 3, 4, 2)),
+    "reduce_mean": lambda r: T.reduce_mean(_f32(r, 2, 3, 4), 1),
+    "reduce_max": lambda r: T.reduce_max(_f32(r, 2, 3, 4), 1),
+    "global_pool": lambda r: T.global_pool(_f32(r, 2, 3, 4, 2), "max_time"),
+}
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("op", sorted(FLOAT32_OPS))
+    def test_op_keeps_float32(self, op):
+        assert FLOAT32_OPS[op](np.random.default_rng(15)).dtype == np.float32
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_network_keeps_float32(self, mode):
+        net = models.build_network("red03")
+        x = np.zeros((1,) + models.INPUT_SHAPE, dtype=np.float32)
+        assert net.forward(x, mode, rng=np.random.default_rng(16)).dtype == np.float32
 
 
 class TestWeightsIO:
