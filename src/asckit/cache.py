@@ -2,8 +2,12 @@
 
 Layout (all little-endian):
   magic "ASCF" | version u16 | frontend id u8 | F u32 | T u32 | C u32
-  then one record per segment:
+  | record count u32
+  then exactly that many records, one per segment:
   label u8 | tag length u8 | tag UTF-8 bytes | F*T*C float32 row-major
+
+Version 1 files, which have no record count and whose records run to the
+end of the file, are still read.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from .errors import IOFailure, ShapeMismatch
 from .frontend import FRONTENDS
 
 _MAGIC = b"ASCF"
-_VERSION = 1
+_VERSION = 2
+_HEADER = "<B3I"  # frontend id, F, T, C; version 2 follows it with the record count
+_COUNT_OFFSET = len(_MAGIC) + 2 + struct.calcsize(_HEADER)
 _FRONTEND_IDS = {name: i for i, name in enumerate(FRONTENDS)}
 
 
@@ -53,7 +59,8 @@ def write_cache(path, frontend: str, records) -> int:
             if dims is None:
                 dims = feats.shape
                 fh.write(_MAGIC)
-                fh.write(struct.pack("<HB3I", _VERSION, _FRONTEND_IDS[frontend], *dims))
+                fh.write(struct.pack("<H", _VERSION))
+                fh.write(struct.pack(_HEADER + "I", _FRONTEND_IDS[frontend], *dims, 0))
             elif feats.shape != dims:
                 raise ShapeMismatch(f"record shape {feats.shape} != cache dims {dims}")
             if not 0 <= int(label) <= 255:
@@ -67,24 +74,30 @@ def write_cache(path, frontend: str, records) -> int:
             count += 1
         if dims is None:
             raise IOFailure("refusing to write an empty feature cache")
+        fh.seek(_COUNT_OFFSET)
+        fh.write(struct.pack("<I", count))
     return count
 
 
 def read_cache(path) -> FeatureSet:
-    """Load a feature cache written by write_cache."""
+    """Load a feature cache written by write_cache (version 2) or by its
+    version 1. A version 2 file must hold exactly its record count."""
     rd = Reader(path)
-    frontend_id, *dims = rd.header(_MAGIC, _VERSION, "<B3I")
+    version, frontend_id, *dims = rd.header(_MAGIC, (1, _VERSION), _HEADER)
     names = {i: n for n, i in _FRONTEND_IDS.items()}
     if frontend_id not in names:
         rd.fail(f"unknown frontend id {frontend_id}", len(_MAGIC) + 2)
+    count = None if version == 1 else rd.unpack("<I", "record count")[0]
     feats, labels, devices = [], [], []
-    while rd.pos < len(rd.raw):
+    while rd.pos < len(rd.raw) if count is None else len(feats) < count:
         label, tag_len = rd.unpack("<BB", f"record {len(feats)} header")
         devices.append(rd.text(tag_len, f"record {len(feats)} device tag"))
         labels.append(label)
         feats.append(rd.floats(dims, f"record {len(feats)} payload"))
     if not feats:
         rd.fail("no records")
+    if rd.pos < len(rd.raw):
+        rd.fail(f"{len(rd.raw) - rd.pos} bytes after the last of {count} records")
     return FeatureSet(
         frontend=names[frontend_id],
         features=np.stack(feats),

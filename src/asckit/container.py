@@ -36,15 +36,16 @@ class Reader:
         self.pos = start + size
         return start
 
-    def header(self, magic: bytes, version: int, fmt: str) -> tuple:
-        """Check the magic and version; return the rest of the header unpacked."""
+    def header(self, magic: bytes, versions, fmt: str) -> tuple:
+        """Check the magic and that the version is one of `versions`; return
+        the version followed by the rest of the header unpacked."""
         if self.raw[: len(magic)] != magic:
             self.fail(f"not an {magic.decode()} file", 0)
         self.pos = len(magic)
         (found,) = self.unpack("<H", "version")
-        if found != version:
+        if found not in versions:
             self.fail(f"unsupported {magic.decode()} version {found}", len(magic))
-        return self.unpack(fmt, "header")
+        return (found,) + self.unpack(fmt, "header")
 
     def unpack(self, fmt: str, what: str) -> tuple:
         start = self._advance(struct.calcsize(fmt), what)

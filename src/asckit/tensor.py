@@ -9,7 +9,10 @@ into every tensor that requires them.
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
 (means/variances) and full reductions accumulate in float64 and are cast
-back to that dtype before they broadcast.
+back to that dtype before they broadcast, without any full-size float64
+temporary. After `backward` only leaves (tensors made directly, and
+`Parameter`s) keep their `.grad`; an op's output drops its gradient once
+its backward closure has consumed it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import struct
 import numpy as np
 
 from .container import Reader, atomic_write
-from .errors import IOFailure, ShapeMismatch
+from .errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 
 class Tensor:
@@ -45,8 +48,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor({self.op}, shape={self.shape}, grad={self.requires_grad})"
@@ -69,7 +73,12 @@ def _result(data, parents, op):
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of everything the scalar `loss` depends on."""
+    """Populate the grads of the leaves the scalar `loss` depends on.
+
+    Gradients flow through every op output in reverse topological order;
+    each output's `.grad` is set back to None once its backward closure has
+    consumed it, so after the call only leaves and `Parameter`s hold one.
+    """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
     order = []
@@ -91,6 +100,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(params) -> None:
@@ -192,7 +202,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def _check_mode(op, mode):
+    if mode not in ("train", "eval"):
+        raise ConfigMismatch(f"{op}: mode must be 'train' or 'eval', got {mode!r}")
+
+
 def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
+    _check_mode("dropout", mode)
     if not 0 <= p < 1:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if mode == "eval" or p == 0.0:
@@ -348,22 +364,46 @@ def avg_pool(x: Tensor, kernel, stride=1, padding: str = "valid") -> Tensor:
 # normalization
 
 
-def _standardize(x, mu, var, eps):
-    """(x - mu) / sqrt(var + eps) and the inverse deviation, in x's dtype."""
+def _standardize(x, axes, eps):
+    """xhat = (x - mean) / sqrt(var + eps) over `axes`, in x's dtype.
+
+    Returns the float64 mean and biased variance (keepdims), the inverse
+    deviation in x's dtype, xhat, and a spare buffer of x's shape and dtype
+    for the caller's output. The mean is a float64-accumulated sum; x is
+    centred once by the mean cast to x's dtype, and the squares of that
+    (formed in the spare buffer) accumulate in float64 less the square of the
+    cast's error, so no float64 copy of x is made.
+    """
+    total = x.sum(axis=axes, keepdims=True, dtype=np.float64)
+    n = x.size // total.size
+    mu = total / n
+    shift = mu.astype(x.dtype)
+    xhat = x - shift
+    spare = np.square(xhat)
+    var = spare.sum(axis=axes, keepdims=True, dtype=np.float64) / n - np.square(mu - shift)
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    return (x - mu.astype(x.dtype)) * inv, inv
+    xhat *= inv
+    return mu, var, inv, xhat, spare
 
 
 def _standardize_grad(g, xhat, scale, axes):
     """Gradient through `scale * xhat` where xhat was standardized with the
     mean and variance over `axes` of the same input (Ioffe & Szegedy, 2015).
 
-    The means accumulate in float64 and are cast to g's dtype before they
-    broadcast, so no full-size float64 temporary is made.
+    Returns it with the float64 sums over `axes` (keepdims) of g and of
+    g * xhat, which are also the shift and scale gradients. g * xhat is
+    formed once, and the input gradient is built in its buffer; the means
+    are cast to g's dtype before they broadcast.
     """
-    g_mean = g.mean(axis=axes, keepdims=True, dtype=np.float64).astype(g.dtype)
-    gx_mean = (g * xhat).mean(axis=axes, keepdims=True, dtype=np.float64).astype(g.dtype)
-    return scale * (g - g_mean - xhat * gx_mean)
+    g_sum = g.sum(axis=axes, keepdims=True, dtype=np.float64)
+    n = g.size // g_sum.size
+    gx = g * xhat
+    gx_sum = gx.sum(axis=axes, keepdims=True, dtype=np.float64)
+    dx = np.multiply(xhat, (gx_sum / n).astype(g.dtype), out=gx)
+    np.subtract(g, dx, out=dx)
+    dx -= (g_sum / n).astype(g.dtype)
+    dx *= scale
+    return dx, g_sum, gx_sum
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
@@ -371,30 +411,45 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     """Per-channel batch normalization over all non-channel axes.
 
     Train mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode normalizes with the running buffers.
+    buffers in place; eval mode normalizes with the running buffers as one
+    per-channel affine map, (x - mean) * (gamma / std) + beta.
     """
+    _check_mode("batch_norm", mode)
     axes = tuple(range(x.data.ndim - 1))
-    if mode == "train":
-        mu = x.data.mean(axis=axes, dtype=np.float64)
-        var = x.data.var(axis=axes, dtype=np.float64)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
-    else:
-        mu, var = running_mean, running_var
-    xhat, inv = _standardize(x.data, mu, var, eps)
-    out = _result(gamma.data * xhat + beta.data, (x, gamma, beta), "batch_norm")
+    if mode == "eval":
+        # the mean is subtracted in x's dtype; the error of casting it there
+        # goes into the float64 per-channel bias
+        inv = 1.0 / np.sqrt(running_var + eps)
+        shift = running_mean.astype(x.dtype)
+        cast_error = shift - running_mean
+        scale = gamma.data * inv
+        y = np.subtract(x.data, shift)
+        y *= scale.astype(x.dtype)
+        y += (beta.data + cast_error * scale).astype(x.dtype)
+        out = _result(y, (x, gamma, beta), "batch_norm")
+        if out.requires_grad:
+            def _bw_eval(g):
+                g_sum = g.sum(axis=axes, dtype=np.float64)
+                gx_sum = (g * (x.data - shift)).sum(axis=axes, dtype=np.float64)
+                gamma.accumulate(((gx_sum + g_sum * cast_error) * inv).astype(g.dtype))
+                beta.accumulate(g_sum.astype(g.dtype))
+                x.accumulate(g * scale.astype(g.dtype))
+            out._backward = _bw_eval
+        return out
+    mu, var, inv, xhat, y = _standardize(x.data, axes, eps)
+    running_mean *= momentum
+    running_mean += (1.0 - momentum) * mu.reshape(-1)
+    running_var *= momentum
+    running_var += (1.0 - momentum) * var.reshape(-1)
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = _result(y, (x, gamma, beta), "batch_norm")
     if out.requires_grad:
         def _bw(g):
-            gamma.accumulate((g * xhat).sum(axis=axes, dtype=np.float64).astype(g.dtype))
-            beta.accumulate(g.sum(axis=axes, dtype=np.float64).astype(g.dtype))
-            if not x.requires_grad:
-                return
-            if mode == "train":
-                x.accumulate(_standardize_grad(g, xhat, gamma.data * inv, axes))
-            else:
-                x.accumulate(g * gamma.data * inv)
+            dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
+            gamma.accumulate(gx_sum.reshape(gamma.shape).astype(g.dtype))
+            beta.accumulate(g_sum.reshape(beta.shape).astype(g.dtype))
+            x.accumulate(dx)
         out._backward = _bw
     return out
 
@@ -408,13 +463,15 @@ def residual_norm(x: Tensor, lam: float = 0.4, eps: float = 1e-5) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"residual_norm expects B x F x T x C, got {x.shape}")
     axes = (2, 3)
-    mu = x.data.mean(axis=axes, keepdims=True, dtype=np.float64)
-    var = x.data.var(axis=axes, keepdims=True, dtype=np.float64)
-    xhat, inv = _standardize(x.data, mu, var, eps)
-    out = _result(lam * x.data + xhat, (x,), "residual_norm")
+    _, _, inv, xhat, y = _standardize(x.data, axes, eps)
+    np.multiply(x.data, lam, out=y)
+    y += xhat
+    out = _result(y, (x,), "residual_norm")
     if out.requires_grad:
         def _bw(g):
-            x.accumulate(lam * g + _standardize_grad(g, xhat, inv, axes))
+            dx, _, _ = _standardize_grad(g, xhat, inv, axes)
+            dx += lam * g
+            x.accumulate(dx)
         out._backward = _bw
     return out
 
@@ -491,7 +548,7 @@ def save_weights(path, named_arrays: dict) -> None:
 def load_weights(path) -> dict:
     """Named read-only float32 arrays from a file written by save_weights."""
     rd = Reader(path)
-    (count,) = rd.header(_WEIGHT_MAGIC, _WEIGHT_VERSION, "<I")
+    _, count = rd.header(_WEIGHT_MAGIC, (_WEIGHT_VERSION,), "<I")
     named = {}
     for _ in range(count):
         start = rd.pos

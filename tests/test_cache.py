@@ -29,12 +29,14 @@ def test_header_layout(tmp_path):
     write_cache(path, "cqt", [(np.zeros((4, 6, 3), np.float32), 2, "A")])
     raw = path.read_bytes()
     assert raw[:4] == b"ASCF"
-    assert int.from_bytes(raw[4:6], "little") == 1  # version
+    assert int.from_bytes(raw[4:6], "little") == 2  # version
     assert raw[6] == 1  # frontend id for cqt
     dims = np.frombuffer(raw[7:19], dtype="<u4")
     np.testing.assert_array_equal(dims, [4, 6, 3])
-    assert raw[19] == 2  # label
-    assert raw[20] == 1 and raw[21:22] == b"A"
+    assert int.from_bytes(raw[19:23], "little") == 1  # record count
+    assert raw[23] == 2  # label
+    assert raw[24] == 1 and raw[25:26] == b"A"
+    assert len(raw) == 26 + 4 * 6 * 3 * 4
 
 
 def test_mixed_shapes_rejected(tmp_path):

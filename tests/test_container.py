@@ -38,8 +38,13 @@ def _write_cache(tmp_path):
     return path, path.read_bytes()
 
 
+def _as_version_1(raw):
+    """The same cache in ASCF version 1, which has no record count."""
+    return raw[:4] + struct.pack("<H", 1) + raw[6:19] + raw[23:]
+
+
 def _record_ends():
-    """Byte offsets at which each ASCF record ends."""
+    """Byte offsets at which each record of a version 1 ASCF file ends."""
     ends, pos = [], 19
     for feats, _, tag in RECORDS:
         pos += 2 + len(tag.encode("utf-8")) + feats.nbytes
@@ -127,18 +132,40 @@ class TestWeights:
 
 
 class TestCache:
-    def test_every_truncation_rejected_unless_at_a_record_boundary(self, tmp_path):
+    def test_every_truncation_rejected(self, tmp_path):
         _, raw = _write_cache(tmp_path)
+        cut = tmp_path / "cut.ascf"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(IOFailure) as exc_info:
+                read_cache(cut)
+            _assert_names_path_and_offset(exc_info, cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a whole extra record past the count, as from two caches concatenated
+        path, raw = _write_cache(tmp_path)
+        extra = raw[23 : 25 + len(RECORDS[0][2]) + RECORDS[0][0].nbytes]
+        path.write_bytes(raw + extra)
+        with pytest.raises(IOFailure, match=f"{len(extra)} bytes after the last of 3 "
+                                            f"records at offset {len(raw)}"):
+            read_cache(path)
+
+    def test_every_truncation_rejected_unless_at_a_record_boundary(self, tmp_path):
+        # version 1 stores no record count, so a cut at a record end reads back
+        _, raw = _write_cache(tmp_path)
+        raw = _as_version_1(raw)
         ends = _record_ends()
         assert ends[-1] == len(raw)
         cut = tmp_path / "cut.ascf"
-        for n in range(len(raw)):
+        for n in range(len(raw) + 1):
             cut.write_bytes(raw[:n])
             if n in ends:
                 kept = ends.index(n) + 1
                 back = read_cache(cut)
                 assert back.n_samples == kept
                 assert back.devices == [r[2] for r in RECORDS[:kept]]
+                assert [int(v) for v in back.labels] == [r[1] for r in RECORDS[:kept]]
+                assert np.array_equal(back.features, np.stack([r[0] for r in RECORDS[:kept]]))
                 continue
             with pytest.raises(IOFailure) as exc_info:
                 read_cache(cut)
@@ -166,9 +193,10 @@ class TestCache:
 
     def test_header_without_records_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)
-        path.write_bytes(raw[:19])
-        with pytest.raises(IOFailure, match="no records"):
-            read_cache(path)
+        for empty in (raw[:19] + struct.pack("<I", 0), _as_version_1(raw)[:19]):
+            path.write_bytes(empty)
+            with pytest.raises(IOFailure, match="no records"):
+                read_cache(path)
 
     def test_unknown_frontend_id_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)

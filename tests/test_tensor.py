@@ -3,7 +3,7 @@ import pytest
 
 from asckit import models
 from asckit import tensor as T
-from asckit.errors import IOFailure, ShapeMismatch
+from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 
 class TestConv2d:
@@ -95,6 +95,39 @@ class TestBatchNorm:
         np.testing.assert_allclose(rm, 0.9 * 0.0 + 0.1 * 10.0)
         np.testing.assert_allclose(rv, 0.9 * 1.0 + 0.1 * 0.0)
 
+    def test_running_var_float32_large_offset(self):
+        # oracle: np.var in float64 of the same float32 values; the offset is
+        # 1e5 standard deviations, so centring in float32 must not bias it
+        rng = np.random.default_rng(17)
+        x = (1e3 + 1e-2 * rng.normal(size=(4, 16, 16, 3))).astype(np.float32)
+        rm, rv = np.zeros(3), np.ones(3)
+        T.batch_norm(T.Tensor(x), T.Tensor(np.ones(3, np.float32)),
+                     T.Tensor(np.zeros(3, np.float32)), rm, rv, "train", momentum=0.0)
+        want = x.astype(np.float64).var(axis=(0, 1, 2))
+        np.testing.assert_allclose(rv, want, rtol=1e-6)
+        np.testing.assert_allclose(rm, x.astype(np.float64).mean(axis=(0, 1, 2)), rtol=1e-12)
+
+    def test_eval_float32_large_running_mean(self):
+        # oracle: the float64 formula; outputs reach ~4, so 1e-6 is about two
+        # float32 ulps (adding the mean into the bias instead would cost ~1e-3)
+        rng = np.random.default_rng(18)
+        x = (1e3 + 0.1 * rng.normal(size=(4, 8, 8, 2))).astype(np.float32)
+        rm = np.array([1e3 + 0.0123, 1e3 - 0.0071])
+        rv = np.array([1e-2, 2e-2])
+        gamma = np.array([1.5, 0.5], np.float32)
+        beta = np.array([0.1, -0.2], np.float32)
+        out = T.batch_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), rm, rv, "eval")
+        want = (x.astype(np.float64) - rm) / np.sqrt(rv + 1e-3) * gamma + beta
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["Train", "evaluate"])
+    def test_unknown_mode_rejected(self, mode):
+        x = T.Tensor(np.ones((2, 2, 2, 1)))
+        with pytest.raises(ConfigMismatch, match=repr(mode)):
+            T.batch_norm(x, T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), np.zeros(1),
+                         np.ones(1), mode)
+
 
 class TestActivations:
     def test_softmax_uniform(self):
@@ -127,6 +160,11 @@ class TestActivations:
     def test_dropout_eval_identity(self):
         x = T.Tensor(np.random.default_rng(8).normal(size=(4, 4)))
         assert T.dropout(x, 0.5, "eval") is x
+
+    @pytest.mark.parametrize("mode", ["Train", "evaluate"])
+    def test_dropout_unknown_mode_rejected(self, mode):
+        with pytest.raises(ConfigMismatch, match=repr(mode)):
+            T.dropout(T.Tensor(np.ones((4, 4))), 0.5, mode, np.random.default_rng(0))
 
 
 class TestPooling:
@@ -218,6 +256,26 @@ class TestBackward:
         loss = T.tsum(x)
         T.backward(loss)
         assert w.grad is None
+
+    def test_only_leaves_keep_grad(self):
+        rng = np.random.default_rng(19)
+        x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        w = T.Parameter(rng.normal(size=(3, 3)), name="w")
+        h = T.mul(w, x)
+        r = T.relu(h)
+        loss = T.tsum(r)
+        T.backward(loss)
+        assert h.grad is None and r.grad is None and loss.grad is None
+        np.testing.assert_allclose(w.grad, x.data * (h.data > 0), rtol=1e-12)
+        np.testing.assert_allclose(x.grad, w.data * (h.data > 0), rtol=1e-12)
+
+    def test_shared_gradient_not_aliased(self):
+        # add hands one gradient array to both inputs; each must keep its own
+        a = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        b = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        T.backward(T.tsum(T.add(T.add(a, b), a)))
+        np.testing.assert_array_equal(a.grad, 2.0)
+        np.testing.assert_array_equal(b.grad, 1.0)
 
     def test_scalar_loss_required(self):
         with pytest.raises(ShapeMismatch):
