@@ -13,6 +13,7 @@ from math import gcd
 import numpy as np
 from scipy import signal
 
+from .container import atomic_write
 from .errors import ClipTooShort, EmptyAudio, MalformedHeader, UnsupportedEncoding
 
 PIPELINE_RATE = 32000
@@ -133,7 +134,7 @@ def save_wav(path, clip: AudioClip) -> None:
         b"data",
         len(pcm),
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(hdr + pcm)
 
 

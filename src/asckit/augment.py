@@ -24,9 +24,7 @@ from .errors import (
 class AugmentConfig:
     crop_width: int = 256
     mask_len: int = 10
-    n_masks_per_axis: int = 1
     mixup_alpha: float = 0.4
-    mixup_dist: str = "beta"  # or "uniform"
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -34,8 +32,6 @@ class AugmentConfig:
             raise MaskLongerThanAxis("mask_len must be >= 0")
         if self.mixup_alpha <= 0:
             raise ShapeMismatch("mixup_alpha must be positive")
-        if self.mixup_dist not in ("beta", "uniform"):
-            raise ShapeMismatch(f"unknown mixup distribution {self.mixup_dist!r}")
 
 
 @dataclass
@@ -103,14 +99,13 @@ def spec_augment(batch: LabeledBatch, cfg: AugmentConfig, rng) -> LabeledBatch:
     rngs = _per_sample_rngs(rng, batch.size)
     if cfg.mask_len > 0:
         for i, r in enumerate(rngs):
-            for _ in range(cfg.n_masks_per_axis):
-                axis_is_freq = bool(r.integers(0, 2) == 0)
-                span = f_len if axis_is_freq else t_len
-                start = int(r.integers(0, span - cfg.mask_len + 1))
-                if axis_is_freq:
-                    feats[i, start : start + cfg.mask_len, :, :] = 0.0
-                else:
-                    feats[i, :, start : start + cfg.mask_len, :] = 0.0
+            axis_is_freq = bool(r.integers(0, 2) == 0)
+            span = f_len if axis_is_freq else t_len
+            start = int(r.integers(0, span - cfg.mask_len + 1))
+            if axis_is_freq:
+                feats[i, start : start + cfg.mask_len, :, :] = 0.0
+            else:
+                feats[i, :, start : start + cfg.mask_len, :] = 0.0
     return LabeledBatch(feats, batch.labels.copy(), list(batch.device_tags))
 
 
@@ -118,8 +113,8 @@ def mixup(batch: LabeledBatch, cfg: AugmentConfig, rng, per_sample_rngs=None) ->
     """Convex-combine each sample with a permutation partner.
 
     x'_i = lam_i*x_i + (1-lam_i)*x_pi(i), same for labels; lam_i drawn from
-    Beta(alpha, alpha) or Uniform(0, 1). The permutation comes from `rng`
-    (batch-level); lambdas come from per-sample substreams.
+    Beta(alpha, alpha). The permutation comes from `rng` (batch-level);
+    lambdas come from per-sample substreams.
     """
     if batch.size < 2:
         raise BatchTooSmall("mixup needs at least two samples")
@@ -128,10 +123,7 @@ def mixup(batch: LabeledBatch, cfg: AugmentConfig, rng, per_sample_rngs=None) ->
     perm = rng.permutation(batch.size)
     rngs = _per_sample_rngs(per_sample_rngs if per_sample_rngs is not None else rng,
                             batch.size)
-    if cfg.mixup_dist == "beta":
-        lams = np.array([r.beta(cfg.mixup_alpha, cfg.mixup_alpha) for r in rngs])
-    else:
-        lams = np.array([r.uniform(0.0, 1.0) for r in rngs])
+    lams = np.array([r.beta(cfg.mixup_alpha, cfg.mixup_alpha) for r in rngs])
     lam_x = lams[:, None, None, None]
     feats = lam_x * batch.features + (1.0 - lam_x) * batch.features[perm]
     labels = lams[:, None] * batch.labels + (1.0 - lams[:, None]) * batch.labels[perm]

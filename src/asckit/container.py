@@ -1,6 +1,8 @@
 """Bounds-checked reading and atomic writing for the toolkit's binary files:
 ASCW weight files (`tensor.save_weights`) and ASCF feature caches
-(`cache.write_cache`). Both open with a 4-byte magic and a u16 version."""
+(`cache.write_cache`), which both open with a 4-byte magic and a u16
+version. WAV files (`audio.save_wav`) are written through `atomic_write`
+too."""
 
 from __future__ import annotations
 

@@ -54,7 +54,8 @@ class BatchTooSmall(AscKitError):
 
 # model zoo
 class ConfigMismatch(AscKitError):
-    """Architecture configuration is internally inconsistent."""
+    """A model or engine setting is invalid: a duplicate parameter name, an
+    unknown mode or a batch size below 1."""
 
 
 class UnknownVariant(AscKitError):

@@ -1,26 +1,24 @@
-"""Network family: inception front block, three inception-residual blocks,
-per-channel pooling head, plus the reduced-width variants and a generic
-embedding classifier.
+"""The paper's network: an inception front block, three inception-residual
+blocks and a per-channel pooling head, in four widths.
 
 All networks consume [B, 128, 256, 3] feature batches and emit [B, 10]
 class probabilities. Channel plans:
 
-    variant    inception   block1  block2  block3   hidden FC
-    baseline   2 x 64      2x128   2x256   2x512    1024
-    red01      64          128     256     512      none
-    red02      32          64      128     256      none
-    red03      16          32      64      128      none
+    variant    inception   block1  block2  block3   hidden FC   parameters
+    baseline   2 x 64      2x128   2x256   2x512    1024        9.54M
+    red01      64          128     256     512      none        2.78M
+    red02      32          64      128     256      none        0.70M
+    red03      16          32      64      128      none        0.18M
 
+Every block ends in max-pool 2x2 -> dropout -> residual normalization.
 The pooling head reduces the backbone output to three per-channel feature
 vectors (overall average, frequency-averaged temporal max, temporal max of
-the frequency average) concatenated to a 3*C descriptor. This keeps the
-trainable-parameter totals of the four variants at roughly 9.6M / 3.2M /
-0.8M / 0.2M with the strict ordering between them.
+the frequency average) concatenated to a 3*C descriptor. The parameter
+counts above are measured; an ensemble of three red02 networks, one per
+spectrogram, has 2.1M parameters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +27,19 @@ from .errors import ConfigMismatch, ShapeMismatch, UnknownVariant, WeightsNotLoa
 
 N_CLASSES = 10
 INPUT_SHAPE = (128, 256, 3)
+INCRES_K = 3
+DROPOUT_FC = 0.2
+DROPOUT_BLOCK = 0.1
+RN_LAMBDA = 0.4
+
+# variant -> (inception unit widths, inception-residual unit widths of each
+# of the three blocks, hidden FC width or None)
+_VARIANTS = {
+    "baseline": ([64, 64], [[128, 128], [256, 256], [512, 512]], 1024),
+    "red01": ([64], [[128], [256], [512]], None),
+    "red02": ([32], [[64], [128], [256]], None),
+    "red03": ([16], [[32], [64], [128]], None),
+}
 
 # reference trainable-parameter budgets (millions) for the four variants
 PARAM_BUDGETS = {
@@ -38,47 +49,6 @@ PARAM_BUDGETS = {
     "red03": 0.2e6,
 }
 PARAM_TOLERANCE = 0.15
-
-
-@dataclass
-class ArchConfig:
-    inception_channels: list = field(default_factory=lambda: [64, 64])
-    incres_channels: list = field(default_factory=lambda: [[128, 128], [256, 256],
-                                                           [512, 512]])
-    incres_k: list = field(default_factory=lambda: [3, 3, 3])
-    head_hidden: int | None = 1024
-    n_classes: int = N_CLASSES
-    dropout_fc: float = 0.2
-    dropout_block: float = 0.1
-    rn_lambda: float = 0.4
-    variant_name: str = "custom"
-
-    def __post_init__(self):
-        if len(self.incres_channels) != 3 or len(self.incres_k) != 3:
-            raise ConfigMismatch("expected exactly three inception-residual blocks")
-        if not self.inception_channels:
-            raise ConfigMismatch("inception block needs at least one unit")
-
-
-_VARIANTS = {
-    "baseline": dict(inception_channels=[64, 64],
-                     incres_channels=[[128, 128], [256, 256], [512, 512]],
-                     head_hidden=1024),
-    "red01": dict(inception_channels=[64],
-                  incres_channels=[[128], [256], [512]], head_hidden=None),
-    "red02": dict(inception_channels=[32],
-                  incres_channels=[[64], [128], [256]], head_hidden=None),
-    "red03": dict(inception_channels=[16],
-                  incres_channels=[[32], [64], [128]], head_hidden=None),
-}
-
-
-def arch_config(variant: str) -> ArchConfig:
-    if variant not in _VARIANTS:
-        raise UnknownVariant(
-            f"unknown variant {variant!r}; choose from {sorted(_VARIANTS)}"
-        )
-    return ArchConfig(variant_name=variant, **_VARIANTS[variant])
 
 
 def _split_channels(total: int, n_branches: int = 3) -> list[int]:
@@ -218,7 +188,6 @@ class InceptionUnit(Module):
             for i, ((kf, kt), w) in enumerate(zip(self.KERNELS, widths))
         ]
         self.bn = BatchNorm(f"{name}.bn", cout)
-        self.out_channels = cout
 
     def __call__(self, x, mode, rng):
         merged = T.concat([br(x, mode, rng) for br in self.branches], axis=3)
@@ -229,85 +198,57 @@ class IncResUnit(Module):
     """Branches conv(Kx1), conv(KxK), conv(1xK) -> stride-1 average pooling
     with the same kernels -> summed, plus a projected residual path."""
 
-    def __init__(self, name, cin, cout, k, rng):
-        kernels = ((k, 1), (k, k), (1, k))
+    KERNELS = ((INCRES_K, 1), (INCRES_K, INCRES_K), (1, INCRES_K))
+
+    def __init__(self, name, cin, cout, rng):
         self.branches = [
             _ConvBnRelu(f"{name}.b{i}", kf, kt, cin, cout, rng)
-            for i, (kf, kt) in enumerate(kernels)
+            for i, (kf, kt) in enumerate(self.KERNELS)
         ]
-        self.kernels = kernels
         self.proj = (Conv2D(f"{name}.proj", 1, 1, cin, cout, rng)
                      if cin != cout else None)
-        self.out_channels = cout
 
     def __call__(self, x, mode, rng):
         pooled = [
             T.avg_pool(br(x, mode, rng), kern, stride=1, padding="same")
-            for br, kern in zip(self.branches, self.kernels)
+            for br, kern in zip(self.branches, self.KERNELS)
         ]
         merged = T.add(T.add(pooled[0], pooled[1]), pooled[2])
         shortcut = self.proj(x, mode, rng) if self.proj is not None else x
         return T.add(merged, shortcut)
 
 
-class _BlockTail(Module):
-    """MP[2x2] -> dropout -> residual normalization shared by all blocks."""
+class Block(Module):
+    """Units in sequence, then the optional BN, then MP[2x2] -> dropout ->
+    residual normalization."""
 
-    def __init__(self, dropout_p, rn_lambda):
-        self.dropout_p = dropout_p
-        self.rn_lambda = rn_lambda
+    def __init__(self, units, bn=None):
+        self.units = units
+        self.bn = bn
 
     def __call__(self, x, mode, rng):
+        for unit in self.units:
+            x = unit(x, mode, rng)
+        if self.bn is not None:
+            x = self.bn(x, mode, rng)
         x = T.max_pool(x, 2)
-        x = T.dropout(x, self.dropout_p, mode, rng)
-        return T.residual_norm(x, self.rn_lambda)
+        x = T.dropout(x, DROPOUT_BLOCK, mode, rng)
+        return T.residual_norm(x, RN_LAMBDA)
 
 
-class InceptionBlock(Module):
-    def __init__(self, cfg: ArchConfig, cin, rng, name="inception"):
-        self.units = []
-        for i, cout in enumerate(cfg.inception_channels):
-            self.units.append(InceptionUnit(f"{name}.u{i}", cin, cout, rng))
-            cin = cout
-        self.tail = _BlockTail(cfg.dropout_block, cfg.rn_lambda)
-        self.out_channels = cin
-
-    def __call__(self, x, mode, rng):
-        for unit in self.units:
-            x = unit(x, mode, rng)
-        return self.tail(x, mode, rng)
-
-
-class IncResBlock(Module):
-    def __init__(self, cfg: ArchConfig, block_index, cin, rng):
-        if block_index not in (0, 1, 2):
-            raise ConfigMismatch(f"block index {block_index} out of range")
-        name = f"incres{block_index}"
-        k = cfg.incres_k[block_index]
-        self.units = []
-        for i, cout in enumerate(cfg.incres_channels[block_index]):
-            self.units.append(IncResUnit(f"{name}.u{i}", cin, cout, k, rng))
-            cin = cout
-        self.bn = BatchNorm(f"{name}.bn", cin)
-        self.tail = _BlockTail(cfg.dropout_block, cfg.rn_lambda)
-        self.out_channels = cin
-
-    def __call__(self, x, mode, rng):
-        for unit in self.units:
-            x = unit(x, mode, rng)
-        return self.tail(self.bn(x, mode, rng), mode, rng)
+def _units(unit_cls, name, cin, widths, rng):
+    """One unit per width, each taking the previous unit's output."""
+    return [unit_cls(f"{name}.u{i}", c_in, c_out, rng)
+            for i, (c_in, c_out) in enumerate(zip([cin] + widths, widths))]
 
 
 class PoolingHead(Module):
     """Three per-channel pooled features -> optional hidden FC -> classifier."""
 
-    def __init__(self, cfg: ArchConfig, cin, rng, name="head"):
+    def __init__(self, cin, hidden, rng):
         pooled_dim = 3 * cin
-        self.hidden = (Dense(f"{name}.fc1", pooled_dim, cfg.head_hidden, rng)
-                       if cfg.head_hidden else None)
-        fc2_in = cfg.head_hidden if cfg.head_hidden else pooled_dim
-        self.classifier = Dense(f"{name}.fc2", fc2_in, cfg.n_classes, rng)
-        self.dropout_fc = cfg.dropout_fc
+        self.hidden = Dense("head.fc1", pooled_dim, hidden, rng) if hidden else None
+        self.classifier = Dense("head.fc2", hidden or pooled_dim, N_CLASSES, rng)
 
     def __call__(self, x, mode, rng):
         overall_avg = T.reduce_mean(T.reduce_mean(x, 1), 1)      # mean over (F, T)
@@ -315,8 +256,7 @@ class PoolingHead(Module):
         freq_avg = T.reduce_max(T.reduce_mean(x, 1), 1)           # avg over F, max T
         h = T.concat([overall_avg, time_max, freq_avg], axis=1)
         if self.hidden is not None:
-            h = T.dropout(T.relu(self.hidden(h, mode, rng)), self.dropout_fc,
-                          mode, rng)
+            h = T.dropout(T.relu(self.hidden(h, mode, rng)), DROPOUT_FC, mode, rng)
         return T.softmax(self.classifier(h, mode, rng), axis=1)
 
 
@@ -324,75 +264,43 @@ class PoolingHead(Module):
 # assembled networks
 
 
+def _check_input(shape):
+    if len(shape) != 4 or tuple(shape[1:]) != INPUT_SHAPE:
+        raise ShapeMismatch(
+            f"expected B x {'x'.join(map(str, INPUT_SHAPE))} input, got {shape}"
+        )
+
+
 class Network(Module):
-    """Backbone + head over [B, 128, 256, 3] inputs."""
+    """Backbone blocks + head over [B, 128, 256, 3] inputs."""
 
-    def __init__(self, cfg: ArchConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.cfg = cfg
-        blocks = [InceptionBlock(cfg, INPUT_SHAPE[2], rng)]
-        cin = blocks[0].out_channels
-        for b in range(3):
-            blocks.append(IncResBlock(cfg, b, cin, rng))
-            cin = blocks[-1].out_channels
+    def __init__(self, blocks, head):
         self.blocks = blocks
-        self.head = PoolingHead(cfg, cin, rng)
-        self._check_shapes()
+        self.head = head
 
-    def _check_shapes(self):
-        probe = T.Tensor(np.zeros((1,) + INPUT_SHAPE, dtype=np.float32))
-        out = self.forward(probe, mode="eval")
-        if out.shape != (1, self.cfg.n_classes):
-            raise ShapeMismatch(f"head emits {out.shape}")
-
-    def forward(self, x, mode: str, rng=None, trace=None):
+    def forward(self, x, mode: str, rng=None):
         if not isinstance(x, T.Tensor):
             x = T.Tensor(np.asarray(x, dtype=np.float32))
-        if x.data.ndim != 4 or x.shape[1:] != INPUT_SHAPE:
-            raise ShapeMismatch(
-                f"expected B x {'x'.join(map(str, INPUT_SHAPE))} input, got {x.shape}"
-            )
-        for i, block in enumerate(self.blocks):
+        _check_input(x.shape)
+        for block in self.blocks:
             x = block(x, mode, rng)
-            if trace is not None:
-                trace.append((f"block{i}", x.shape))
-        out = self.head(x, mode, rng)
-        if trace is not None:
-            trace.append(("head", out.shape))
-        return out
+        return self.head(x, mode, rng)
 
 
-class EmbeddingClassifier(Module):
-    """Hidden FC + softmax classifier over fixed-length embedding vectors."""
-
-    def __init__(self, dim: int = 2048, n_classes: int = N_CLASSES,
-                 hidden: int = 1024, dropout_fc: float = 0.2, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.dim = dim
-        self.hidden = Dense("emb.fc1", dim, hidden, rng)
-        self.classifier = Dense("emb.fc2", hidden, n_classes, rng)
-        self.dropout_fc = dropout_fc
-
-    def forward(self, x, mode: str, rng=None, trace=None):
-        if not isinstance(x, T.Tensor):
-            x = T.Tensor(np.asarray(x, dtype=np.float32))
-        if x.data.ndim != 2 or x.shape[1] != self.dim:
-            raise ShapeMismatch(f"expected B x {self.dim} embeddings, got {x.shape}")
-        h = T.dropout(T.relu(self.hidden(x, mode, rng)), self.dropout_fc, mode, rng)
-        out = T.softmax(self.classifier(h, mode, rng), axis=1)
-        if trace is not None:
-            trace.append(("embedding_head", out.shape))
-        return out
-
-
-def build_network(variant, seed: int = 0) -> Network:
-    cfg = arch_config(variant) if isinstance(variant, str) else variant
-    return Network(cfg, seed=seed)
-
-
-def embedding_classifier(dim: int = 2048, n_classes: int = N_CLASSES,
-                         seed: int = 0) -> EmbeddingClassifier:
-    return EmbeddingClassifier(dim=dim, n_classes=n_classes, seed=seed)
+def build_network(variant: str, seed: int = 0) -> Network:
+    if variant not in _VARIANTS:
+        raise UnknownVariant(
+            f"unknown variant {variant!r}; choose from {sorted(_VARIANTS)}"
+        )
+    inception, incres, hidden = _VARIANTS[variant]
+    rng = np.random.default_rng(seed)
+    blocks = [Block(_units(InceptionUnit, "inception", INPUT_SHAPE[2], inception, rng))]
+    cin = inception[-1]
+    for b, widths in enumerate(incres):
+        units = _units(IncResUnit, f"incres{b}", cin, widths, rng)
+        cin = widths[-1]
+        blocks.append(Block(units, BatchNorm(f"incres{b}.bn", cin)))
+    return Network(blocks, PoolingHead(cin, hidden, rng))
 
 
 def count_parameters(model) -> int:
@@ -400,28 +308,25 @@ def count_parameters(model) -> int:
     return int(sum(p.data.size for p in model.params()))
 
 
-def network_summary(model) -> list:
+def network_summary(model: Network) -> list:
     """(layer, output shape, parameter count) rows plus a total row."""
-    trace = []
-    if isinstance(model, Network):
-        probe = np.zeros((1,) + INPUT_SHAPE, dtype=np.float32)
-        blocks = list(model.blocks) + [model.head]
-    else:
-        probe = np.zeros((1, model.dim), dtype=np.float32)
-        blocks = [model]
-    model.forward(probe, mode="eval", trace=trace)
+    x = T.Tensor(np.zeros((1,) + INPUT_SHAPE, dtype=np.float32))
+    layers = [(f"block{i}", b) for i, b in enumerate(model.blocks)] + [("head", model.head)]
     rows = []
-    for (name, shape), block in zip(trace, blocks):
-        n = int(sum(p.data.size for p in block.params()))
-        rows.append((name, tuple(int(s) for s in shape[1:]), n))
+    for name, layer in layers:
+        x = layer(x, "eval", None)
+        rows.append((name, tuple(int(s) for s in x.shape[1:]), count_parameters(layer)))
     rows.append(("total", (), count_parameters(model)))
     return rows
 
 
 def predict(model, features, batch_size: int = 32) -> np.ndarray:
     """Deterministic eval-mode class probabilities for [N, F, T, C] features."""
+    if batch_size < 1:
+        raise ConfigMismatch(f"batch_size must be at least 1, got {batch_size}")
     features = np.asarray(features, dtype=np.float32)
-    outputs = []
+    _check_input(features.shape)
+    outputs = [np.empty((0, N_CLASSES))]
     for lo in range(0, features.shape[0], batch_size):
         out = model.forward(features[lo : lo + batch_size], mode="eval")
         outputs.append(out.data.astype(np.float64))

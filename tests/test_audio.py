@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -128,6 +129,20 @@ class TestLoadWav:
         assert back.sample_rate == 32000
         # writer quantizes to round(x*32767), reader scales by 1/32768
         np.testing.assert_array_equal(back.samples, np.round(x * 32767) / 32768)
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "keep.wav"
+        save_wav(p, AudioClip(samples=np.full(100, 0.25), sample_rate=32000))
+        raw = p.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_wav(p, AudioClip(samples=np.full(200, -0.5), sample_rate=16000))
+        assert p.read_bytes() == raw
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]
 
 
 class TestResample:

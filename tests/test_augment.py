@@ -138,9 +138,6 @@ class TestMixup:
             def beta(self, a, b):
                 return 0.5
 
-            def uniform(self, lo, hi):
-                return 0.5
-
         # permutation of size 2 from this seed swaps the pair
         rng = next(
             np.random.default_rng(s)
@@ -160,9 +157,6 @@ class TestMixup:
             def beta(self, a, b):
                 return 0.3
 
-            def uniform(self, lo, hi):
-                return 0.3
-
         rng = next(
             np.random.default_rng(s)
             for s in range(100)
@@ -177,11 +171,6 @@ class TestMixup:
     def test_batch_too_small(self):
         with pytest.raises(BatchTooSmall):
             mixup(make_batch(b=1), AugmentConfig(), np.random.default_rng(0))
-
-    def test_uniform_dist_selectable(self):
-        batch = make_batch()
-        out = mixup(batch, AugmentConfig(mixup_dist="uniform"), np.random.default_rng(5))
-        assert on_simplex(out.labels)
 
 
 class TestPipelineProperties:

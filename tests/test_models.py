@@ -6,12 +6,14 @@ import pytest
 
 from asckit import models
 from asckit import tensor as T
-from asckit.errors import ConfigMismatch, WeightsNotLoaded
+from asckit.errors import ConfigMismatch, ShapeMismatch, UnknownVariant, WeightsNotLoaded
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # Parameter and buffer (name, shape) lists in model order, recorded from the
 # hand-written params()/buffers() methods that the Module walk replaced.
 EXPECTED = json.loads((Path(__file__).parent / "data" / "model_names.json").read_text())
+# model kind -> the variant the save/load and duplicate-name tests build
+KINDS = {"network": "red03"}
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +22,7 @@ def nets():
 
 
 def _build(kind, seed):
-    if kind == "network":
-        return models.build_network("red03", seed=seed)
-    return models.embedding_classifier(dim=16, seed=seed)
+    return models.build_network(KINDS[kind], seed=seed)
 
 
 def _snapshot(model):
@@ -48,6 +48,41 @@ class TestBudgets:
         assert len(set(counts)) == len(counts)
 
 
+class TestForward:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_on_the_simplex(self, nets, variant, mode):
+        x = np.random.default_rng(0).normal(size=(2,) + models.INPUT_SHAPE)
+        out = nets[variant].forward(x, mode, rng=np.random.default_rng(1)).data
+        assert out.shape == (2, models.N_CLASSES)
+        assert np.isfinite(out).all() and (out >= 0).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-5)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(UnknownVariant) as info:
+            models.build_network("red04")
+        assert "red04" in str(info.value)
+        for variant in VARIANTS:
+            assert repr(variant) in str(info.value)
+
+
+class TestPredict:
+    def test_zero_rows(self, nets):
+        out = models.predict(nets["red03"], np.zeros((0,) + models.INPUT_SHAPE))
+        assert out.shape == (0, models.N_CLASSES)
+        assert out.dtype == np.float64
+
+    def test_zero_rows_of_the_wrong_shape_rejected(self, nets):
+        with pytest.raises(ShapeMismatch, match="got"):
+            models.predict(nets["red03"], np.zeros((0, 128, 255, 3)))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, nets, batch_size):
+        x = np.zeros((1,) + models.INPUT_SHAPE)
+        with pytest.raises(ConfigMismatch, match=f"got {batch_size}"):
+            models.predict(nets["red03"], x, batch_size=batch_size)
+
+
 class TestNames:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_network_params_and_state_dict_keys(self, nets, variant):
@@ -57,14 +92,7 @@ class TestNames:
         assert [[k, list(v.shape)] for k, v in net.buffers().items()] == expected["buffers"]
         assert list(net.state_dict()) == [n for n, _ in expected["params"] + expected["buffers"]]
 
-    def test_embedding_params_and_state_dict_keys(self):
-        emb = models.embedding_classifier(dim=16)
-        expected = EXPECTED["embedding"]
-        assert [[p.name, list(p.shape)] for p in emb.params()] == expected["params"]
-        assert emb.buffers() == {}
-        assert list(emb.state_dict()) == [n for n, _ in expected["params"]]
-
-    @pytest.mark.parametrize("kind", ["network", "embedding"])
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_duplicate_name_rejected(self, tmp_path, kind):
         model = _build(kind, seed=0)
         first, second = model.params()[:2]
@@ -85,8 +113,6 @@ class TestDeterminism:
     def test_same_seed_same_weights(self):
         _assert_state_equal(models.build_network("red03", seed=5).state_dict(),
                             models.build_network("red03", seed=5).state_dict())
-        _assert_state_equal(models.embedding_classifier(dim=16, seed=5).state_dict(),
-                            models.embedding_classifier(dim=16, seed=5).state_dict())
 
     def test_different_seed_different_weights(self):
         a = models.build_network("red03", seed=5).params()
@@ -101,7 +127,7 @@ class TestDeterminism:
 
 
 class TestSaveLoad:
-    @pytest.mark.parametrize("kind", ["network", "embedding"])
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_roundtrip(self, tmp_path, kind):
         src = _build(kind, seed=3)
         rng = np.random.default_rng(1)
@@ -129,8 +155,6 @@ class TestSaveLoad:
         ("network", "drop_last_buffer"),
         ("network", "wrong_param_shape"),
         ("network", "wrong_buffer_shape"),
-        ("embedding", "drop_last_param"),
-        ("embedding", "wrong_param_shape"),
     ])
     def test_bad_file_rejected_and_model_unchanged(self, tmp_path, kind, edit):
         model = _build(kind, seed=3)
