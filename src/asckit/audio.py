@@ -27,12 +27,10 @@ _TAPS_PER_PHASE = 64
 
 @dataclass
 class AudioClip:
-    """Mono audio clip with its provenance tags."""
+    """Mono audio clip."""
 
     samples: np.ndarray
     sample_rate: int
-    scene_label: int = -1
-    device_id: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -47,21 +45,19 @@ class AudioClip:
     def n_samples(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
 
-
-def _read_chunks(raw: bytes):
-    """Yield (chunk id, payload) pairs from a RIFF body."""
+def _read_chunks(path, raw: bytes):
+    """Yield (chunk id, payload offset, payload) from a RIFF body."""
     pos = 12
     while pos + 8 <= len(raw):
         cid, size = struct.unpack_from("<4sI", raw, pos)
-        pos += 8
-        if pos + size > len(raw):
-            raise MalformedHeader(f"chunk {cid!r} overruns file")
-        yield cid, raw[pos : pos + size]
-        pos += size + (size & 1)  # chunks are word-aligned
+        if pos + 8 + size > len(raw):
+            raise MalformedHeader(
+                f"{path}: chunk {cid!r} at offset {pos} declares {size} bytes, "
+                f"{len(raw) - pos - 8} left"
+            )
+        yield cid, pos + 8, raw[pos + 8 : pos + 8 + size]
+        pos += 8 + size + (size & 1)  # chunks are word-aligned
 
 
 def load_wav(path) -> AudioClip:
@@ -77,13 +73,13 @@ def load_wav(path) -> AudioClip:
 
     fmt = None
     data = None
-    for cid, payload in _read_chunks(raw):
+    for cid, offset, payload in _read_chunks(path, raw):
         if cid == b"fmt ":
             if len(payload) < 16:
-                raise MalformedHeader(f"{path}: truncated fmt chunk")
+                raise MalformedHeader(f"{path}: truncated fmt chunk at offset {offset}")
             fmt = struct.unpack_from("<HHIIHH", payload, 0)
         elif cid == b"data":
-            data = payload
+            data_at, data = offset, payload
     if fmt is None or data is None:
         raise MalformedHeader(f"{path}: missing fmt or data chunk")
 
@@ -108,10 +104,17 @@ def load_wav(path) -> AudioClip:
         )
     if not data:
         raise EmptyAudio(f"{path}: empty data chunk")
-    x = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+    with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
+        x = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
     if n_channels > 1:
         x = x.reshape(-1, n_channels).mean(axis=1)
-    return AudioClip(samples=x, sample_rate=int(sample_rate))
+    try:
+        return AudioClip(samples=x, sample_rate=int(sample_rate))
+    except EmptyAudio:  # a float32 payload holding inf or NaN
+        bad = int(np.argmin(np.isfinite(x)))
+        raise EmptyAudio(
+            f"{path}: non-finite sample in frame {bad} at offset {data_at + bad * frame}"
+        ) from None
 
 
 def save_wav(path, clip: AudioClip) -> None:
@@ -155,12 +158,7 @@ def resample_to_32k(clip: AudioClip) -> AudioClip:
     y = y[:target]
     if y.size < target:  # resample_poly yields ceil(n*up/down) >= round(...)
         y = np.pad(y, (0, target - y.size), mode="edge")
-    return AudioClip(
-        samples=y,
-        sample_rate=PIPELINE_RATE,
-        scene_label=clip.scene_label,
-        device_id=clip.device_id,
-    )
+    return AudioClip(samples=y, sample_rate=PIPELINE_RATE)
 
 
 def segment_10s(clip: AudioClip) -> list[AudioClip]:
@@ -182,8 +180,6 @@ def segment_10s(clip: AudioClip) -> list[AudioClip]:
         AudioClip(
             samples=clip.samples[i * SEGMENT_SAMPLES : (i + 1) * SEGMENT_SAMPLES].copy(),
             sample_rate=PIPELINE_RATE,
-            scene_label=clip.scene_label,
-            device_id=clip.device_id,
         )
         for i in range(n_seg)
     ]

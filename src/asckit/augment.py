@@ -8,7 +8,7 @@ independent substreams so batches can be processed in any sample order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class AugmentConfig:
 class LabeledBatch:
     features: np.ndarray  # [B, F, T, C]
     labels: np.ndarray  # [B, M], rows on the simplex
-    device_tags: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
@@ -49,8 +48,6 @@ class LabeledBatch:
             raise ShapeMismatch("labels must be B x M aligned with features")
         if np.any(self.labels < 0) or np.any(np.abs(self.labels.sum(axis=1) - 1) > 1e-6):
             raise ShapeMismatch("label rows must lie on the probability simplex")
-        if not self.device_tags:
-            self.device_tags = [""] * self.features.shape[0]
 
     @property
     def size(self) -> int:
@@ -81,7 +78,7 @@ def random_crop(batch: LabeledBatch, cfg: AugmentConfig, rng) -> LabeledBatch:
     for i, r in enumerate(rngs):
         off = int(r.integers(0, t_len - cfg.crop_width + 1))
         out[i] = batch.features[i, :, off : off + cfg.crop_width]
-    return LabeledBatch(out, batch.labels.copy(), list(batch.device_tags))
+    return LabeledBatch(out, batch.labels.copy())
 
 
 def spec_augment(batch: LabeledBatch, cfg: AugmentConfig, rng) -> LabeledBatch:
@@ -106,7 +103,7 @@ def spec_augment(batch: LabeledBatch, cfg: AugmentConfig, rng) -> LabeledBatch:
                 feats[i, start : start + cfg.mask_len, :, :] = 0.0
             else:
                 feats[i, :, start : start + cfg.mask_len, :] = 0.0
-    return LabeledBatch(feats, batch.labels.copy(), list(batch.device_tags))
+    return LabeledBatch(feats, batch.labels.copy())
 
 
 def mixup(batch: LabeledBatch, cfg: AugmentConfig, rng, per_sample_rngs=None) -> LabeledBatch:
@@ -127,8 +124,7 @@ def mixup(batch: LabeledBatch, cfg: AugmentConfig, rng, per_sample_rngs=None) ->
     lam_x = lams[:, None, None, None]
     feats = lam_x * batch.features + (1.0 - lam_x) * batch.features[perm]
     labels = lams[:, None] * batch.labels + (1.0 - lams[:, None]) * batch.labels[perm]
-    return LabeledBatch(feats.astype(batch.features.dtype), labels,
-                        list(batch.device_tags))
+    return LabeledBatch(feats.astype(batch.features.dtype), labels)
 
 
 class AugmentPipeline:

@@ -15,28 +15,17 @@ class UnsupportedEncoding(AscKitError):
 
 
 class EmptyAudio(AscKitError):
-    """The audio payload contains zero samples."""
+    """The audio payload holds no samples, or non-finite ones."""
 
 
 class ClipTooShort(AscKitError):
-    """Clip is shorter than the requested analysis window/segment."""
-
-
-# spectral front-end
-class InvalidBandRange(AscKitError):
-    """Filterbank frequency range is empty or exceeds Nyquist."""
-
-
-class NyquistExceeded(AscKitError):
-    """A requested band center lies above the Nyquist frequency."""
-
-
-class TooFewFrames(AscKitError):
-    """Feature sequence has fewer frames than the regression window."""
+    """A clip to cut into segments is not at 32 kHz or is shorter than one
+    10 s segment."""
 
 
 class ShapeMismatch(AscKitError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or a front-end was given anything
+    but one 10 s / 32 kHz segment."""
 
 
 # augmentation
@@ -54,8 +43,8 @@ class BatchTooSmall(AscKitError):
 
 # model zoo
 class ConfigMismatch(AscKitError):
-    """A model or engine setting is invalid: a duplicate parameter name, an
-    unknown mode or a batch size below 1."""
+    """A setting is invalid: a duplicate parameter name, an unknown mode, a
+    batch size below 1 or an unknown front-end name."""
 
 
 class UnknownVariant(AscKitError):

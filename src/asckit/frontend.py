@@ -1,15 +1,16 @@
 """Spectrogram front-ends: log-mel, constant-Q, and gammatone features.
 
-Each front-end turns a 10 s / 32 kHz clip into a 128-band log spectrogram,
-which `stack_3ch` augments with delta and delta-delta channels and
-normalizes to a fixed 128 x 305 x 3 tensor.
+Input contract: `extract_frontend` takes exactly one 10 s segment at 32 kHz
+(SEGMENT_SAMPLES samples at PIPELINE_RATE, as `audio.segment_10s` cuts
+them) and is the only function here that checks the clip. The stages
+below it are fixed functions of such a segment on plain float64 arrays;
+none of them takes a tuning parameter.
 
-Conventions shared by all three front-ends:
-  * analysis window 2048 samples, hop 1024 samples (where applicable);
-  * log compression 10*log10(max(value, 1e-10)), floor -100 dB;
-  * the native frame count (311 for STFT-based features without centering,
-    312 for hop-integrated gammatone energies) is center-cropped or
-    replicate-padded to TARGET_FRAMES at stacking time.
+Each front-end turns the segment into a 128-band log spectrogram,
+10*log10(max(value, 1e-10)) with a -100 dB floor. With window WINDOW = 2048
+and hop HOP = 1024, log-mel and CQT have 311 native frames and gammatone
+(energy per hop) has 312. `stack_3ch` adds delta and delta-delta channels
+and centre-crops the time axis to TARGET_FRAMES = 305: 128 x 305 x 3.
 """
 
 from __future__ import annotations
@@ -20,120 +21,50 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal
 
-from .audio import PIPELINE_RATE, AudioClip
-from .errors import (
-    ClipTooShort,
-    InvalidBandRange,
-    NyquistExceeded,
-    ShapeMismatch,
-    TooFewFrames,
-)
+from .audio import PIPELINE_RATE, SEGMENT_SAMPLES, AudioClip
+from .errors import ConfigMismatch, ShapeMismatch
 
+WINDOW = 2048
+HOP = 1024
 N_BANDS = 128
 TARGET_FRAMES = 305
 LOG_FLOOR = 1e-10  # 10*log10(floor) = -100 dB
 DELTA_WIDTH = 9
+CQT_FMIN = 32.7
+CQT_BINS_PER_OCTAVE = 24
+GAM_FMIN = 50.0
+GAM_FMAX = 16000.0
 
+# The position of a name is its id in feature caches (`cache.py`).
 FRONTENDS = ("logmel", "cqt", "gam")
-
-AXIS_NAMES = ("frequency", "time", "channel")
-
-
-@dataclass
-class StftConfig:
-    window_len: int = 2048
-    hop: int = 1024
-    fft_len: int = 2048
-    center_pad: bool = False
-
-    def __post_init__(self):
-        if self.hop > self.window_len:
-            raise ShapeMismatch("hop must not exceed window length")
-        if self.fft_len < self.window_len:
-            raise ShapeMismatch("fft_len must cover the window")
-
-
-@dataclass
-class FilterBank:
-    """Linear frequency-axis transform: 128 band rows over FFT bins."""
-
-    weights: np.ndarray  # [n_bands, n_fft_bins]
-    kind: str
-    band_centers: np.ndarray  # Hz, strictly increasing
-
-    def __post_init__(self):
-        if np.any(np.diff(self.band_centers) <= 0):
-            raise InvalidBandRange("band centers must be strictly increasing")
-        if self.kind in ("mel", "gammatone") and np.any(self.weights < 0):
-            raise InvalidBandRange(f"{self.kind} bank must be nonnegative")
-        if np.any(np.abs(self.weights).sum(axis=1) == 0):
-            raise InvalidBandRange("every band row needs a nonzero entry")
-
-    @property
-    def n_bands(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_fft_bins(self) -> int:
-        return self.weights.shape[1]
 
 
 @dataclass
 class SpectrogramTensor:
-    """Feature block with named axes (frequency, time, channel)."""
+    """`extract_frontend`'s result: data [N_BANDS, TARGET_FRAMES, 3]
+    (frequency, time, channel) and the front-end that made it."""
 
-    data: np.ndarray  # [F, T, C]
+    data: np.ndarray
     frontend: str
-    axis_names: tuple = AXIS_NAMES
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim == 2:
-            self.data = self.data[:, :, None]
-        if self.data.ndim != 3:
-            raise ShapeMismatch(f"expected F x T x C data, got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ShapeMismatch("spectrogram contains non-finite values")
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _frame_signal(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
-    """[T, window_len] view of consecutive hopped frames."""
-    if x.size < window_len:
-        raise ClipTooShort(
-            f"{x.size} samples < one {window_len}-sample analysis window"
-        )
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop]
-    return frames
-
-
 def _log_compress(values: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(values, LOG_FLOOR))
 
 
-def stft_power(clip: AudioClip, cfg: StftConfig | None = None) -> SpectrogramTensor:
-    """Hann-window power STFT; output [fft_len//2+1, T, 1].
+def stft_power(x: np.ndarray) -> np.ndarray:
+    """Hann-window power STFT; output [WINDOW//2+1, T].
 
-    Frame t covers samples [t*hop, t*hop + window_len); without centering the
-    frame count is floor((n - window_len)/hop) + 1.
+    Frame t covers samples [t*HOP, t*HOP + WINDOW), so there are
+    floor((n - WINDOW)/HOP) + 1 frames.
     """
-    cfg = cfg or StftConfig()
-    x = clip.samples
-    if cfg.center_pad:
-        pad = cfg.window_len // 2
-        x = np.pad(x, (pad, pad))
-    frames = _frame_signal(x, cfg.window_len, cfg.hop)
-    win = _hann_periodic(cfg.window_len)
-    spec = np.fft.rfft(frames * win, n=cfg.fft_len, axis=1)
-    power = (spec.real**2 + spec.imag**2).T  # [F, T]
-    return SpectrogramTensor(data=power, frontend="power")
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
+    spec = np.fft.rfft(frames * _hann_periodic(WINDOW), axis=1)
+    return (spec.real**2 + spec.imag**2).T
 
 
 def hz_to_mel(f):
@@ -144,107 +75,81 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_bands: int = N_BANDS,
-    sr: int = PIPELINE_RATE,
-    fmin: float = 0.0,
-    fmax: float = PIPELINE_RATE / 2,
-    n_fft: int = 2048,
-) -> FilterBank:
-    """Triangular filters with centers uniform on the mel scale.
+@lru_cache(maxsize=1)
+def mel_bank():
+    """(centres in Hz, weights [N_BANDS, WINDOW//2+1]): triangular filters
+    with centres uniform on the mel scale over [0, Nyquist].
 
     Each triangle is area-normalized by 2/(upper_edge - lower_edge) so white
     input yields roughly flat band energies.
     """
-    if not (0 <= fmin < fmax <= sr / 2):
-        raise InvalidBandRange(f"need 0 <= fmin < fmax <= sr/2, got [{fmin}, {fmax}]")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bands + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * sr / n_fft
-    weights = np.zeros((n_bands, bin_hz.size))
-    for b in range(n_bands):
+    edges_hz = mel_to_hz(
+        np.linspace(hz_to_mel(0.0), hz_to_mel(PIPELINE_RATE / 2), N_BANDS + 2)
+    )
+    bin_hz = np.arange(WINDOW // 2 + 1) * PIPELINE_RATE / WINDOW
+    weights = np.zeros((N_BANDS, bin_hz.size))
+    for b in range(N_BANDS):
         lower, center, upper = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
         up = (bin_hz - lower) / (center - lower)
         down = (upper - bin_hz) / (upper - center)
         tri = np.maximum(0.0, np.minimum(up, down))
         weights[b] = tri * (2.0 / (upper - lower))
-    return FilterBank(weights=weights, kind="mel", band_centers=edges_hz[1:-1])
+    return edges_hz[1:-1], weights
 
 
-def log_mel(power_spec: SpectrogramTensor, bank: FilterBank) -> SpectrogramTensor:
-    """Apply a filterbank to a power spectrogram and log-compress."""
-    power = power_spec.data[:, :, 0]
-    if bank.n_fft_bins != power.shape[0]:
+def log_mel(power: np.ndarray) -> np.ndarray:
+    """Mel band energies of a power spectrogram, log-compressed."""
+    _, weights = mel_bank()
+    if power.shape[0] != weights.shape[1]:
         raise ShapeMismatch(
-            f"bank has {bank.n_fft_bins} bins, spectrogram has {power.shape[0]}"
+            f"bank has {weights.shape[1]} bins, spectrogram has {power.shape[0]}"
         )
-    bands = bank.weights @ power
-    return SpectrogramTensor(data=_log_compress(bands), frontend="logmel")
+    return _log_compress(weights @ power)
 
 
-def cqt_frequencies(
-    n_bins: int = N_BANDS, bins_per_octave: int = 24, fmin: float = 32.7
-) -> np.ndarray:
-    """Geometrically spaced center frequencies fmin * 2^(k/bpo).
+@lru_cache(maxsize=1)
+def cqt_bank():
+    """(centres in Hz, kernels [2, n_max, N_BANDS] float32: real, imaginary).
 
-    Split into octave * fractional factors so f[k+bpo]/f[k] == 2 exactly.
-    """
-    k = np.arange(n_bins)
-    frac = np.exp2((k % bins_per_octave) / bins_per_octave)
-    return fmin * np.exp2(k // bins_per_octave) * frac
-
-
-@lru_cache(maxsize=4)
-def _cqt_kernels(n_bins, bins_per_octave, fmin, sr):
-    """Analysis kernels [n_max, n_bins] split into real and imaginary parts.
-
+    Centres are CQT_FMIN * 2^(k/CQT_BINS_PER_OCTAVE), split into octave and
+    fractional factors so f[k+bpo]/f[k] == 2 exactly. Kernels are
     Hann-windowed complex sinusoids of per-bin length round(Q*sr/f_k),
-    unit-window-sum normalized, center-aligned in an n_max slab. Stored as
-    two contiguous float32 matrices so frame analysis is a pair of GEMMs.
+    Q = 1/(2^(1/bpo)-1), unit-window-sum normalized and center-aligned in an
+    n_max slab, so frame analysis is a pair of GEMMs.
     """
-    freqs = cqt_frequencies(n_bins, bins_per_octave, fmin)
-    q = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
-    lengths = np.round(q * sr / freqs).astype(int)
+    k = np.arange(N_BANDS)
+    frac = np.exp2((k % CQT_BINS_PER_OCTAVE) / CQT_BINS_PER_OCTAVE)
+    freqs = CQT_FMIN * np.exp2(k // CQT_BINS_PER_OCTAVE) * frac
+    q = 1.0 / (2.0 ** (1.0 / CQT_BINS_PER_OCTAVE) - 1.0)
+    lengths = np.round(q * PIPELINE_RATE / freqs).astype(int)
     n_max = int(lengths[0])
-    kernels = np.zeros((n_bins, n_max), dtype=np.complex128)
-    for k, (f, n_k) in enumerate(zip(freqs, lengths)):
+    kernel = np.zeros((2, n_max, N_BANDS), dtype=np.float32)
+    for b, (f, n_k) in enumerate(zip(freqs, lengths)):
         start = (n_max - n_k) // 2
         win = _hann_periodic(n_k)
-        phase = np.exp(-2j * np.pi * f * np.arange(n_k) / sr)
-        kernels[k, start : start + n_k] = win * phase / win.sum()
-    k_re = np.ascontiguousarray(kernels.real.T, dtype=np.float32)
-    k_im = np.ascontiguousarray(kernels.imag.T, dtype=np.float32)
-    return freqs, k_re, k_im
+        phase = np.exp(-2j * np.pi * f * np.arange(n_k) / PIPELINE_RATE)
+        band = win * phase / win.sum()
+        kernel[0, start : start + n_k, b] = band.real
+        kernel[1, start : start + n_k, b] = band.imag
+    return freqs, kernel
 
 
-def cqt(
-    clip: AudioClip,
-    n_bins: int = N_BANDS,
-    bins_per_octave: int = 24,
-    fmin: float = 32.7,
-    hop: int = 1024,
-) -> SpectrogramTensor:
-    """Constant-Q magnitudes (Q = 1/(2^(1/bpo)-1)), log-compressed.
+def cqt(x: np.ndarray) -> np.ndarray:
+    """Constant-Q magnitudes [N_BANDS, T], log-compressed.
 
-    Frames are centered where the matching STFT frames sit (t*hop + 1024), so
-    all front-ends share the native frame count.
+    Frames are centered where the matching STFT frames sit
+    (t*HOP + WINDOW//2), so all front-ends share the native frame count.
     """
-    sr = clip.sample_rate
-    if fmin * 2.0 ** (n_bins / bins_per_octave) > sr / 2:
-        raise NyquistExceeded(
-            f"{n_bins} bins from {fmin} Hz at {bins_per_octave}/octave exceed Nyquist"
-        )
-    freqs, k_re, k_im = _cqt_kernels(n_bins, bins_per_octave, fmin, sr)
-    n_frames = (clip.n_samples - 2048) // hop + 1
-    if n_frames < 1:
-        raise ClipTooShort("clip shorter than one analysis window")
-    n_max = k_re.shape[0]
+    _, kernel = cqt_bank()
+    n_max = kernel.shape[1]
     half = n_max // 2
-    padded = np.zeros(clip.n_samples + n_max, dtype=np.float32)
-    padded[half : half + clip.n_samples] = clip.samples
-    centers = np.arange(n_frames) * hop + 1024
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_max)[centers]
-    mags = np.hypot(frames @ k_re, frames @ k_im).T.astype(np.float64)  # [n_bins, T]
-    return SpectrogramTensor(data=_log_compress(mags), frontend="cqt")
+    n_frames = (x.size - WINDOW) // HOP + 1
+    padded = np.zeros(x.size + n_max, dtype=np.float32)
+    padded[half : half + x.size] = x
+    centres = np.arange(n_frames) * HOP + WINDOW // 2
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_max)[centres]
+    mags = np.hypot(frames @ kernel[0], frames @ kernel[1]).T.astype(np.float64)
+    return _log_compress(mags)
 
 
 def erb_bandwidth(f):
@@ -260,20 +165,19 @@ def erb_rate_to_hz(r):
     return (10.0 ** (np.asarray(r, dtype=np.float64) / 21.4) - 1.0) / 0.00437
 
 
-def erb_centers(n_bands: int = N_BANDS, fmin: float = 50.0, fmax: float = 16000.0):
-    """n_bands center frequencies uniform on the ERB-rate scale, inclusive."""
-    return erb_rate_to_hz(np.linspace(hz_to_erb_rate(fmin), hz_to_erb_rate(fmax), n_bands))
-
-
-@lru_cache(maxsize=4)
-def _gammatone_sos(n_bands, sr, fmin, fmax):
-    """Second-order sections [n_bands, 4, 6] of 4th-order gammatone filters.
+@lru_cache(maxsize=1)
+def gammatone_bank():
+    """(centres in Hz, second-order sections [N_BANDS, 4, 6]) of 4th-order
+    gammatone filters with centres uniform on the ERB-rate scale over
+    [GAM_FMIN, GAM_FMAX], both ends included.
 
     Standard all-pole gammatone approximation: four cascaded biquads per
     band, overall gain normalized to unity at the center frequency.
     """
-    cf = erb_centers(n_bands, fmin, fmax)
-    t = 1.0 / sr
+    cf = erb_rate_to_hz(
+        np.linspace(hz_to_erb_rate(GAM_FMIN), hz_to_erb_rate(GAM_FMAX), N_BANDS)
+    )
+    t = 1.0 / PIPELINE_RATE
     b = 1.019 * 2.0 * np.pi * erb_bandwidth(cf)
     arg = 2.0 * cf * np.pi * t
     vec = np.exp(b * t)
@@ -296,7 +200,7 @@ def _gammatone_sos(n_bands, sr, fmin, fmax):
         / (-2.0 / np.exp(2.0 * b * t) - 2.0 * z + 2.0 * (1.0 + z) / vec) ** 4
     )
 
-    sos = np.zeros((n_bands, 4, 6))
+    sos = np.zeros((N_BANDS, 4, 6))
     for i in range(4):
         scale = gain if i == 0 else 1.0
         sos[:, i, 0] = t / scale
@@ -308,95 +212,69 @@ def _gammatone_sos(n_bands, sr, fmin, fmax):
     return cf, sos
 
 
-def gammatone(
-    clip: AudioClip,
-    n_bands: int = N_BANDS,
-    fmin: float = 50.0,
-    fmax: float = 16000.0,
-    hop: int = 1024,
-) -> SpectrogramTensor:
-    """Gammatone band energies per 1024-sample hop, log-compressed.
+def gammatone(x: np.ndarray) -> np.ndarray:
+    """Gammatone band energies [N_BANDS, T] per HOP samples, log-compressed.
 
-    Centers are ERB-rate-uniform on [fmin, fmax]; energy is the mean squared
-    filter output over consecutive non-overlapping hop windows.
+    Energy is the mean squared filter output over consecutive
+    non-overlapping hop windows.
     """
-    cf, sos = _gammatone_sos(n_bands, clip.sample_rate, fmin, fmax)
-    n_frames = clip.n_samples // hop
-    if n_frames < 1:
-        raise ClipTooShort("clip shorter than one hop window")
-    usable = n_frames * hop
-    energies = np.empty((n_bands, n_frames))
-    for band in range(n_bands):
-        y = signal.sosfilt(sos[band], clip.samples)
-        energies[band] = (y[:usable] ** 2).reshape(n_frames, hop).mean(axis=1)
-    return SpectrogramTensor(data=_log_compress(energies), frontend="gam")
+    _, sos = gammatone_bank()
+    n_frames = x.size // HOP
+    usable = n_frames * HOP
+    energies = np.empty((N_BANDS, n_frames))
+    for band in range(N_BANDS):
+        y = signal.sosfilt(sos[band], x)
+        energies[band] = (y[:usable] ** 2).reshape(n_frames, HOP).mean(axis=1)
+    return _log_compress(energies)
 
 
-def delta(feat: SpectrogramTensor, width: int = DELTA_WIDTH) -> SpectrogramTensor:
-    """Regression delta along time with replicate-padded edges.
+def delta(x: np.ndarray) -> np.ndarray:
+    """Regression delta along time (axis 1) with replicate-padded edges.
 
-    d_t = sum_{k=1..K} k*(x_{t+k} - x_{t-k}) / (2*sum k^2), K = width//2.
+    d_t = sum_{k=1..K} k*(x_{t+k} - x_{t-k}) / (2*sum k^2), K = DELTA_WIDTH//2.
     """
-    if width < 3 or width % 2 == 0:
-        raise TooFewFrames(f"width must be odd and >= 3, got {width}")
-    x = feat.data
     t_len = x.shape[1]
-    if t_len < width:
-        raise TooFewFrames(f"{t_len} frames < regression width {width}")
-    k_max = width // 2
+    k_max = DELTA_WIDTH // 2
     denom = 2.0 * sum(k * k for k in range(1, k_max + 1))
-    padded = np.pad(x, ((0, 0), (k_max, k_max), (0, 0)), mode="edge")
+    padded = np.pad(x, ((0, 0), (k_max, k_max)), mode="edge")
     out = np.zeros_like(x, dtype=np.float64)
     for k in range(1, k_max + 1):
         out += k * (
             padded[:, k_max + k : k_max + k + t_len]
             - padded[:, k_max - k : k_max - k + t_len]
         )
-    return SpectrogramTensor(data=out / denom, frontend=feat.frontend)
+    return out / denom
 
 
-def _fit_time_axis(x: np.ndarray, target: int) -> np.ndarray:
-    """Center-crop or replicate-pad the time axis (axis 1) to target frames."""
-    t_len = x.shape[1]
-    if t_len == target:
-        return x
-    if t_len > target:
-        left = (t_len - target) // 2
-        return x[:, left : left + target]
-    deficit = target - t_len
-    left = deficit // 2
-    return np.pad(x, ((0, 0), (left, deficit - left), (0, 0)), mode="edge")
-
-
-def stack_3ch(
-    feat: SpectrogramTensor, target_frames: int = TARGET_FRAMES
-) -> SpectrogramTensor:
-    """Stack [feature, delta, delta-delta] channels and fix T to target_frames."""
-    if feat.data.shape[2] != 1:
-        raise ShapeMismatch("stacking expects a single-channel spectrogram")
+def stack_3ch(feat: np.ndarray) -> np.ndarray:
+    """Stack [feature, delta, delta-delta] of a [F, T] feature into
+    [F, TARGET_FRAMES, 3], centre-cropping the T >= TARGET_FRAMES frames."""
     d1 = delta(feat)
-    d2 = delta(d1)
-    stacked = np.concatenate([feat.data, d1.data, d2.data], axis=2)
-    return SpectrogramTensor(
-        data=_fit_time_axis(stacked, target_frames), frontend=feat.frontend
-    )
+    stacked = np.stack([feat, d1, delta(d1)], axis=2)
+    left = (stacked.shape[1] - TARGET_FRAMES) // 2
+    return stacked[:, left : left + TARGET_FRAMES]
 
 
-@lru_cache(maxsize=1)
-def _default_mel_bank():
-    return mel_filterbank()
+def extract_frontend(clip: AudioClip, frontend: str) -> SpectrogramTensor:
+    """Full front-end: one 10 s / 32 kHz segment -> N_BANDS x TARGET_FRAMES x 3.
 
-
-def extract_frontend(
-    clip: AudioClip, frontend: str, target_frames: int = TARGET_FRAMES
-) -> SpectrogramTensor:
-    """Full front-end: clip -> 128 x target_frames x 3 feature tensor."""
+    Raises ShapeMismatch for any other clip and ConfigMismatch for a name
+    not in FRONTENDS.
+    """
+    if clip.sample_rate != PIPELINE_RATE or clip.n_samples != SEGMENT_SAMPLES:
+        raise ShapeMismatch(
+            f"front-ends take one segment of {SEGMENT_SAMPLES} samples at "
+            f"{PIPELINE_RATE} Hz, got {clip.n_samples} samples at {clip.sample_rate} Hz"
+        )
     if frontend == "logmel":
-        feat = log_mel(stft_power(clip), _default_mel_bank())
+        feat = log_mel(stft_power(clip.samples))
     elif frontend == "cqt":
-        feat = cqt(clip)
+        feat = cqt(clip.samples)
     elif frontend == "gam":
-        feat = gammatone(clip)
+        feat = gammatone(clip.samples)
     else:
-        raise InvalidBandRange(f"unknown frontend {frontend!r}")
-    return stack_3ch(feat, target_frames)
+        raise ConfigMismatch(f"unknown frontend {frontend!r}, expected one of {FRONTENDS}")
+    data = stack_3ch(feat)
+    if not np.all(np.isfinite(data)):
+        raise ShapeMismatch(f"{frontend} features contain non-finite values")
+    return SpectrogramTensor(data=data, frontend=frontend)

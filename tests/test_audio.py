@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asckit.audio import (
     PIPELINE_RATE,
@@ -13,7 +15,14 @@ from asckit.audio import (
     save_wav,
     segment_10s,
 )
-from asckit.errors import ClipTooShort, EmptyAudio, MalformedHeader, UnsupportedEncoding
+from asckit.errors import (
+    AscKitError,
+    ClipTooShort,
+    EmptyAudio,
+    MalformedHeader,
+    UnsupportedEncoding,
+)
+from byte_fuzz import FUZZ, flip, flips
 
 
 def write_pcm16(path, samples_i16, rate, n_channels=1):
@@ -120,6 +129,24 @@ class TestLoadWav:
         with pytest.raises(MalformedHeader, match="rate0.wav"):
             load_wav(p)
 
+    def test_overrunning_chunk_names_path_and_offset(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        write_pcm16(p, np.zeros(10, dtype=np.int16), 32000)
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(MalformedHeader,
+                           match=r"cut\.wav: chunk b'data' at offset 36 declares 20 bytes, 19 left"):
+            load_wav(p)
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFF800000],
+                             ids=["quiet-nan", "signalling-nan", "minus-inf"])
+    def test_non_finite_sample_names_path_and_offset(self, tmp_path, bits):
+        p = tmp_path / "nan.wav"
+        x = np.array([0.5, 0.25, 0.0, 0.0], dtype="<f4")
+        x.view("<u4")[2] = bits
+        write_float32(p, x, 32000)
+        with pytest.raises(EmptyAudio, match=r"nan\.wav: non-finite sample in frame 2 at offset 52"):
+            load_wav(p)
+
     def test_save_load_roundtrip(self, tmp_path):
         p = tmp_path / "rt.wav"
         rng = np.random.default_rng(7)
@@ -143,6 +170,39 @@ class TestLoadWav:
             save_wav(p, AudioClip(samples=np.full(200, -0.5), sample_rate=16000))
         assert p.read_bytes() == raw
         assert [q.name for q in tmp_path.iterdir()] == [p.name]
+
+
+class TestLoadWavFuzz:
+    """A damaged file either loads as a finite clip or raises a toolkit
+    error naming the file."""
+
+    @staticmethod
+    def _valid(tmp_path):
+        p = tmp_path / "ok.wav"
+        write_float32(p, np.linspace(-1.0, 1.0, 16), 32000)
+        return p.read_bytes()
+
+    @FUZZ
+    @given(cut=st.integers(0, 10**6))
+    def test_truncated_file_raises_naming_the_path(self, tmp_path, cut):
+        raw = self._valid(tmp_path)
+        bad = tmp_path / "cut.wav"
+        bad.write_bytes(raw[: cut % len(raw)])
+        with pytest.raises(AscKitError) as exc_info:
+            load_wav(bad)
+        assert str(bad) in str(exc_info.value)
+
+    @FUZZ
+    @given(flips=flips)
+    def test_flipped_bytes_load_or_raise_naming_the_path(self, tmp_path, flips):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(flip(self._valid(tmp_path), flips))
+        try:
+            clip = load_wav(bad)
+        except AscKitError as exc:
+            assert str(bad) in str(exc), str(exc)
+        else:
+            assert clip.n_samples > 0 and np.all(np.isfinite(clip.samples))
 
 
 class TestResample:
@@ -228,9 +288,8 @@ class TestSegment:
     def test_segments_are_disjoint_ordered_slices(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=SEGMENT_SAMPLES * 3 + 999)
-        clip = AudioClip(samples=x, sample_rate=32000, scene_label=5, device_id="B")
+        clip = AudioClip(samples=x, sample_rate=32000)
         segs = segment_10s(clip)
         assert len(segs) == 3
         rebuilt = np.concatenate([s.samples for s in segs])
         np.testing.assert_array_equal(rebuilt, x[: 3 * SEGMENT_SAMPLES])
-        assert all(s.scene_label == 5 and s.device_id == "B" for s in segs)

@@ -17,7 +17,7 @@ def make_batch(b=4, f=128, t=305, c=3, m=10, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(b, f, t, c)).astype(np.float32)
     labels = np.eye(m)[rng.integers(0, m, b)]
-    return LabeledBatch(feats, labels, [f"D{i}" for i in range(b)])
+    return LabeledBatch(feats, labels)
 
 
 def on_simplex(labels):
@@ -200,8 +200,7 @@ class TestPipelineProperties:
         rngs = [np.random.default_rng([7, 0, i]) for i in range(5)]
         direct = spec_augment(random_crop(batch, cfg, rngs), cfg, rngs)
         perm = [3, 1, 4, 0, 2]
-        permuted = LabeledBatch(batch.features[perm], batch.labels[perm],
-                                [batch.device_tags[i] for i in perm])
+        permuted = LabeledBatch(batch.features[perm], batch.labels[perm])
         rngs_p = [np.random.default_rng([7, 0, i]) for i in perm]
         out_p = spec_augment(random_crop(permuted, cfg, rngs_p), cfg, rngs_p)
         np.testing.assert_array_equal(out_p.features, direct.features[perm])

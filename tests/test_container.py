@@ -5,15 +5,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from asckit import tensor as T
 from asckit.cache import read_cache, write_cache
 from asckit.errors import IOFailure
+from byte_fuzz import FUZZ, flip, flips
 
-FUZZ = settings(max_examples=300, deadline=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
 WEIGHTS = {
     "conv.w": np.arange(12, dtype=np.float32).reshape(2, 3, 2),
     "scalar": np.float32(7.5),
@@ -58,16 +56,6 @@ def _assert_names_path_and_offset(exc_info, path):
     assert re.search(r"at offset \d+", message), message
 
 
-def _flip(raw, flips):
-    out = bytearray(raw)
-    for pos, mask in flips:
-        out[pos % len(out)] ^= mask
-    return bytes(out)
-
-
-_flips = st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4)
-
-
 class TestWeights:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "w.ascw"
@@ -86,11 +74,11 @@ class TestWeights:
             _assert_names_path_and_offset(exc_info, cut)
 
     @FUZZ
-    @given(flips=_flips)
+    @given(flips=flips)
     def test_flipped_bytes_load_or_raise_iofailure(self, tmp_path, flips):
         _, raw = _write_weights(tmp_path)
         bad = tmp_path / "bad.ascw"
-        bad.write_bytes(_flip(raw, flips))
+        bad.write_bytes(flip(raw, flips))
         try:
             named = T.load_weights(bad)
         except IOFailure as exc:
@@ -172,11 +160,11 @@ class TestCache:
             _assert_names_path_and_offset(exc_info, cut)
 
     @FUZZ
-    @given(flips=_flips)
+    @given(flips=flips)
     def test_flipped_bytes_read_or_raise_iofailure(self, tmp_path, flips):
         _, raw = _write_cache(tmp_path)
         bad = tmp_path / "bad.ascf"
-        bad.write_bytes(_flip(raw, flips))
+        bad.write_bytes(flip(raw, flips))
         try:
             back = read_cache(bad)
         except IOFailure as exc:

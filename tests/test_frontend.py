@@ -2,32 +2,26 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from asckit.audio import AudioClip
-from asckit.errors import (
-    InvalidBandRange,
-    NyquistExceeded,
-    ShapeMismatch,
-    TooFewFrames,
-)
+from asckit.audio import SEGMENT_SAMPLES, AudioClip
+from asckit.errors import ConfigMismatch, ShapeMismatch
 from asckit.frontend import (
+    HOP,
     LOG_FLOOR,
     N_BANDS,
     TARGET_FRAMES,
-    SpectrogramTensor,
-    StftConfig,
+    WINDOW,
     cqt,
-    cqt_frequencies,
+    cqt_bank,
     delta,
-    erb_centers,
     extract_frontend,
     gammatone,
+    gammatone_bank,
     hz_to_mel,
     log_mel,
-    mel_filterbank,
+    mel_bank,
     mel_to_hz,
     stack_3ch,
     stft_power,
-    _gammatone_sos,
 )
 
 SR = 32000
@@ -35,28 +29,27 @@ SR = 32000
 
 def tone(freq, seconds=10.0, amp=1.0, sr=SR):
     t = np.arange(int(seconds * sr)) / sr
-    return AudioClip(samples=amp * np.sin(2 * np.pi * freq * t), sample_rate=sr)
+    return amp * np.sin(2 * np.pi * freq * t)
 
 
 class TestStft:
     def test_zero_signal_all_zero(self):
-        clip = AudioClip(samples=np.zeros(8192) + 0.0, sample_rate=SR)
-        out = stft_power(clip)
-        assert np.all(out.data == 0.0)
+        out = stft_power(np.zeros(8192) + 0.0)
+        assert np.all(out == 0.0)
 
     def test_single_frame_boundary(self):
-        clip = AudioClip(samples=np.ones(2048), sample_rate=SR)
-        out = stft_power(clip, StftConfig(center_pad=False))
-        assert out.shape == (1025, 1, 1)
+        assert stft_power(np.ones(WINDOW)).shape == (1025, 1)
+        assert stft_power(np.ones(WINDOW + HOP - 1)).shape == (1025, 1)
+        assert stft_power(np.ones(WINDOW + HOP)).shape == (1025, 2)
 
     def test_native_frame_count_10s(self):
         out = stft_power(tone(440.0))
-        assert out.shape == (1025, 311, 1)
+        assert out.shape == (1025, 311)
 
     def test_tone_peak_bin(self):
         # oracle: direct DFT of one Hann-windowed frame
-        clip = tone(1000.0, seconds=1.0)
-        frame = clip.samples[:2048]
+        x = tone(1000.0, seconds=1.0)
+        frame = x[:2048]
         win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(2048) / 2048)
         n = np.arange(2048)
         dft = np.array(
@@ -65,107 +58,95 @@ class TestStft:
         oracle_bin = int(np.argmax(np.abs(dft)))
         assert oracle_bin == round(1000 * 2048 / 32000) == 64
 
-        out = stft_power(clip)
-        peak_bins = np.argmax(out.data[:, :, 0], axis=0)
+        out = stft_power(x)
+        peak_bins = np.argmax(out, axis=0)
         assert np.all(peak_bins == 64)
 
 
 class TestMelBank:
     def test_single_band_peak_at_mel_midpoint(self):
-        # oracle: closed-form mel / inverse-mel evaluation
+        # oracle: closed-form mel / inverse-mel evaluation of each band's centre
+        step = (hz_to_mel(16000.0) - hz_to_mel(0.0)) / (N_BANDS + 1)
+        oracle_hz = mel_to_hz(hz_to_mel(0.0) + step * np.arange(1, N_BANDS + 1))
         mid_mel = (hz_to_mel(0.0) + hz_to_mel(16000.0)) / 2.0
-        peak_hz = float(mel_to_hz(mid_mel))
         assert abs(mid_mel - 1787.46) < 0.01  # midpoint on the mel axis
-        assert abs(peak_hz - 2719.06) < 0.01  # back on the Hz axis
+        assert abs(float(mel_to_hz(mid_mel)) - 2719.06) < 0.01  # back on the Hz axis
 
-        bank = mel_filterbank(n_bands=1, fmin=0.0, fmax=16000.0)
+        centers, weights = mel_bank()
+        np.testing.assert_allclose(centers, oracle_hz, rtol=1e-12)
         bin_hz = np.arange(1025) * SR / 2048
-        top_bin = int(np.argmax(bank.weights[0]))
-        assert abs(bin_hz[top_bin] - peak_hz) <= SR / 2048  # within one bin
+        top_hz = bin_hz[np.argmax(weights, axis=1)]
+        assert np.all(np.abs(top_hz - centers) <= SR / 2048)  # within one bin
 
     def test_adjacent_filters_share_edges(self):
-        bank = mel_filterbank()
+        centers, _ = mel_bank()
         edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(16000.0), N_BANDS + 2))
         # upper edge of band b is the center of band b+1 by construction
-        np.testing.assert_allclose(edges[2:-1], bank.band_centers[1:], rtol=1e-12)
+        np.testing.assert_allclose(edges[2:-1], centers[1:], rtol=1e-12)
 
     def test_full_coverage_between_centers(self):
-        bank = mel_filterbank()
+        centers, weights = mel_bank()
         bin_hz = np.arange(1025) * SR / 2048
-        inside = (bin_hz >= bank.band_centers[0]) & (bin_hz <= bank.band_centers[-1])
-        assert np.all(bank.weights.sum(axis=0)[inside] > 0)
+        inside = (bin_hz >= centers[0]) & (bin_hz <= centers[-1])
+        assert np.all(weights.sum(axis=0)[inside] > 0)
 
     def test_rows_nonneg_centers_increasing(self):
-        bank = mel_filterbank()
-        assert np.all(bank.weights >= 0)
-        assert np.all(np.diff(bank.band_centers) > 0)
-
-    def test_invalid_range(self):
-        with pytest.raises(InvalidBandRange):
-            mel_filterbank(fmin=100.0, fmax=50.0)
-        with pytest.raises(InvalidBandRange):
-            mel_filterbank(fmax=17000.0)
+        centers, weights = mel_bank()
+        assert np.all(weights >= 0)
+        assert np.all(weights.sum(axis=1) > 0)  # every band row is nonzero
+        for bank in (mel_bank, cqt_bank, gammatone_bank):
+            centers, _ = bank()
+            assert centers.shape == (N_BANDS,)
+            assert np.all(np.diff(centers) > 0)
 
 
 class TestLogMel:
     def test_zero_power_floor(self):
-        power = SpectrogramTensor(data=np.zeros((1025, 7)), frontend="power")
-        out = log_mel(power, mel_filterbank())
-        np.testing.assert_allclose(out.data, 10 * np.log10(LOG_FLOOR))
+        out = log_mel(np.zeros((1025, 7)))
+        np.testing.assert_allclose(out, 10 * np.log10(LOG_FLOOR))
 
     def test_doubling_adds_3db(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(0.5, 2.0, size=(1025, 5))
-        s1 = log_mel(SpectrogramTensor(data=p, frontend="power"), mel_filterbank())
-        s2 = log_mel(SpectrogramTensor(data=2 * p, frontend="power"), mel_filterbank())
-        np.testing.assert_allclose(s2.data - s1.data, 10 * np.log10(2), atol=1e-9)
+        np.testing.assert_allclose(log_mel(2 * p) - log_mel(p), 10 * np.log10(2), atol=1e-9)
 
     def test_white_frame_proportional_to_triangle_area(self):
         # oracle: explicit matrix product with a constant power vector
-        bank = mel_filterbank()
+        _, weights = mel_bank()
         const = np.full((1025, 1), 3.7)
-        out = log_mel(SpectrogramTensor(data=const, frontend="power"), bank)
-        oracle = 10 * np.log10(np.maximum(bank.weights @ const, LOG_FLOOR))
-        np.testing.assert_allclose(out.data[:, :, 0], oracle, rtol=1e-12)
+        oracle = 10 * np.log10(np.maximum(weights @ const, LOG_FLOOR))
+        np.testing.assert_allclose(log_mel(const), oracle, rtol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            log_mel(SpectrogramTensor(data=np.zeros((999, 4)), frontend="power"),
-                    mel_filterbank())
+            log_mel(np.zeros((999, 4)))
 
     def test_filterbank_equals_matmul_on_random_frames(self):
         # dual-route invariant: implementation path vs naive per-band loop
         rng = np.random.default_rng(1)
-        bank = mel_filterbank()
+        _, weights = mel_bank()
         p = rng.uniform(0.0, 4.0, size=(1025, 6))
-        out = log_mel(SpectrogramTensor(data=p, frontend="power"), bank)
         naive = np.empty((N_BANDS, 6))
         for b in range(N_BANDS):
             for t in range(6):
-                naive[b, t] = np.dot(bank.weights[b], p[:, t])
+                naive[b, t] = np.dot(weights[b], p[:, t])
         oracle = 10 * np.log10(np.maximum(naive, LOG_FLOOR))
-        np.testing.assert_allclose(out.data[:, :, 0], oracle, rtol=1e-6)
+        np.testing.assert_allclose(log_mel(p), oracle, rtol=1e-6)
 
 
 class TestCqt:
     def test_zero_signal_floor(self):
-        clip = AudioClip(samples=np.zeros(320000) + 0.0, sample_rate=SR)
-        out = cqt(clip)
-        np.testing.assert_allclose(out.data, -100.0)
+        np.testing.assert_allclose(cqt(np.zeros(320000) + 0.0), -100.0)
 
     def test_octave_doubling_exact(self):
-        f = cqt_frequencies()
+        f, _ = cqt_bank()
         np.testing.assert_array_equal(f[24:] / f[:-24], 2.0)
-
-    def test_nyquist_guard(self):
-        with pytest.raises(NyquistExceeded):
-            cqt(tone(100.0, seconds=1.0), fmin=400.0, n_bins=128, bins_per_octave=24)
 
     def test_tone_at_band10_argmax(self):
         # oracle: direct inner product with analytic complex sinusoid kernels
-        freqs = cqt_frequencies()
+        freqs, _ = cqt_bank()
         f10 = freqs[10]
-        clip = tone(f10, seconds=2.0)
+        x = tone(f10, seconds=2.0)
         q = 1.0 / (2 ** (1 / 24) - 1)
 
         def kernel_response(band, center):
@@ -174,7 +155,7 @@ class TestCqt:
             win = 0.5 - 0.5 * np.cos(2 * np.pi * n / n_k)
             kern = win * np.exp(-2j * np.pi * freqs[band] * n / SR) / win.sum()
             start = center - n_k // 2
-            seg = clip.samples[max(0, start) : start + n_k]
+            seg = x[max(0, start) : start + n_k]
             if start < 0:
                 seg = np.pad(seg, (-start, 0))
             return abs(np.dot(seg, kern))
@@ -183,27 +164,25 @@ class TestCqt:
         oracle_resp = np.array([kernel_response(b, center) for b in range(30)])
         assert int(np.argmax(oracle_resp)) == 10
 
-        out = cqt(clip)
-        assert np.all(np.argmax(out.data[:, 5:-5, 0], axis=0) == 10)
+        out = cqt(x)
+        assert np.all(np.argmax(out[:, 5:-5], axis=0) == 10)
 
     def test_shape_10s(self):
-        assert cqt(tone(200.0)).shape == (128, 311, 1)
+        assert cqt(tone(200.0)).shape == (128, 311)
 
 
 class TestGammatone:
     def test_zero_signal_floor(self):
-        clip = AudioClip(samples=np.zeros(64000) + 0.0, sample_rate=SR)
-        out = gammatone(clip)
-        np.testing.assert_allclose(out.data, -100.0)
+        np.testing.assert_allclose(gammatone(np.zeros(64000) + 0.0), -100.0)
 
     def test_erb_centers_range(self):
-        cf = erb_centers()
+        cf, _ = gammatone_bank()
         assert np.all(np.diff(cf) > 0)
         assert abs(cf[0] - 50.0) < 1e-6
         assert abs(cf[-1] - 16000.0) < 1e-6
 
     def test_tone_at_band64_argmax(self):
-        cf, sos = _gammatone_sos(N_BANDS, SR, 50.0, 16000.0)
+        cf, sos = gammatone_bank()
         f64 = cf[64]
         # oracle: per-band frequency response evaluated at the tone frequency
         w = 2 * np.pi * f64 / SR
@@ -213,22 +192,20 @@ class TestGammatone:
         assert int(np.argmax(resp)) == 64
 
         out = gammatone(tone(f64, seconds=3.0))
-        interior = out.data[:, 10:-2, 0]
+        interior = out[:, 10:-2]
         assert np.all(np.argmax(interior, axis=0) == 64)
 
     def test_shape_10s(self):
-        assert gammatone(tone(500.0)).shape == (128, 312, 1)
+        assert gammatone(tone(500.0)).shape == (128, 312)
 
 
 class TestDelta:
     def test_constant_input_zero(self):
-        feat = SpectrogramTensor(data=np.full((4, 20), 3.3), frontend="logmel")
-        np.testing.assert_allclose(delta(feat).data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(delta(np.full((4, 20), 3.3)), 0.0, atol=1e-12)
 
     def test_linear_ramp_unit_slope(self):
         ramp = np.tile(np.arange(30, dtype=float), (5, 1))
-        out = delta(SpectrogramTensor(data=ramp, frontend="logmel"))
-        np.testing.assert_allclose(out.data[:, 4:-4, 0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(delta(ramp)[:, 4:-4], 1.0, atol=1e-12)
 
     def test_delta_delta_quadratic(self):
         # oracle: direct evaluation of the +-4 regression formula
@@ -246,51 +223,36 @@ class TestDelta:
         oracle = reg(reg(x))
         np.testing.assert_allclose(oracle[8:-8], 2.0, atol=1e-9)
 
-        feat = SpectrogramTensor(data=np.tile(x, (3, 1)), frontend="logmel")
-        out = delta(delta(feat))
-        np.testing.assert_allclose(out.data[:, :, 0], np.tile(oracle, (3, 1)), atol=1e-9)
+        out = delta(delta(np.tile(x, (3, 1))))
+        np.testing.assert_allclose(out, np.tile(oracle, (3, 1)), atol=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(8, 25, 1))
-        y = rng.normal(size=(8, 25, 1))
+        x = rng.normal(size=(8, 25))
+        y = rng.normal(size=(8, 25))
         a, b = 2.5, -1.25
-        lhs = delta(SpectrogramTensor(data=a * x + b * y, frontend="logmel")).data
-        rhs = (
-            a * delta(SpectrogramTensor(data=x, frontend="logmel")).data
-            + b * delta(SpectrogramTensor(data=y, frontend="logmel")).data
-        )
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-9)
-
-    def test_too_few_frames(self):
-        with pytest.raises(TooFewFrames):
-            delta(SpectrogramTensor(data=np.zeros((4, 5)), frontend="logmel"))
+        np.testing.assert_allclose(delta(a * x + b * y), a * delta(x) + b * delta(y),
+                                   rtol=1e-6, atol=1e-9)
 
 
 class TestStack:
     def test_stack_305_identity_channel0(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(128, 305, 1))
-        out = stack_3ch(SpectrogramTensor(data=x, frontend="logmel"))
+        x = rng.normal(size=(128, 305))
+        out = stack_3ch(x)
         assert out.shape == (128, 305, 3)
-        np.testing.assert_array_equal(out.data[:, :, 0], x[:, :, 0])
+        np.testing.assert_array_equal(out[:, :, 0], x)
 
     def test_constant_input_zero_deltas(self):
-        out = stack_3ch(SpectrogramTensor(data=np.full((128, 305), 7.0), frontend="logmel"))
-        np.testing.assert_allclose(out.data[:, :, 1:], 0.0, atol=1e-12)
+        out = stack_3ch(np.full((128, 305), 7.0))
+        np.testing.assert_allclose(out[:, :, 1:], 0.0, atol=1e-12)
 
     def test_center_crop_311(self):
         x = np.tile(np.arange(311, dtype=float), (128, 1))
-        out = stack_3ch(SpectrogramTensor(data=x, frontend="logmel"))
+        out = stack_3ch(x)
         assert out.shape == (128, 305, 3)
         # drops 3 leading and 3 trailing frames
-        np.testing.assert_array_equal(out.data[:, :, 0], x[:, 3:-3])
-
-    def test_replicate_pad_short(self):
-        x = np.tile(np.arange(300, dtype=float), (16, 1))
-        out = stack_3ch(SpectrogramTensor(data=x, frontend="logmel"))
-        assert out.shape == (16, 305, 3)
-        np.testing.assert_array_equal(out.data[:, :2, 0], np.tile(x[:, :1], (1, 2)))
+        np.testing.assert_array_equal(out[:, :, 0], x[:, 3:-3])
 
 
 class TestFrontendProperties:
@@ -299,14 +261,24 @@ class TestFrontendProperties:
         rng = np.random.default_rng(4)
         clip = AudioClip(samples=rng.uniform(-0.5, 0.5, 320000), sample_rate=SR)
         out = extract_frontend(clip, name)
-        assert out.shape == (128, TARGET_FRAMES, 3)
+        assert out.data.shape == (128, TARGET_FRAMES, 3)
         assert out.frontend == name
+
+    @pytest.mark.parametrize("seconds,rate", [(10, 44100), (10, 8000), (1, SR), (11, SR)])
+    def test_rejects_anything_but_one_segment(self, seconds, rate):
+        clip = AudioClip(samples=np.full(seconds * rate, 0.1), sample_rate=rate)
+        for name in ("logmel", "cqt", "gam"):
+            with pytest.raises(ShapeMismatch, match=rf"{SEGMENT_SAMPLES}.*{SR} Hz.*"
+                               rf"{seconds * rate} samples at {rate} Hz"):
+                extract_frontend(clip, name)
+
+    def test_unknown_frontend_rejected(self):
+        clip = AudioClip(samples=np.full(SEGMENT_SAMPLES, 0.1), sample_rate=SR)
+        with pytest.raises(ConfigMismatch, match="'mfcc'.*'logmel', 'cqt', 'gam'"):
+            extract_frontend(clip, "mfcc")
 
     def test_log_monotone(self):
         rng = np.random.default_rng(5)
-        bank = mel_filterbank()
         p1 = rng.uniform(0.0, 1.0, size=(1025, 4))
         p2 = p1 + rng.uniform(0.0, 1.0, size=(1025, 4))
-        lo = log_mel(SpectrogramTensor(data=p1, frontend="power"), bank)
-        hi = log_mel(SpectrogramTensor(data=p2, frontend="power"), bank)
-        assert np.all(hi.data >= lo.data - 1e-12)
+        assert np.all(log_mel(p2) >= log_mel(p1) - 1e-12)
