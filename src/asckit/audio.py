@@ -14,7 +14,13 @@ import numpy as np
 from scipy import signal
 
 from .container import atomic_write
-from .errors import ClipTooShort, EmptyAudio, MalformedHeader, UnsupportedEncoding
+from .errors import (
+    ClipTooShort,
+    EmptyAudio,
+    MalformedHeader,
+    ShapeMismatch,
+    UnsupportedEncoding,
+)
 
 PIPELINE_RATE = 32000
 SEGMENT_SECONDS = 10
@@ -167,8 +173,8 @@ def segment_10s(clip: AudioClip) -> list[AudioClip]:
     The trailing remainder shorter than a full segment is dropped.
     """
     if clip.sample_rate != PIPELINE_RATE:
-        raise ClipTooShort(
-            f"segmentation expects {PIPELINE_RATE} Hz input, got {clip.sample_rate}"
+        raise ShapeMismatch(
+            f"segmentation expects {PIPELINE_RATE} Hz input, got {clip.sample_rate} Hz"
         )
     n_seg = clip.n_samples // SEGMENT_SAMPLES
     if n_seg == 0:

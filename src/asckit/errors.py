@@ -19,13 +19,12 @@ class EmptyAudio(AscKitError):
 
 
 class ClipTooShort(AscKitError):
-    """A clip to cut into segments is not at 32 kHz or is shorter than one
-    10 s segment."""
+    """A clip to cut into segments is shorter than one 10 s segment."""
 
 
 class ShapeMismatch(AscKitError):
-    """Operands have incompatible shapes, or a front-end was given anything
-    but one 10 s / 32 kHz segment."""
+    """Operands have incompatible shapes, a front-end was given anything but
+    one 10 s / 32 kHz segment, or a clip to segment is not at 32 kHz."""
 
 
 # augmentation

@@ -321,13 +321,17 @@ def network_summary(model: Network) -> list:
 
 
 def predict(model, features, batch_size: int = 32) -> np.ndarray:
-    """Deterministic eval-mode class probabilities for [N, F, T, C] features."""
+    """Deterministic eval-mode class probabilities for [N, F, T, C] features.
+
+    The forward passes run under `T.no_grad`, so no autograd graph is kept.
+    """
     if batch_size < 1:
         raise ConfigMismatch(f"batch_size must be at least 1, got {batch_size}")
     features = np.asarray(features, dtype=np.float32)
     _check_input(features.shape)
     outputs = [np.empty((0, N_CLASSES))]
-    for lo in range(0, features.shape[0], batch_size):
-        out = model.forward(features[lo : lo + batch_size], mode="eval")
-        outputs.append(out.data.astype(np.float64))
+    with T.no_grad():
+        for lo in range(0, features.shape[0], batch_size):
+            out = model.forward(features[lo : lo + batch_size], mode="eval")
+            outputs.append(out.data.astype(np.float64))
     return np.concatenate(outputs, axis=0)

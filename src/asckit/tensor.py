@@ -4,7 +4,16 @@ Supports exactly the operations the classification networks need, on
 [batch, frequency, time, channel] layouts. Each operation records its
 inputs and a backward closure on the output tensor; `backward` walks the
 implicit graph in reverse topological order and accumulates gradients
-into every tensor that requires them.
+into every tensor that requires them. Under `no_grad` ops record nothing.
+
+The window ops (`conv2d`, `max_pool`, `avg_pool`) share one core,
+`_windows`, which pads the input and gives, for each kernel offset (u, v),
+the strided view of that cell of every window. Pooling is a running max or
+sum over those views, and every backward adds into the same views of a
+zero gradient: one GEMM per offset for `conv2d`, the window gradient for
+`avg_pool`, and for `max_pool` the gradient of each window given to its
+first maximum in row-major offset order. Only the `conv2d` forward copies
+the windows out, as the columns of one GEMM (im2col).
 
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
@@ -17,6 +26,7 @@ its backward closure has consumed it.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 
 import numpy as np
@@ -67,7 +77,24 @@ class Parameter(Tensor):
         self.l2_included = l2_included
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this block ops record no graph: every output they make has no
+    parents, no backward closure and requires no grad."""
+    global _grad_enabled
+    before, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = before
+
+
 def _result(data, parents, op):
+    if not _grad_enabled:
+        return Tensor(data, op=op)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, parents=parents, op=op)
 
@@ -262,13 +289,15 @@ def _pad_amounts(size, k, s, padding):
 
 
 def _windows(x, kernel, stride, padding):
-    """Sliding (frequency, time) windows of a [B, F, T, C] array.
+    """Sliding (frequency, time) windows of a [B, F, T, C] array, by kernel offset.
 
-    Returns a [B, of, ot, kf, kt, C] view of the input zero-padded per
-    `padding` ('same': symmetric, extra cell trailing, ceil(input/stride)
-    windows; 'valid': none), and `fold`, the view's adjoint: it scatter-adds
-    a gradient of the view's shape (or one broadcasting to it) back onto a
-    [B, F, T, C] array.
+    Returns `xp`, the input zero-padded per `padding` ('same': symmetric,
+    extra cell trailing, ceil(input/stride) windows; 'valid': none), the
+    index of the unpadded input in `xp`, and one index per kernel offset
+    (u, v), in row-major order: `xp[index]` is the [B, of, ot, C] strided
+    view of the cell at offset (u, v) of every window. A window op reduces
+    over these views; its backward adds into the same views of a zero array
+    shaped like `xp`, then takes the unpadded part.
     """
     kf, kt = _pair(kernel)
     sf, st = _pair(stride)
@@ -276,17 +305,18 @@ def _windows(x, kernel, stride, padding):
     pt0, pt1, ot = _pad_amounts(x.shape[2], kt, st, padding)
     if pf0 or pf1 or pt0 or pt1:
         x = np.pad(x, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
-    view = np.lib.stride_tricks.sliding_window_view(x, (kf, kt), axis=(1, 2))
-    view = view[:, ::sf, ::st].transpose(0, 1, 2, 4, 5, 3)
+    inner = (slice(None), slice(pf0, x.shape[1] - pf1), slice(pt0, x.shape[2] - pt1))
+    offsets = [(slice(None), slice(u, u + sf * of, sf), slice(v, v + st * ot, st))
+               for u in range(kf) for v in range(kt)]
+    return x, inner, offsets
 
-    def fold(g):
-        gp = np.zeros_like(x)
-        for u in range(kf):
-            for v in range(kt):
-                gp[:, u : u + sf * of : sf, v : v + st * ot : st] += g[:, :, :, u, v]
-        return gp[:, pf0 : x.shape[1] - pf1, pt0 : x.shape[2] - pt1]
 
-    return view, fold
+def _window_reduce(ufunc, xp, offsets):
+    """`ufunc` (np.add, np.maximum) over the offset views, in offset order."""
+    out = xp[offsets[0]].copy()
+    for o in offsets[1:]:
+        ufunc(out, xp[o], out=out)
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
@@ -294,15 +324,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
     """Cross-correlation over (frequency, time) plus per-channel bias.
 
     'same' zero-pads symmetrically (extra cell trailing) so spatial dims
-    become ceil(input/stride); 'valid' uses no padding.
+    become ceil(input/stride); 'valid' uses no padding. The forward pass is
+    one GEMM over the [B*of*ot, kf*kt*cin] window columns; the backward
+    pass does one GEMM per kernel offset for each of the two gradients.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
     kf, kt, cin, cout = w.shape
-    view, fold = _windows(x.data, (kf, kt), stride, padding)
+    sf, st = _pair(stride)
+    xp, inner, offsets = _windows(x.data, (kf, kt), (sf, st), padding)
+    # im2col: one copy of the windows as rows, columns ordered (u, v, cin)
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
+    view = view[:, ::sf, ::st].transpose(0, 1, 2, 4, 5, 3)
     batch, of, ot = view.shape[:3]
-    w2 = w.data.reshape(kf * kt * cin, cout)
-    y = view.reshape(-1, kf * kt * cin) @ w2
+    y = view.reshape(-1, kf * kt * cin) @ w.data.reshape(-1, cout)
     if b is not None:
         if b.shape != (cout,):
             raise ShapeMismatch(f"conv bias: {b.shape}")
@@ -310,14 +345,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
     out = _result(y.reshape(batch, of, ot, cout), (x, w) if b is None else (x, w, b),
                   "conv2d")
     if out.requires_grad:
+        w3 = w.data.reshape(kf * kt, cin, cout)
+
         def _bw(g):
             g2 = g.reshape(-1, cout)
             if w.requires_grad:
-                w.accumulate((view.reshape(-1, kf * kt * cin).T @ g2).reshape(w.shape))
+                gw = np.empty_like(w3)
+                for o, gw_o in zip(offsets, gw):
+                    np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
+                w.accumulate(gw.reshape(w.shape))
             if b is not None and b.requires_grad:
                 b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
             if x.requires_grad:
-                x.accumulate(fold((g2 @ w2.T).reshape(view.shape)))
+                gp = np.zeros_like(xp)
+                for o, w_o in zip(offsets, w3):
+                    gp[o] += (g2 @ w_o.T).reshape(batch, of, ot, cin)
+                x.accumulate(gp[inner])
         out._backward = _bw
     return out
 
@@ -327,16 +370,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
 
 
 def max_pool(x: Tensor, kernel, stride=None) -> Tensor:
-    """Window max over (frequency, time); kernel must fit the input."""
-    view, fold = _windows(x.data, kernel, kernel if stride is None else stride, "valid")
-    b, of, ot, kf, kt, c = view.shape
-    flat = view.reshape(b, of, ot, kf * kt, c)
-    idx = flat.argmax(axis=3)[:, :, :, None]
-    out = _result(np.take_along_axis(flat, idx, axis=3)[:, :, :, 0], (x,), "max_pool")
+    """Window max over (frequency, time); kernel must fit the input.
+
+    Each window's gradient goes to its first maximum in row-major order.
+    """
+    xp, _, offsets = _windows(x.data, kernel, kernel if stride is None else stride, "valid")
+    y = _window_reduce(np.maximum, xp, offsets)
+    out = _result(y, (x,), "max_pool")
     if out.requires_grad:
         def _bw(g):
-            hot = np.arange(kf * kt)[:, None] == idx
-            x.accumulate(fold((hot * g[:, :, :, None]).reshape(view.shape)))
+            gx = np.zeros_like(xp)
+            open_ = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
+            for o in offsets:
+                hit = xp[o] == y
+                hit &= open_
+                open_ ^= hit
+                gx[o] += g * hit
+            x.accumulate(gx)
         out._backward = _bw
     return out
 
@@ -347,15 +397,20 @@ def avg_pool(x: Tensor, kernel, stride=1, padding: str = "valid") -> Tensor:
     'same' zero-pads and divides by the true window overlap (cells inside
     the unpadded input), so edges are unbiased.
     """
-    view, fold = _windows(x.data, kernel, stride, padding)
-    ones, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel, stride,
-                       padding)
-    counts = ones.sum(axis=(3, 4))
-    out = _result(view.sum(axis=(3, 4)) / counts, (x,), "avg_pool")
+    xp, inner, offsets = _windows(x.data, kernel, stride, padding)
+    ones, _, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel, stride,
+                          padding)
+    counts = _window_reduce(np.add, ones, offsets)
+    y = _window_reduce(np.add, xp, offsets)
+    y /= counts
+    out = _result(y, (x,), "avg_pool")
     if out.requires_grad:
         def _bw(g):
-            gn = (g / counts)[:, :, :, None, None]
-            x.accumulate(fold(np.broadcast_to(gn, view.shape)))
+            gn = g / counts
+            gp = np.zeros_like(xp)
+            for o in offsets:
+                gp[o] += gn
+            x.accumulate(gp[inner])
         out._backward = _bw
     return out
 

@@ -20,6 +20,7 @@ from asckit.errors import (
     ClipTooShort,
     EmptyAudio,
     MalformedHeader,
+    ShapeMismatch,
     UnsupportedEncoding,
 )
 from byte_fuzz import FUZZ, flip, flips
@@ -283,6 +284,11 @@ class TestSegment:
     def test_too_short(self):
         clip = AudioClip(samples=np.ones(SEGMENT_SAMPLES - 1), sample_rate=32000)
         with pytest.raises(ClipTooShort):
+            segment_10s(clip)
+
+    def test_wrong_rate_rejected_naming_both_rates(self):
+        clip = AudioClip(samples=np.zeros(20 * 44100), sample_rate=44100)
+        with pytest.raises(ShapeMismatch, match="expects 32000 Hz input, got 44100 Hz"):
             segment_10s(clip)
 
     def test_segments_are_disjoint_ordered_slices(self):

@@ -76,6 +76,21 @@ class TestPredict:
         with pytest.raises(ShapeMismatch, match="got"):
             models.predict(nets["red03"], np.zeros((0, 128, 255, 3)))
 
+    def test_no_graph_kept(self, monkeypatch):
+        net = models.build_network("red03", seed=0)
+        x = np.random.default_rng(3).normal(size=(3,) + models.INPUT_SHAPE).astype(np.float32)
+        with_grad = [net.forward(x[:2], "eval"), net.forward(x[2:], "eval")]
+        assert all(out._parents for out in with_grad)
+        outs = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda *a, **k: outs.append(forward(*a, **k)) or outs[-1])
+        probs = models.predict(net, x, batch_size=2)
+        assert len(outs) == 2
+        for out in outs:
+            assert out._parents == () and out._backward is None and not out.requires_grad
+        expected = np.concatenate([out.data for out in with_grad]).astype(np.float64)
+        assert probs.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, nets, batch_size):
         x = np.zeros((1,) + models.INPUT_SHAPE)

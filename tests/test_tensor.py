@@ -184,6 +184,45 @@ class TestPooling:
         np.testing.assert_allclose(out.data, 1.0)
 
 
+def _max_pool_grad(x, g, kernel, stride=None):
+    """Input gradient of max_pool for the output gradient g ([F, T] arrays)."""
+    xt = T.Tensor(np.asarray(x, float)[None, :, :, None], requires_grad=True)
+    out = T.max_pool(xt, kernel, stride)
+    T.backward(T.tsum(T.mul(out, T.Tensor(np.asarray(g, float)[None, :, :, None]))))
+    return xt.grad[0, :, :, 0]
+
+
+class TestMaxPoolTies:
+    """A window's gradient goes to its first maximum in row-major order."""
+
+    def test_constant_input(self):
+        grad = _max_pool_grad(np.full((4, 4), 0.5), [[1, 2], [3, 4]], 2)
+        np.testing.assert_array_equal(grad, [[1, 0, 2, 0],
+                                             [0, 0, 0, 0],
+                                             [3, 0, 4, 0],
+                                             [0, 0, 0, 0]])
+
+    def test_two_equal_maxima_in_a_window(self):
+        x = [[1, 5, 7, 0],
+             [5, 2, 0, 7]]
+        grad = _max_pool_grad(x, [[1, 2]], 2)
+        np.testing.assert_array_equal(grad, [[0, 1, 2, 0],
+                                             [0, 0, 0, 0]])
+
+    def test_cell_winning_two_overlapping_windows(self):
+        # (3, 2) windows at stride (2, 1): rows 0-2 / 2-4, columns 0-1 / 1-2;
+        # cell (2, 1) is the max of both windows in column 0-1
+        x = np.zeros((5, 3))
+        x[2, 1] = 9
+        x[0, 2] = x[4, 2] = 10
+        grad = _max_pool_grad(x, [[1, 2], [3, 4]], (3, 2), stride=(2, 1))
+        expected = np.zeros((5, 3))
+        expected[2, 1] = 1 + 3
+        expected[0, 2] = 2
+        expected[4, 2] = 4
+        np.testing.assert_array_equal(grad, expected)
+
+
 class TestResidualNorm:
     def test_standardized_input_scales(self):
         rng = np.random.default_rng(9)
@@ -256,6 +295,16 @@ class TestBackward:
         loss = T.tsum(x)
         T.backward(loss)
         assert w.grad is None
+
+    def test_no_grad_records_no_graph(self):
+        w = T.Parameter(np.ones((2, 2)), name="w")
+        with T.no_grad():
+            out = T.relu(T.mul(w, w))
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        with pytest.raises(RuntimeError), T.no_grad():
+            raise RuntimeError
+        after = T.mul(w, w)
+        assert after._parents == (w, w) and after.requires_grad
 
     def test_only_leaves_keep_grad(self):
         rng = np.random.default_rng(19)
