@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     BatchTooSmall,
+    ConfigMismatch,
     CropWiderThanInput,
     MaskLongerThanAxis,
     ShapeMismatch,
@@ -28,6 +29,8 @@ class AugmentConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.crop_width < 1:
+            raise ConfigMismatch(f"crop_width must be at least 1, got {self.crop_width}")
         if self.mask_len < 0:
             raise MaskLongerThanAxis("mask_len must be >= 0")
         if self.mixup_alpha <= 0:

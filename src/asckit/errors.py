@@ -43,7 +43,7 @@ class BatchTooSmall(AscKitError):
 # model zoo
 class ConfigMismatch(AscKitError):
     """A setting is invalid: a duplicate parameter name, an unknown mode, a
-    batch size below 1 or an unknown front-end name."""
+    batch size or crop width below 1 or an unknown front-end name."""
 
 
 class UnknownVariant(AscKitError):

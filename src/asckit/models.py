@@ -16,6 +16,12 @@ vectors (overall average, frequency-averaged temporal max, temporal max of
 the frequency average) concatenated to a 3*C descriptor. The parameter
 counts above are measured; an ensemble of three red02 networks, one per
 spectrogram, has 2.1M parameters.
+
+In eval mode each conv -> BN -> ReLU unit folds its BN into the conv, so
+a red02 eval forward runs 4 batch-norm passes (the BN after each inception
+concat and each block's BN on its pooled sums) where a train forward runs
+16. The folded kernels are not parameters: an eval-mode backward gives the
+input its gradient but no gradient to the folded conv and BN parameters.
 """
 
 from __future__ import annotations
@@ -120,7 +126,9 @@ def _unique(pairs) -> dict:
 
 
 class Conv2D(Module):
-    def __init__(self, name, kf, kt, cin, cout, rng, stride=1, padding="same"):
+    """Stride-1 'same' convolution with a per-channel bias."""
+
+    def __init__(self, name, kf, kt, cin, cout, rng):
         limit = np.sqrt(6.0 / (kf * kt * cin))
         self.w = T.Parameter(
             rng.uniform(-limit, limit, size=(kf, kt, cin, cout)).astype(np.float32),
@@ -128,11 +136,9 @@ class Conv2D(Module):
         )
         self.b = T.Parameter(np.zeros(cout, dtype=np.float32), name=f"{name}.b",
                              l2_included=False)
-        self.stride = stride
-        self.padding = padding
 
     def __call__(self, x, mode, rng):
-        return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return T.conv2d(x, self.w, self.b)
 
 
 class Dense(Module):
@@ -168,12 +174,27 @@ class BatchNorm(Module):
 
 
 class _ConvBnRelu(Module):
+    """conv -> BN -> ReLU. In eval mode the BN is folded into the conv
+    (Jacob et al., arXiv 1712.05877, section 3.2): with s = gamma / sqrt(var +
+    eps) from the running buffers, in float64, one conv with kernel w * s and
+    bias (b - mean) * s + beta, both cast to the kernel's dtype, replaces the
+    conv and the BN. The fold is made anew on every eval forward, so it always
+    follows the current parameters and buffers. Its kernel and bias are plain
+    tensors: an eval-mode backward reaches the input but not the conv and BN
+    parameters, so nothing trains in eval mode."""
+
     def __init__(self, name, kf, kt, cin, cout, rng):
         self.conv = Conv2D(f"{name}.conv", kf, kt, cin, cout, rng)
         self.bn = BatchNorm(f"{name}.bn", cout)
 
     def __call__(self, x, mode, rng):
-        return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
+        if mode != "eval":
+            return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
+        conv, bn = self.conv, self.bn
+        s = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        w = T.Tensor((conv.w.data * s).astype(conv.w.dtype))
+        b = T.Tensor(((conv.b.data - bn.running_mean) * s + bn.beta.data).astype(conv.w.dtype))
+        return T.relu(T.conv2d(x, w, b))
 
 
 class InceptionUnit(Module):
@@ -308,22 +329,43 @@ def count_parameters(model) -> int:
     return int(sum(p.data.size for p in model.params()))
 
 
+def _macs(layer, f, t) -> int:
+    """Multiply-accumulates of one example through `layer` on an F x T input:
+    every conv is stride-1 'same', so each kernel weight is used F*T times,
+    and each dense weight once."""
+    return sum(v.data.size * (f * t if isinstance(m, Conv2D) else 1)
+               for m, attr, v in layer._leaves() if attr == "w")
+
+
 def network_summary(model: Network) -> list:
-    """(layer, output shape, parameter count) rows plus a total row."""
+    """(layer, output shape, parameter count, dtype, activation bytes, MACs)
+    rows for one example, plus a total row.
+
+    Activation bytes are those of the layer's output and MACs count the
+    multiply-accumulates of its convs and dense layers; the total row sums
+    both over the layers. The eval forward runs under `T.no_grad`.
+    """
     x = T.Tensor(np.zeros((1,) + INPUT_SHAPE, dtype=np.float32))
     layers = [(f"block{i}", b) for i, b in enumerate(model.blocks)] + [("head", model.head)]
     rows = []
-    for name, layer in layers:
-        x = layer(x, "eval", None)
-        rows.append((name, tuple(int(s) for s in x.shape[1:]), count_parameters(layer)))
-    rows.append(("total", (), count_parameters(model)))
+    with T.no_grad():
+        for name, layer in layers:
+            macs = _macs(layer, *x.shape[1:3])
+            x = layer(x, "eval", None)
+            rows.append((name, tuple(int(s) for s in x.shape[1:]), count_parameters(layer),
+                         x.dtype.name, x.data.nbytes, macs))
+    rows.append(("total", (), count_parameters(model), x.dtype.name,
+                 sum(r[4] for r in rows), sum(r[5] for r in rows)))
     return rows
 
 
 def predict(model, features, batch_size: int = 32) -> np.ndarray:
     """Deterministic eval-mode class probabilities for [N, F, T, C] features.
 
-    The forward passes run under `T.no_grad`, so no autograd graph is kept.
+    The forward passes run under `T.no_grad`, so no autograd graph is kept,
+    and each conv -> BN -> ReLU unit runs as one conv with its BN folded in
+    (see `_ConvBnRelu`), from the parameters and buffers as they are at the
+    call.
     """
     if batch_size < 1:
         raise ConfigMismatch(f"batch_size must be at least 1, got {batch_size}")

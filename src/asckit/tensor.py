@@ -21,7 +21,10 @@ Every op stores its output, and every gradient, in its input's dtype
 back to that dtype before they broadcast, without any full-size float64
 temporary. After `backward` only leaves (tensors made directly, and
 `Parameter`s) keep their `.grad`; an op's output drops its gradient once
-its backward closure has consumed it.
+its backward closure has consumed it. A backward hands an array it built
+for one input alone to that input as is (`Tensor._take`); `add`, which
+gives one array to both inputs, and `reshape` and `concat`, which pass on
+views of their own gradient, have the first gradient copied.
 """
 
 from __future__ import annotations
@@ -55,12 +58,23 @@ class Tensor:
         return self.data.dtype
 
     def accumulate(self, g):
+        """Add `g` into `.grad`; the first gradient is copied, since the caller
+        may hand the same array to another tensor too."""
         if not self.requires_grad:
             return
         if self.grad is None:
             self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
         else:
             self.grad += g
+
+    def _take(self, g):
+        """`accumulate` for an array the caller built for this tensor alone: a
+        first gradient of this tensor's shape and dtype becomes `.grad` as is."""
+        if self.requires_grad and self.grad is None and g.shape == self.shape \
+                and g.dtype == self.dtype:
+            self.grad = g
+        else:
+            self.accumulate(g)
 
     def __repr__(self):
         return f"Tensor({self.op}, shape={self.shape}, grad={self.requires_grad})"
@@ -157,8 +171,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _result(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
         def _bw(g):
-            a.accumulate(g * b.data)
-            b.accumulate(g * a.data)
+            a._take(g * b.data)
+            b._take(g * a.data)
         out._backward = _bw
     return out
 
@@ -166,14 +180,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     out = _result(x.data * c, (x,), "scale")
     if out.requires_grad:
-        out._backward = lambda g: x.accumulate(g * c)
+        out._backward = lambda g: x._take(g * c)
     return out
 
 
 def log(x: Tensor) -> Tensor:
     out = _result(np.log(x.data), (x,), "log")
     if out.requires_grad:
-        out._backward = lambda g: x.accumulate(g / x.data)
+        out._backward = lambda g: x._take(g / x.data)
     return out
 
 
@@ -182,7 +196,7 @@ def tsum(x: Tensor) -> Tensor:
     total = x.data.sum(dtype=np.float64)
     out = _result(np.asarray(total, dtype=x.dtype), (x,), "sum")
     if out.requires_grad:
-        out._backward = lambda g: x.accumulate(np.broadcast_to(g, x.shape).astype(x.dtype))
+        out._backward = lambda g: x._take(np.broadcast_to(g, x.shape).astype(x.dtype))
     return out
 
 
@@ -212,7 +226,7 @@ def concat(tensors, axis: int) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = _result(np.maximum(x.data, 0), (x,), "relu")
     if out.requires_grad:
-        out._backward = lambda g: x.accumulate(g * (x.data > 0))
+        out._backward = lambda g: x._take(g * (x.data > 0))
     return out
 
 
@@ -220,11 +234,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
+    np.maximum(y, np.finfo(y.dtype).tiny, out=y)  # keeps log(y) and its gradient finite
     out = _result(y, (x,), "softmax")
     if out.requires_grad:
         def _bw(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
-            x.accumulate((g - dot) * y)
+            x._take((g - dot) * y)
         out._backward = _bw
     return out
 
@@ -246,7 +261,7 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
     keep = keep.astype(x.dtype)
     out = _result(x.data * keep, (x,), "dropout")
     if out.requires_grad:
-        out._backward = lambda g: x.accumulate(g * keep)
+        out._backward = lambda g: x._take(g * keep)
     return out
 
 
@@ -266,10 +281,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = _result(y, parents, "dense")
     if out.requires_grad:
         def _bw(g):
-            x.accumulate(g @ w.data.T)
-            w.accumulate(x.data.T @ g)
+            x._take(g @ w.data.T)
+            w._take(x.data.T @ g)
             if b is not None:
-                b.accumulate(g.sum(axis=0))
+                b._take(g.sum(axis=0))
         out._backward = _bw
     return out
 
@@ -341,7 +356,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
     if b is not None:
         if b.shape != (cout,):
             raise ShapeMismatch(f"conv bias: {b.shape}")
-        y = y + b.data
+        y += b.data
     out = _result(y.reshape(batch, of, ot, cout), (x, w) if b is None else (x, w, b),
                   "conv2d")
     if out.requires_grad:
@@ -353,14 +368,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
                 gw = np.empty_like(w3)
                 for o, gw_o in zip(offsets, gw):
                     np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
-                w.accumulate(gw.reshape(w.shape))
+                w._take(gw.reshape(w.shape))
             if b is not None and b.requires_grad:
-                b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
+                b._take(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
             if x.requires_grad:
                 gp = np.zeros_like(xp)
                 for o, w_o in zip(offsets, w3):
                     gp[o] += (g2 @ w_o.T).reshape(batch, of, ot, cin)
-                x.accumulate(gp[inner])
+                x._take(gp[inner])
         out._backward = _bw
     return out
 
@@ -386,7 +401,7 @@ def max_pool(x: Tensor, kernel, stride=None) -> Tensor:
                 hit &= open_
                 open_ ^= hit
                 gx[o] += g * hit
-            x.accumulate(gx)
+            x._take(gx)
         out._backward = _bw
     return out
 
@@ -410,7 +425,7 @@ def avg_pool(x: Tensor, kernel, stride=1, padding: str = "valid") -> Tensor:
             gp = np.zeros_like(xp)
             for o in offsets:
                 gp[o] += gn
-            x.accumulate(gp[inner])
+            x._take(gp[inner])
         out._backward = _bw
     return out
 
@@ -486,9 +501,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
             def _bw_eval(g):
                 g_sum = g.sum(axis=axes, dtype=np.float64)
                 gx_sum = (g * (x.data - shift)).sum(axis=axes, dtype=np.float64)
-                gamma.accumulate(((gx_sum + g_sum * cast_error) * inv).astype(g.dtype))
-                beta.accumulate(g_sum.astype(g.dtype))
-                x.accumulate(g * scale.astype(g.dtype))
+                gamma._take(((gx_sum + g_sum * cast_error) * inv).astype(g.dtype))
+                beta._take(g_sum.astype(g.dtype))
+                x._take(g * scale.astype(g.dtype))
             out._backward = _bw_eval
         return out
     mu, var, inv, xhat, y = _standardize(x.data, axes, eps)
@@ -502,9 +517,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     if out.requires_grad:
         def _bw(g):
             dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
-            gamma.accumulate(gx_sum.reshape(gamma.shape).astype(g.dtype))
-            beta.accumulate(g_sum.reshape(beta.shape).astype(g.dtype))
-            x.accumulate(dx)
+            gamma._take(gx_sum.reshape(gamma.shape).astype(g.dtype))
+            beta._take(g_sum.reshape(beta.shape).astype(g.dtype))
+            x._take(dx)
         out._backward = _bw
     return out
 
@@ -526,7 +541,7 @@ def residual_norm(x: Tensor, lam: float = 0.4, eps: float = 1e-5) -> Tensor:
         def _bw(g):
             dx, _, _ = _standardize_grad(g, xhat, inv, axes)
             dx += lam * g
-            x.accumulate(dx)
+            x._take(dx)
         out._backward = _bw
     return out
 
@@ -541,7 +556,7 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
                   "reduce_mean")
     if out.requires_grad:
         def _bw(g):
-            x.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
+            x._take(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
         out._backward = _bw
     return out
 
@@ -555,7 +570,7 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
             gx = np.zeros_like(x.data)
             np.put_along_axis(gx, np.expand_dims(idx, axis),
                               np.expand_dims(g, axis), axis=axis)
-            x.accumulate(gx)
+            x._take(gx)
         out._backward = _bw
     return out
 

@@ -10,7 +10,7 @@ from asckit.augment import (
     random_crop,
     spec_augment,
 )
-from asckit.errors import BatchTooSmall, CropWiderThanInput, MaskLongerThanAxis
+from asckit.errors import BatchTooSmall, ConfigMismatch, CropWiderThanInput, MaskLongerThanAxis
 
 
 def make_batch(b=4, f=128, t=305, c=3, m=10, seed=0):
@@ -55,6 +55,11 @@ class TestRandomCrop:
         with pytest.raises(CropWiderThanInput):
             random_crop(make_batch(t=100), AugmentConfig(crop_width=256),
                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ConfigMismatch, match=f"got {width}"):
+            AugmentConfig(crop_width=width)
 
     def test_labels_unchanged(self):
         batch = make_batch()

@@ -98,6 +98,110 @@ class TestPredict:
             models.predict(nets["red03"], x, batch_size=batch_size)
 
 
+def _conv_bn_relus(net):
+    return [br for block in net.blocks for unit in block.units for br in unit.branches]
+
+
+def _unfolded(self, x, mode, rng):
+    return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
+
+
+def _perturb_bns(net, seed):
+    rng = np.random.default_rng(seed)
+    for m, attr, v in net._leaves():
+        if isinstance(m, models.BatchNorm) and attr == "running_mean":
+            m.running_mean[...] = rng.normal(0.0, 0.3, size=v.shape)
+            m.running_var[...] = rng.uniform(0.3, 3.0, size=v.shape)
+            m.gamma.data = rng.uniform(0.5, 1.5, size=v.shape).astype(np.float32)
+            m.beta.data = rng.normal(0.0, 0.3, size=v.shape).astype(np.float32)
+
+
+def _backbone_and_probs(net, x):
+    with T.no_grad():
+        for block in net.blocks:
+            x = block(x, "eval", None)
+        return x.data, net.head(x, "eval", None).data
+
+
+class TestFoldedEval:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_conv_then_batch_norm(self, variant, monkeypatch):
+        net = models.build_network(variant, seed=2)
+        _perturb_bns(net, seed=3)
+        rng = np.random.default_rng(4)
+        for unit in _conv_bn_relus(net):
+            cin = unit.conv.w.shape[2]
+            x = T.Tensor(rng.normal(size=(2, 12, 10, cin)).astype(np.float32))
+            got = unit(x, "eval", None).data
+            ref = _unfolded(unit, x, "eval", None).data
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+        # the probabilities of a random network are near 0 or 1, so the
+        # backbone output is compared as well
+        x = T.Tensor(rng.normal(size=(2,) + models.INPUT_SHAPE).astype(np.float32))
+        got = _backbone_and_probs(net, x)
+        monkeypatch.setattr(models._ConvBnRelu, "__call__", _unfolded)
+        ref = _backbone_and_probs(net, x)
+        np.testing.assert_allclose(got[0], ref[0], rtol=0, atol=1e-5 * np.abs(ref[0]).max())
+        np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-5)
+
+    def test_no_stale_fold(self, tmp_path):
+        net = models.build_network("red03", seed=0)
+        x = np.random.default_rng(5).normal(size=(1,) + models.INPUT_SHAPE)
+        before = models.predict(net, x)
+        net.blocks[1].units[0].branches[0].bn.running_mean += 1.0
+        after_edit = models.predict(net, x)
+        assert not np.array_equal(after_edit, before)
+        other = models.build_network("red03", seed=1)
+        other.save(tmp_path / "w.ascw")
+        net.load(tmp_path / "w.ascw")
+        after_load = models.predict(net, x)
+        assert not np.array_equal(after_load, after_edit)
+        np.testing.assert_array_equal(after_load, models.predict(other, x))
+
+    @pytest.mark.parametrize("mode, calls", [("eval", 4), ("train", 16)])
+    def test_batch_norm_calls(self, nets, monkeypatch, mode, calls):
+        seen = []
+        batch_norm = T.batch_norm
+        monkeypatch.setattr(T, "batch_norm", lambda *a, **k: seen.append(1) or batch_norm(*a, **k))
+        x = np.random.default_rng(6).normal(size=(1,) + models.INPUT_SHAPE)
+        with T.no_grad():
+            nets["red02"].forward(x, mode, np.random.default_rng(7))
+        assert len(seen) == calls
+
+    def test_eval_backward_reaches_only_the_input(self):
+        net = models.build_network("red03", seed=0)
+        x = T.Tensor(np.random.default_rng(8).normal(size=(1,) + models.INPUT_SHAPE)
+                     .astype(np.float32), requires_grad=True)
+        T.backward(T.tsum(T.log(net.forward(x, "eval"))))
+        assert np.isfinite(x.grad).all() and np.abs(x.grad).max() > 0
+        for unit in _conv_bn_relus(net):
+            assert unit.conv.w.grad is None and unit.bn.gamma.grad is None
+
+
+class TestTrainBackward:
+    def test_gradients_own_their_memory(self, monkeypatch):
+        def grads():
+            net = models.build_network("red03", seed=0)
+            rng = np.random.default_rng(9)
+            x = T.Tensor(rng.normal(size=(2,) + models.INPUT_SHAPE).astype(np.float32),
+                         requires_grad=True)
+            target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[[1, 4]])
+            probs = net.forward(x, "train", rng=np.random.default_rng(10))
+            T.backward(T.tsum(T.mul(target, T.log(probs))))
+            return [x.grad] + [p.grad for p in net.params()]
+
+        got = grads()
+        assert all(g is not None for g in got)
+        for i, a in enumerate(got):
+            for b in got[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # the same values as when every first gradient is copied
+        monkeypatch.setattr(T.Tensor, "_take", T.Tensor.accumulate)
+        for a, b in zip(got, grads()):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestNames:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_network_params_and_state_dict_keys(self, nets, variant):
@@ -121,7 +225,26 @@ class TestNames:
     def test_summary_rows_add_up(self, nets):
         rows = models.network_summary(nets["red03"])
         assert [r[0] for r in rows] == ["block0", "block1", "block2", "block3", "head", "total"]
-        assert sum(r[2] for r in rows[:-1]) == rows[-1][2]
+        for i in (2, 4, 5):
+            assert sum(r[i] for r in rows[:-1]) == rows[-1][i]
+        for name, shape, _, dtype, act_bytes, _ in rows[:-1]:
+            assert dtype == "float32"
+            assert act_bytes == 4 * np.prod(shape), name
+
+    def test_summary_macs_by_hand(self, nets):
+        rows = models.network_summary(nets["red03"])
+        # block0 is one inception unit on the 128 x 256 x 3 input: branches
+        # 3x3 -> 6, 1x1 -> 5 and 4x1 -> 5 channels, all stride-1 'same'
+        assert rows[0][5] == 128 * 256 * 3 * (3 * 3 * 6 + 1 * 1 * 5 + 4 * 1 * 5)
+        # the head is one 3*128 -> 10 dense layer
+        assert rows[4][5] == 3 * 128 * 10
+
+    def test_summary_keeps_no_graph(self, nets, monkeypatch):
+        outs = []
+        softmax = T.softmax
+        monkeypatch.setattr(T, "softmax", lambda *a, **k: outs.append(softmax(*a, **k)) or outs[-1])
+        models.network_summary(nets["red03"])
+        assert len(outs) == 1 and outs[0]._parents == () and not outs[0].requires_grad
 
 
 class TestDeterminism:

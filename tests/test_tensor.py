@@ -141,6 +141,14 @@ class TestActivations:
         assert np.all(out.data > 0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_softmax_underflow_keeps_log_loss_finite(self):
+        # exp(-200) is 0 in float32; the target is on that class
+        z = T.Tensor(np.array([[200.0, 0.0]], dtype=np.float32), requires_grad=True)
+        t = T.Tensor(np.array([[0.0, 1.0]], dtype=np.float32))
+        loss = T.tsum(T.mul(t, T.log(T.softmax(z, axis=1))))
+        T.backward(loss)
+        assert np.isfinite(loss.data) and np.isfinite(z.grad).all()
+
     def test_relu_sign_exclusive(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(7, 7))
@@ -325,6 +333,12 @@ class TestBackward:
         T.backward(T.tsum(T.add(T.add(a, b), a)))
         np.testing.assert_array_equal(a.grad, 2.0)
         np.testing.assert_array_equal(b.grad, 1.0)
+
+    def test_add_to_itself_not_aliased(self):
+        # each add hands one array to both inputs, here twice to x
+        x = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        T.backward(T.tsum(T.add(T.add(x, x), x)))
+        np.testing.assert_array_equal(x.grad, 3.0)
 
     def test_scalar_loss_required(self):
         with pytest.raises(ShapeMismatch):
