@@ -1,9 +1,15 @@
-"""Online batch augmentation: random temporal crop, axis masking, mixup.
+"""Online batch augmentation: the paper's one fixed pipeline.
 
-All three transforms keep label rows on the probability simplex and are
-deterministic given explicit RNG streams. Per-sample draws come from
-independent substreams so batches can be processed in any sample order
-(or in parallel) without changing the result.
+Each sample is cropped to a random run of CROP_WIDTH time frames (the
+network's input width), one run of MASK_LEN frequency bins or time frames
+is zeroed, and mixup (Zhang et al., arXiv 1710.09412) convex-combines each
+sample with a partner using a Beta(MIXUP_ALPHA, MIXUP_ALPHA) weight. All
+three transforms keep label rows on the probability simplex.
+
+The pipeline is a fixed function of (seed, epoch, sample index): every
+per-sample draw comes from that sample's own stream, made from those three
+numbers, so batches can be processed in any sample order without changing
+the result; only mixup's permutation comes from a (seed, epoch) stream.
 """
 
 from __future__ import annotations
@@ -12,29 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    ConfigMismatch,
-    CropWiderThanInput,
-    MaskLongerThanAxis,
-    ShapeMismatch,
-)
+from .errors import BatchTooSmall, CropWiderThanInput, MaskLongerThanAxis, ShapeMismatch
+from .models import INPUT_SHAPE
+
+CROP_WIDTH = INPUT_SHAPE[1]
+MASK_LEN = 10
+MIXUP_ALPHA = 0.4
 
 
 @dataclass
 class AugmentConfig:
-    crop_width: int = 256
-    mask_len: int = 10
-    mixup_alpha: float = 0.4
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.crop_width < 1:
-            raise ConfigMismatch(f"crop_width must be at least 1, got {self.crop_width}")
-        if self.mask_len < 0:
-            raise MaskLongerThanAxis("mask_len must be >= 0")
-        if self.mixup_alpha <= 0:
-            raise ShapeMismatch("mixup_alpha must be positive")
 
 
 @dataclass
@@ -57,73 +51,62 @@ class LabeledBatch:
         return self.features.shape[0]
 
 
-def _per_sample_rngs(rng, batch_size: int):
-    if isinstance(rng, np.random.Generator):
-        return rng.spawn(batch_size)
-    rngs = list(rng)
+def _per_sample_rngs(rngs, batch_size: int):
+    rngs = list(rngs)
     if len(rngs) != batch_size:
         raise ShapeMismatch(f"need {batch_size} per-sample streams, got {len(rngs)}")
     return rngs
 
 
-def random_crop(batch: LabeledBatch, cfg: AugmentConfig, rng) -> LabeledBatch:
-    """Crop each sample's time axis to cfg.crop_width at an independent offset.
-
-    `rng` is either one Generator (substreams are spawned from it) or a
-    sequence of per-sample Generators.
-    """
+def random_crop(batch: LabeledBatch, rngs) -> LabeledBatch:
+    """Crop each sample's time axis to CROP_WIDTH frames at an offset drawn
+    from its own stream in `rngs`, one Generator per sample."""
     t_len = batch.features.shape[2]
-    if cfg.crop_width > t_len:
-        raise CropWiderThanInput(f"crop {cfg.crop_width} > time axis {t_len}")
-    rngs = _per_sample_rngs(rng, batch.size)
-    out = np.empty(batch.features.shape[:2] + (cfg.crop_width,) + batch.features.shape[3:],
+    if CROP_WIDTH > t_len:
+        raise CropWiderThanInput(f"crop {CROP_WIDTH} > time axis {t_len}")
+    rngs = _per_sample_rngs(rngs, batch.size)
+    out = np.empty(batch.features.shape[:2] + (CROP_WIDTH,) + batch.features.shape[3:],
                    dtype=batch.features.dtype)
     for i, r in enumerate(rngs):
-        off = int(r.integers(0, t_len - cfg.crop_width + 1))
-        out[i] = batch.features[i, :, off : off + cfg.crop_width]
+        off = int(r.integers(0, t_len - CROP_WIDTH + 1))
+        out[i] = batch.features[i, :, off : off + CROP_WIDTH]
     return LabeledBatch(out, batch.labels.copy())
 
 
-def spec_augment(batch: LabeledBatch, cfg: AugmentConfig, rng) -> LabeledBatch:
-    """Zero one contiguous run of cfg.mask_len bins per sample.
+def spec_augment(batch: LabeledBatch, rngs) -> LabeledBatch:
+    """Zero one contiguous run of MASK_LEN bins per sample.
 
-    The masked axis (frequency or time) is chosen uniformly per sample; the
-    run is erased across all remaining axes. mask_len == 0 is an identity.
+    Each sample's stream in `rngs` picks the masked axis (frequency or time)
+    uniformly, then the run's start; the run is erased across all remaining
+    axes.
     """
     feats = batch.features.copy()
     _, f_len, t_len, _ = feats.shape
-    if cfg.mask_len > min(f_len, t_len):
-        raise MaskLongerThanAxis(
-            f"mask {cfg.mask_len} exceeds axis lengths ({f_len}, {t_len})"
-        )
-    rngs = _per_sample_rngs(rng, batch.size)
-    if cfg.mask_len > 0:
-        for i, r in enumerate(rngs):
-            axis_is_freq = bool(r.integers(0, 2) == 0)
-            span = f_len if axis_is_freq else t_len
-            start = int(r.integers(0, span - cfg.mask_len + 1))
-            if axis_is_freq:
-                feats[i, start : start + cfg.mask_len, :, :] = 0.0
-            else:
-                feats[i, :, start : start + cfg.mask_len, :] = 0.0
+    if MASK_LEN > min(f_len, t_len):
+        raise MaskLongerThanAxis(f"mask {MASK_LEN} exceeds axis lengths ({f_len}, {t_len})")
+    for i, r in enumerate(_per_sample_rngs(rngs, batch.size)):
+        axis_is_freq = bool(r.integers(0, 2) == 0)
+        span = f_len if axis_is_freq else t_len
+        start = int(r.integers(0, span - MASK_LEN + 1))
+        if axis_is_freq:
+            feats[i, start : start + MASK_LEN, :, :] = 0.0
+        else:
+            feats[i, :, start : start + MASK_LEN, :] = 0.0
     return LabeledBatch(feats, batch.labels.copy())
 
 
-def mixup(batch: LabeledBatch, cfg: AugmentConfig, rng, per_sample_rngs=None) -> LabeledBatch:
+def mixup(batch: LabeledBatch, rng, per_sample_rngs) -> LabeledBatch:
     """Convex-combine each sample with a permutation partner.
 
-    x'_i = lam_i*x_i + (1-lam_i)*x_pi(i), same for labels; lam_i drawn from
-    Beta(alpha, alpha). The permutation comes from `rng` (batch-level);
-    lambdas come from per-sample substreams.
+    x'_i = lam_i*x_i + (1-lam_i)*x_pi(i), same for labels, with lam_i drawn
+    from Beta(MIXUP_ALPHA, MIXUP_ALPHA) by sample i's stream in
+    `per_sample_rngs`; the permutation comes from the batch-level `rng`.
     """
     if batch.size < 2:
         raise BatchTooSmall("mixup needs at least two samples")
-    if not isinstance(rng, np.random.Generator):
-        raise ShapeMismatch("mixup needs a batch-level Generator for the permutation")
     perm = rng.permutation(batch.size)
-    rngs = _per_sample_rngs(per_sample_rngs if per_sample_rngs is not None else rng,
-                            batch.size)
-    lams = np.array([r.beta(cfg.mixup_alpha, cfg.mixup_alpha) for r in rngs])
+    lams = np.array([r.beta(MIXUP_ALPHA, MIXUP_ALPHA)
+                     for r in _per_sample_rngs(per_sample_rngs, batch.size)])
     lam_x = lams[:, None, None, None]
     feats = lam_x * batch.features + (1.0 - lam_x) * batch.features[perm]
     labels = lams[:, None] * batch.labels + (1.0 - lams[:, None]) * batch.labels[perm]
@@ -140,10 +123,10 @@ class AugmentPipeline:
         idx = sample_indices if sample_indices is not None else range(batch.size)
         rngs = [np.random.default_rng([self.cfg.rng_seed, epoch, int(i)]) for i in idx]
         batch_rng = np.random.default_rng([self.cfg.rng_seed, epoch])
-        out = random_crop(batch, self.cfg, rngs)
-        out = spec_augment(out, self.cfg, rngs)
+        out = random_crop(batch, rngs)
+        out = spec_augment(out, rngs)
         if out.size >= 2:
-            out = mixup(out, self.cfg, batch_rng, per_sample_rngs=rngs)
+            out = mixup(out, batch_rng, rngs)
         return out
 
 

@@ -96,8 +96,7 @@ def read_cache(path) -> FeatureSet:
         feats.append(rd.floats(dims, f"record {len(feats)} payload"))
     if not feats:
         rd.fail("no records")
-    if rd.pos < len(rd.raw):
-        rd.fail(f"{len(rd.raw) - rd.pos} bytes after the last of {count} records")
+    rd.expect_end(f"the last of {count} records")
     return FeatureSet(
         frontend=names[frontend_id],
         features=np.stack(feats),

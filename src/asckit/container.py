@@ -38,6 +38,11 @@ class Reader:
         self.pos = start + size
         return start
 
+    def expect_end(self, what: str) -> None:
+        """Reject any bytes left after `what`, the last item of the file."""
+        if self.pos < len(self.raw):
+            self.fail(f"{len(self.raw) - self.pos} bytes after {what}")
+
     def header(self, magic: bytes, versions, fmt: str) -> tuple:
         """Check the magic and that the version is one of `versions`; return
         the version followed by the rest of the header unpacked."""

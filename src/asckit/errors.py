@@ -23,8 +23,9 @@ class ClipTooShort(AscKitError):
 
 
 class ShapeMismatch(AscKitError):
-    """Operands have incompatible shapes, a front-end was given anything but
-    one 10 s / 32 kHz segment, or a clip to segment is not at 32 kHz."""
+    """Operands have incompatible shapes, a label row is off the simplex, a
+    front-end was given anything but one 10 s / 32 kHz segment, or a clip to
+    segment is not at 32 kHz."""
 
 
 # augmentation
@@ -43,7 +44,8 @@ class BatchTooSmall(AscKitError):
 # model zoo
 class ConfigMismatch(AscKitError):
     """A setting is invalid: a duplicate parameter name, an unknown mode, a
-    batch size or crop width below 1 or an unknown front-end name."""
+    dropout rate outside [0, 1), a train-mode dropout with no RNG, a batch
+    size below 1 or an unknown front-end name."""
 
 
 class UnknownVariant(AscKitError):

@@ -37,6 +37,8 @@ INCRES_K = 3
 DROPOUT_FC = 0.2
 DROPOUT_BLOCK = 0.1
 RN_LAMBDA = 0.4
+BN_EPS = 1e-3
+BN_MOMENTUM = 0.99
 
 # variant -> (inception unit widths, inception-residual unit widths of each
 # of the three blocks, hidden FC width or None)
@@ -156,7 +158,10 @@ class Dense(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, name, channels, eps=1e-3, momentum=0.99):
+    """Per-channel batch normalization with variance offset BN_EPS and
+    running statistics updated with momentum BN_MOMENTUM."""
+
+    def __init__(self, name, channels):
         self.name = name
         self.gamma = T.Parameter(np.ones(channels, dtype=np.float32),
                                  name=f"{name}.gamma", l2_included=False)
@@ -164,13 +169,10 @@ class BatchNorm(Module):
                                 name=f"{name}.beta", l2_included=False)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x, mode, rng):
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, mode, eps=self.eps,
-                            momentum=self.momentum)
+                            self.running_var, mode, eps=BN_EPS, momentum=BN_MOMENTUM)
 
 
 class _ConvBnRelu(Module):
@@ -191,7 +193,7 @@ class _ConvBnRelu(Module):
         if mode != "eval":
             return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
         conv, bn = self.conv, self.bn
-        s = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        s = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
         w = T.Tensor((conv.w.data * s).astype(conv.w.dtype))
         b = T.Tensor(((conv.b.data - bn.running_mean) * s + bn.beta.data).astype(conv.w.dtype))
         return T.relu(T.conv2d(x, w, b))
@@ -230,10 +232,8 @@ class IncResUnit(Module):
                      if cin != cout else None)
 
     def __call__(self, x, mode, rng):
-        pooled = [
-            T.avg_pool(br(x, mode, rng), kern, stride=1, padding="same")
-            for br, kern in zip(self.branches, self.KERNELS)
-        ]
+        pooled = [T.avg_pool(br(x, mode, rng), kern)
+                  for br, kern in zip(self.branches, self.KERNELS)]
         merged = T.add(T.add(pooled[0], pooled[1]), pooled[2])
         shortcut = self.proj(x, mode, rng) if self.proj is not None else x
         return T.add(merged, shortcut)

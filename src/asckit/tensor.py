@@ -6,14 +6,19 @@ inputs and a backward closure on the output tensor; `backward` walks the
 implicit graph in reverse topological order and accumulates gradients
 into every tensor that requires them. Under `no_grad` ops record nothing.
 
-The window ops (`conv2d`, `max_pool`, `avg_pool`) share one core,
-`_windows`, which pads the input and gives, for each kernel offset (u, v),
-the strided view of that cell of every window. Pooling is a running max or
-sum over those views, and every backward adds into the same views of a
-zero gradient: one GEMM per offset for `conv2d`, the window gradient for
-`avg_pool`, and for `max_pool` the gradient of each window given to its
-first maximum in row-major offset order. Only the `conv2d` forward copies
-the windows out, as the columns of one GEMM (im2col).
+The window ops have the two geometries the networks use. `conv2d` and
+`avg_pool` slide stride-1 'same' windows: the input is zero-padded by
+(k - 1) // 2 cells before and k // 2 after along each axis, so the output
+has the input's frequency and time size. `max_pool` takes the
+non-overlapping kernel-sized tiles of the input and drops a trailing
+remainder. All three share one core, `_windows`, which pads the input and
+gives, for each kernel offset (u, v), the strided view of that cell of
+every window. Pooling is a running max or sum over those views, and every
+backward adds into the same views of a zero gradient: one GEMM per offset
+for `conv2d`, the window gradient for `avg_pool`, and for `max_pool` the
+gradient of each tile given to its first maximum in row-major offset
+order. Only the `conv2d` forward copies the windows out, as the columns of
+one GEMM (im2col).
 
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
@@ -252,11 +257,11 @@ def _check_mode(op, mode):
 def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
     _check_mode("dropout", mode)
     if not 0 <= p < 1:
-        raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
+        raise ConfigMismatch(f"dropout rate must be in [0, 1), got {p}")
     if mode == "eval" or p == 0.0:
         return x
     if rng is None:
-        raise ShapeMismatch("train-mode dropout needs an RNG")
+        raise ConfigMismatch(f"train-mode dropout at rate {p} needs an RNG, got None")
     keep = (rng.random(x.shape) >= p) / np.asarray(1.0 - p, dtype=x.dtype)
     keep = keep.astype(x.dtype)
     out = _result(x.data * keep, (x,), "dropout")
@@ -269,58 +274,50 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
 # dense / convolution
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"dense: {x.shape} @ {w.shape}")
-    y = x.data @ w.data
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeMismatch(f"dense bias: {b.shape}")
-        y = y + b.data
-    parents = (x, w) if b is None else (x, w, b)
-    out = _result(y, parents, "dense")
+    if b.shape != (w.shape[1],):
+        raise ShapeMismatch(f"dense bias: {b.shape}")
+    out = _result(x.data @ w.data + b.data, (x, w, b), "dense")
     if out.requires_grad:
         def _bw(g):
             x._take(g @ w.data.T)
             w._take(x.data.T @ g)
-            if b is not None:
-                b._take(g.sum(axis=0))
+            b._take(g.sum(axis=0))
         out._backward = _bw
     return out
 
 
-def _pair(v):
-    return (v, v) if np.isscalar(v) else tuple(v)
+def _windows(x, kernel, tiles=False):
+    """Windows over (frequency, time) of a [B, F, T, C] array, by kernel offset.
 
+    `kernel` is an int or a (kf, kt) pair. The windows are stride-1 'same'
+    (the input padded only if the kernel is larger than 1 x 1, since a pad
+    copies it), or with `tiles` the non-overlapping tiles of the unpadded
+    input, F // kf by T // kt of them.
 
-def _pad_amounts(size, k, s, padding):
-    if padding == "valid":
-        if size < k:
-            raise ShapeMismatch(f"kernel {k} exceeds input {size} without padding")
-        return 0, 0, (size - k) // s + 1
-    out = -(-size // s)  # ceil
-    total = max((out - 1) * s + k - size, 0)
-    return total // 2, total - total // 2, out
-
-
-def _windows(x, kernel, stride, padding):
-    """Sliding (frequency, time) windows of a [B, F, T, C] array, by kernel offset.
-
-    Returns `xp`, the input zero-padded per `padding` ('same': symmetric,
-    extra cell trailing, ceil(input/stride) windows; 'valid': none), the
-    index of the unpadded input in `xp`, and one index per kernel offset
-    (u, v), in row-major order: `xp[index]` is the [B, of, ot, C] strided
-    view of the cell at offset (u, v) of every window. A window op reduces
-    over these views; its backward adds into the same views of a zero array
-    shaped like `xp`, then takes the unpadded part.
+    Returns `xp`, the padded input, the index of the unpadded input in `xp`,
+    and one index per kernel offset (u, v), in row-major order: `xp[index]`
+    is the [B, of, ot, C] strided view of the cell at offset (u, v) of every
+    window. A window op reduces over these views; its backward adds into the
+    same views of a zero array shaped like `xp`, then takes the unpadded part.
     """
-    kf, kt = _pair(kernel)
-    sf, st = _pair(stride)
-    pf0, pf1, of = _pad_amounts(x.shape[1], kf, sf, padding)
-    pt0, pt1, ot = _pad_amounts(x.shape[2], kt, st, padding)
-    if pf0 or pf1 or pt0 or pt1:
-        x = np.pad(x, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
-    inner = (slice(None), slice(pf0, x.shape[1] - pf1), slice(pt0, x.shape[2] - pt1))
+    kf, kt = (kernel, kernel) if np.isscalar(kernel) else kernel
+    _, f, t, _ = x.shape
+    if tiles:
+        if kf > f or kt > t:
+            raise ShapeMismatch(f"kernel {(kf, kt)} exceeds input {(f, t)}")
+        sf, st = kf, kt
+        of, ot = f // kf, t // kt
+        pf = pt = 0
+    else:
+        sf = st = 1
+        of, ot = f, t
+        pf, pt = (kf - 1) // 2, (kt - 1) // 2
+        if kf > 1 or kt > 1:
+            x = np.pad(x, ((0, 0), (pf, kf // 2), (pt, kt // 2), (0, 0)))
+    inner = (slice(None), slice(pf, pf + f), slice(pt, pt + t))
     offsets = [(slice(None), slice(u, u + sf * of, sf), slice(v, v + st * ot, st))
                for u in range(kf) for v in range(kt)]
     return x, inner, offsets
@@ -334,31 +331,27 @@ def _window_reduce(ufunc, xp, offsets):
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
-           padding: str = "same") -> Tensor:
-    """Cross-correlation over (frequency, time) plus per-channel bias.
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-1 'same' cross-correlation of [B, F, T, cin] with a [kf, kt, cin,
+    cout] kernel, plus a per-channel bias, giving [B, F, T, cout].
 
-    'same' zero-pads symmetrically (extra cell trailing) so spatial dims
-    become ceil(input/stride); 'valid' uses no padding. The forward pass is
-    one GEMM over the [B*of*ot, kf*kt*cin] window columns; the backward
-    pass does one GEMM per kernel offset for each of the two gradients.
+    The forward pass is one GEMM over the [B*F*T, kf*kt*cin] window columns;
+    the backward pass does one GEMM per kernel offset for each of the two
+    gradients.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
     kf, kt, cin, cout = w.shape
-    sf, st = _pair(stride)
-    xp, inner, offsets = _windows(x.data, (kf, kt), (sf, st), padding)
+    if b.shape != (cout,):
+        raise ShapeMismatch(f"conv bias: {b.shape}")
+    xp, inner, offsets = _windows(x.data, (kf, kt))
     # im2col: one copy of the windows as rows, columns ordered (u, v, cin)
     view = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
-    view = view[:, ::sf, ::st].transpose(0, 1, 2, 4, 5, 3)
+    view = view.transpose(0, 1, 2, 4, 5, 3)
     batch, of, ot = view.shape[:3]
     y = view.reshape(-1, kf * kt * cin) @ w.data.reshape(-1, cout)
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeMismatch(f"conv bias: {b.shape}")
-        y += b.data
-    out = _result(y.reshape(batch, of, ot, cout), (x, w) if b is None else (x, w, b),
-                  "conv2d")
+    y += b.data
+    out = _result(y.reshape(batch, of, ot, cout), (x, w, b), "conv2d")
     if out.requires_grad:
         w3 = w.data.reshape(kf * kt, cin, cout)
 
@@ -369,7 +362,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
                 for o, gw_o in zip(offsets, gw):
                     np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
                 w._take(gw.reshape(w.shape))
-            if b is not None and b.requires_grad:
+            if b.requires_grad:
                 b._take(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
             if x.requires_grad:
                 gp = np.zeros_like(xp)
@@ -384,18 +377,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1,
 # pooling
 
 
-def max_pool(x: Tensor, kernel, stride=None) -> Tensor:
-    """Window max over (frequency, time); kernel must fit the input.
-
-    Each window's gradient goes to its first maximum in row-major order.
+def max_pool(x: Tensor, kernel) -> Tensor:
+    """Max over the non-overlapping kernel-sized (frequency, time) tiles; a
+    trailing remainder is dropped and gets zero gradient. The kernel must fit
+    the input. Each tile's gradient goes to its first maximum in row-major
+    order.
     """
-    xp, _, offsets = _windows(x.data, kernel, kernel if stride is None else stride, "valid")
+    xp, _, offsets = _windows(x.data, kernel, tiles=True)
     y = _window_reduce(np.maximum, xp, offsets)
     out = _result(y, (x,), "max_pool")
     if out.requires_grad:
         def _bw(g):
             gx = np.zeros_like(xp)
-            open_ = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
+            open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
             for o in offsets:
                 hit = xp[o] == y
                 hit &= open_
@@ -406,15 +400,13 @@ def max_pool(x: Tensor, kernel, stride=None) -> Tensor:
     return out
 
 
-def avg_pool(x: Tensor, kernel, stride=1, padding: str = "valid") -> Tensor:
-    """Window mean over (frequency, time).
-
-    'same' zero-pads and divides by the true window overlap (cells inside
-    the unpadded input), so edges are unbiased.
+def avg_pool(x: Tensor, kernel) -> Tensor:
+    """Stride-1 'same' window mean over (frequency, time), each window divided
+    by its true overlap (the cells inside the unpadded input), so edges are
+    unbiased.
     """
-    xp, inner, offsets = _windows(x.data, kernel, stride, padding)
-    ones, _, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel, stride,
-                          padding)
+    xp, inner, offsets = _windows(x.data, kernel)
+    ones, _, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel)
     counts = _window_reduce(np.add, ones, offsets)
     y = _window_reduce(np.add, xp, offsets)
     y /= counts
@@ -629,4 +621,5 @@ def load_weights(path) -> dict:
         if name in named:
             rd.fail(f"duplicate entry {name!r}", start)
         named[name] = rd.floats(dims, f"{name} payload")
+    rd.expect_end(f"the last of {count} entries")
     return named

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from asckit import models
 from asckit import tensor as T
 from asckit.cache import read_cache, write_cache
 from asckit.errors import IOFailure
@@ -100,6 +101,19 @@ class TestWeights:
         with pytest.raises(IOFailure, match="not UTF-8") as exc_info:
             T.load_weights(path)
         _assert_names_path_and_offset(exc_info, path)
+
+    @pytest.mark.parametrize("extra", [bytes(100), b"junk"], ids=["zeros", "junk"])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        # a network's weights with bytes appended do not load
+        path = tmp_path / "w.ascw"
+        net = models.build_network("red03")
+        net.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + extra)
+        with pytest.raises(IOFailure, match=f"{path}: {len(extra)} bytes after the last of "
+                                            f"{len(net.state_dict())} entries at offset "
+                                            f"{len(raw)}"):
+            net.load(path)
 
     def test_duplicate_name_rejected(self, tmp_path):
         path, raw = _write_weights(tmp_path)

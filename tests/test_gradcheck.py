@@ -109,19 +109,20 @@ class TestDenseConv:
         b = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
         check(lambda x, w, b: T.dense(x, w, b), [x, w, b])
 
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"),
-                                                ((2, 1), "same")])
-    def test_conv2d(self, rng, stride, padding):
+    # the kernels of the network's convs; 4x1 is test_conv2d_asymmetric_kernel
+    @pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (3, 1), (1, 3)],
+                             ids=["3x3", "1x1", "3x1", "1x3"])
+    def test_conv2d(self, rng, kernel):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
-        w = T.Tensor(rng.normal(size=(3, 3, 3, 4)) * 0.5, requires_grad=True)
+        w = T.Tensor(rng.normal(size=kernel + (3, 4)) * 0.5, requires_grad=True)
         b = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
-        check(lambda x, w, b: T.conv2d(x, w, b, stride=stride, padding=padding),
-              [x, w, b])
+        check(lambda x, w, b: T.conv2d(x, w, b), [x, w, b])
 
     def test_conv2d_asymmetric_kernel(self, rng):
         x = T.Tensor(rng.normal(size=(2, 8, 5, 2)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(4, 1, 2, 3)), requires_grad=True)
-        check(lambda x, w: T.conv2d(x, w, None, stride=1, padding="same"), [x, w])
+        b = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
+        check(lambda x, w, b: T.conv2d(x, w, b), [x, w, b])
 
 
 class TestPooling:
@@ -129,23 +130,12 @@ class TestPooling:
         x = T.Tensor(well_spaced(rng, (2, 6, 6, 3)), requires_grad=True)
         check(lambda x: T.max_pool(x, 2), [x])
 
-    def test_max_pool_overlapping(self, rng):
-        x = T.Tensor(well_spaced(rng, (1, 7, 7, 2)), requires_grad=True)
-        check(lambda x: T.max_pool(x, 3, stride=2), [x])
-        x = T.Tensor(well_spaced(rng, (2, 7, 6, 2)), requires_grad=True)
-        check(lambda x: T.max_pool(x, (3, 2), stride=(2, 1)), [x])
-
-    # the asymmetric "same" kernels are the ones IncResUnit pools with
-    @pytest.mark.parametrize("kernel,padding", [(3, "same"), (3, "valid"),
-                                                ((3, 1), "same"), ((1, 3), "same")],
-                             ids=["same", "valid", "same-3x1", "same-1x3"])
-    def test_avg_pool(self, rng, kernel, padding):
+    # the kernels IncResUnit pools with
+    @pytest.mark.parametrize("kernel", [3, (3, 1), (1, 3)],
+                             ids=["same", "same-3x1", "same-1x3"])
+    def test_avg_pool(self, rng, kernel):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
-        check(lambda x: T.avg_pool(x, kernel, stride=1, padding=padding), [x])
-
-    def test_avg_pool_strided_same(self, rng):
-        x = T.Tensor(rng.normal(size=(2, 5, 8, 2)), requires_grad=True)
-        check(lambda x: T.avg_pool(x, 3, stride=2, padding="same"), [x])
+        check(lambda x: T.avg_pool(x, kernel), [x])
 
     def test_reduce_max(self, rng):
         x = T.Tensor(well_spaced(rng, (3, 5, 4, 2)), requires_grad=True)
@@ -195,13 +185,14 @@ class TestComposite:
         x = T.Tensor(rng.normal(size=(2, 8, 8, 2)), requires_grad=True)
         w1 = T.Tensor(rng.normal(size=(3, 3, 2, 4)) * 0.4, requires_grad=True)
         w2 = T.Tensor(rng.normal(size=(16, 3)) * 0.4, requires_grad=True)
+        b1, b2 = T.Tensor(np.zeros(4)), T.Tensor(np.zeros(3))
 
         def net(x, w1, w2):
-            h = T.relu(T.conv2d(x, w1, None, stride=1, padding="same"))
+            h = T.relu(T.conv2d(x, w1, b1))
             h = T.max_pool(h, 2)
             h = T.residual_norm(h, 0.4)
             h = T.global_pool(h, "avg_channel")
-            return T.softmax(T.dense(h, w2), axis=1)
+            return T.softmax(T.dense(h, w2, b2), axis=1)
 
         check(net, [x, w1, w2], tol=1e-4)
 

@@ -6,56 +6,49 @@ from asckit import tensor as T
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 
+def _naive_conv_same(x, w, b):
+    """Sextuple-loop cross-correlation over x zero-padded by (k - 1) // 2
+    before and k // 2 after along each axis."""
+    kf, kt, cin, cout = w.shape
+    n, f, t, _ = x.shape
+    xp = np.zeros((n, f + kf - 1, t + kt - 1, cin))
+    xp[:, (kf - 1) // 2 : (kf - 1) // 2 + f, (kt - 1) // 2 : (kt - 1) // 2 + t] = x
+    out = np.zeros((n, f, t, cout))
+    for s in range(n):
+        for i in range(f):
+            for j in range(t):
+                for o in range(cout):
+                    acc = b[o]
+                    for u in range(kf):
+                        for v in range(kt):
+                            for c in range(cin):
+                                acc += xp[s, i + u, j + v, c] * w[u, v, c, o]
+                    out[s, i, j, o] = acc
+    return out
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = T.Tensor(np.random.default_rng(0).normal(size=(2, 4, 5, 1)))
         w = T.Tensor(np.ones((1, 1, 1, 1)))
         b = T.Tensor(np.zeros(1))
-        out = T.conv2d(x, w, b, stride=1, padding="same")
+        out = T.conv2d(x, w, b)
         np.testing.assert_allclose(out.data, x.data, rtol=1e-12)
 
-    def test_sum_kernel_valid(self):
-        x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        w = T.Tensor(np.ones((2, 2, 1, 1)))
-        b = T.Tensor(np.zeros(1))
-        out = T.conv2d(x, w, b, stride=1, padding="valid")
-        assert out.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 10.0
-
     def test_matches_naive_loop(self):
-        # oracle: sextuple-loop cross-correlation
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 5, 5, 3))
-        w = rng.normal(size=(3, 3, 3, 4))
+        x = rng.normal(size=(2, 5, 6, 3))
         b = rng.normal(size=4)
-        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=1,
-                       padding="valid").data
-        naive = np.zeros((2, 3, 3, 4))
-        for n in range(2):
-            for i in range(3):
-                for j in range(3):
-                    for o in range(4):
-                        acc = b[o]
-                        for u in range(3):
-                            for v in range(3):
-                                for c in range(3):
-                                    acc += x[n, i + u, j + v, c] * w[u, v, c, o]
-                        naive[n, i, j, o] = acc
-        np.testing.assert_allclose(out, naive, rtol=1e-6)
-
-    @pytest.mark.parametrize("f,t,stride", [(11, 13, 1), (11, 13, 2), (8, 9, 3),
-                                            (128, 256, 2)])
-    def test_same_output_dims_ceil(self, f, t, stride):
-        x = T.Tensor(np.zeros((1, f, t, 2)))
-        w = T.Tensor(np.zeros((3, 3, 2, 1)))
-        out = T.conv2d(x, w, None, stride=stride, padding="same")
-        assert out.shape[1] == -(-f // stride)
-        assert out.shape[2] == -(-t // stride)
+        for kernel in [(3, 3), (4, 1), (1, 3), (1, 1)]:
+            w = rng.normal(size=kernel + (3, 4))
+            out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
+            np.testing.assert_allclose(out, _naive_conv_same(x, w, b), rtol=1e-6,
+                                       err_msg=f"kernel {kernel}")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             T.conv2d(T.Tensor(np.zeros((1, 4, 4, 2))),
-                     T.Tensor(np.zeros((3, 3, 3, 1))))
+                     T.Tensor(np.zeros((3, 3, 3, 1))), T.Tensor(np.zeros(1)))
 
 
 class TestBatchNorm:
@@ -174,6 +167,15 @@ class TestActivations:
         with pytest.raises(ConfigMismatch, match=repr(mode)):
             T.dropout(T.Tensor(np.ones((4, 4))), 0.5, mode, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("rate", [1.0, -0.1, 1.5])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ConfigMismatch, match=f"got {rate}"):
+            T.dropout(T.Tensor(np.ones((4, 4))), rate, "train", np.random.default_rng(0))
+
+    def test_train_dropout_without_rng_rejected(self):
+        with pytest.raises(ConfigMismatch, match="rate 0.5 needs an RNG, got None"):
+            T.dropout(T.Tensor(np.ones((4, 4))), 0.5, "train")
+
 
 class TestPooling:
     def test_max_pool_2x2(self):
@@ -181,21 +183,33 @@ class TestPooling:
         assert T.max_pool(x, 2).data[0, 0, 0, 0] == 4.0
 
     def test_avg_pool_2x2(self):
+        # a 2x2 window pads one trailing cell: only the first window is whole
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        assert T.avg_pool(x, 2, stride=2, padding="valid").data[0, 0, 0, 0] == 2.5
+        assert T.avg_pool(x, 2).data[0, 0, 0, 0] == 2.5
 
     def test_avg_pool_same_corner_true_divisor(self):
         # 3x3 window at a corner of all-ones input overlaps 4 real cells: 4/4 = 1
         x = T.Tensor(np.ones((1, 4, 4, 1)))
-        out = T.avg_pool(x, 3, stride=1, padding="same")
+        out = T.avg_pool(x, 3)
         assert out.data[0, 0, 0, 0] == 1.0
         np.testing.assert_allclose(out.data, 1.0)
 
+    def test_max_pool_drops_trailing_remainder(self):
+        # 5x7 in 2x2 tiles: 2x3 tiles, the last row and column in none
+        x = np.arange(35.0).reshape(1, 5, 7, 1)
+        x[0, 4, :, 0] = x[0, :, 6, 0] = 100.0
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.max_pool(xt, 2)
+        np.testing.assert_array_equal(out.data[0, :, :, 0], [[8, 10, 12], [22, 24, 26]])
+        T.backward(T.tsum(out))
+        assert xt.grad[0, 4, :, 0].sum() == 0 and xt.grad[0, :, 6, 0].sum() == 0
+        assert xt.grad.sum() == 6
 
-def _max_pool_grad(x, g, kernel, stride=None):
+
+def _max_pool_grad(x, g, kernel):
     """Input gradient of max_pool for the output gradient g ([F, T] arrays)."""
     xt = T.Tensor(np.asarray(x, float)[None, :, :, None], requires_grad=True)
-    out = T.max_pool(xt, kernel, stride)
+    out = T.max_pool(xt, kernel)
     T.backward(T.tsum(T.mul(out, T.Tensor(np.asarray(g, float)[None, :, :, None]))))
     return xt.grad[0, :, :, 0]
 
@@ -216,19 +230,6 @@ class TestMaxPoolTies:
         grad = _max_pool_grad(x, [[1, 2]], 2)
         np.testing.assert_array_equal(grad, [[0, 1, 2, 0],
                                              [0, 0, 0, 0]])
-
-    def test_cell_winning_two_overlapping_windows(self):
-        # (3, 2) windows at stride (2, 1): rows 0-2 / 2-4, columns 0-1 / 1-2;
-        # cell (2, 1) is the max of both windows in column 0-1
-        x = np.zeros((5, 3))
-        x[2, 1] = 9
-        x[0, 2] = x[4, 2] = 10
-        grad = _max_pool_grad(x, [[1, 2], [3, 4]], (3, 2), stride=(2, 1))
-        expected = np.zeros((5, 3))
-        expected[2, 1] = 1 + 3
-        expected[0, 2] = 2
-        expected[4, 2] = 4
-        np.testing.assert_array_equal(grad, expected)
 
 
 class TestResidualNorm:
@@ -349,7 +350,7 @@ class TestBackward:
             rng = np.random.default_rng(42)
             x = T.Tensor(rng.normal(size=(2, 8, 8, 3)))
             w = T.Tensor(rng.normal(size=(3, 3, 3, 4)))
-            h = T.relu(T.conv2d(x, w, None, stride=2, padding="same"))
+            h = T.relu(T.conv2d(x, w, T.Tensor(rng.normal(size=4))))
             h = T.dropout(h, 0.5, "train", np.random.default_rng(5))
             return T.global_pool(h, "avg_channel").data
         a, b = run(), run()
@@ -372,11 +373,9 @@ FLOAT32_OPS = {
     "softmax": lambda r: T.softmax(_f32(r, 2, 3), axis=1),
     "dropout": lambda r: T.dropout(_f32(r, 4, 4), 0.5, "train", r),
     "dense": lambda r: T.dense(_f32(r, 2, 3), _f32(r, 3, 4), _f32(r, 4)),
-    "conv2d": lambda r: T.conv2d(_f32(r, 1, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3),
-                                 stride=2),
+    "conv2d": lambda r: T.conv2d(_f32(r, 1, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3)),
     "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2), 2),
-    "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3), padding="same"),
-    "avg_pool_valid": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), 2, stride=2),
+    "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3)),
     "batch_norm_train": lambda r: T.batch_norm(
         _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
     "batch_norm_eval": lambda r: T.batch_norm(
