@@ -6,6 +6,7 @@ The whole pipeline operates on mono clips at PIPELINE_RATE (32 kHz) cut into
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from math import gcd
@@ -44,8 +45,10 @@ class AudioClip:
             raise EmptyAudio("clip must hold at least one mono sample")
         if not np.all(np.isfinite(self.samples)):
             raise EmptyAudio("clip contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise MalformedHeader(f"non-positive sample rate {self.sample_rate}")
+        rate = self.sample_rate
+        if not (isinstance(rate, numbers.Real) and float(rate).is_integer() and rate > 0):
+            raise MalformedHeader(f"sample rate must be a positive whole number, got {rate!r}")
+        self.sample_rate = int(rate)
 
     @property
     def n_samples(self) -> int:

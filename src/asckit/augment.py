@@ -43,6 +43,8 @@ class LabeledBatch:
             raise ShapeMismatch(f"features must be B x F x T x C, got {self.features.shape}")
         if self.labels.ndim != 2 or self.labels.shape[0] != self.features.shape[0]:
             raise ShapeMismatch("labels must be B x M aligned with features")
+        if not np.isfinite(self.labels).all():
+            raise ShapeMismatch("label rows must be finite")
         if np.any(self.labels < 0) or np.any(np.abs(self.labels.sum(axis=1) - 1) > 1e-6):
             raise ShapeMismatch("label rows must lie on the probability simplex")
 

@@ -20,8 +20,10 @@ spectrogram, has 2.1M parameters.
 In eval mode each conv -> BN -> ReLU unit folds its BN into the conv, so
 a red02 eval forward runs 4 batch-norm passes (the BN after each inception
 concat and each block's BN on its pooled sums) where a train forward runs
-16. The folded kernels are not parameters: an eval-mode backward gives the
-input its gradient but no gradient to the folded conv and BN parameters.
+16. In eval mode no BN, folded or not, gets a gradient: the folded kernels
+are not parameters, and an unfolded BN is a constant affine map (see
+`tensor.batch_norm`). An eval-mode backward still reaches the input and
+the head.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ INPUT_SHAPE = (128, 256, 3)
 INCRES_K = 3
 DROPOUT_FC = 0.2
 DROPOUT_BLOCK = 0.1
-RN_LAMBDA = 0.4
-BN_EPS = 1e-3
-BN_MOMENTUM = 0.99
 
 # variant -> (inception unit widths, inception-residual unit widths of each
 # of the three blocks, hidden FC width or None)
@@ -158,8 +157,8 @@ class Dense(Module):
 
 
 class BatchNorm(Module):
-    """Per-channel batch normalization with variance offset BN_EPS and
-    running statistics updated with momentum BN_MOMENTUM."""
+    """Per-channel batch normalization (`T.batch_norm`) with its scale,
+    shift and running statistics."""
 
     def __init__(self, name, channels):
         self.name = name
@@ -172,7 +171,7 @@ class BatchNorm(Module):
 
     def __call__(self, x, mode, rng):
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, mode, eps=BN_EPS, momentum=BN_MOMENTUM)
+                            self.running_var, mode)
 
 
 class _ConvBnRelu(Module):
@@ -193,7 +192,7 @@ class _ConvBnRelu(Module):
         if mode != "eval":
             return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
         conv, bn = self.conv, self.bn
-        s = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
+        s = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
         w = T.Tensor((conv.w.data * s).astype(conv.w.dtype))
         b = T.Tensor(((conv.b.data - bn.running_mean) * s + bn.beta.data).astype(conv.w.dtype))
         return T.relu(T.conv2d(x, w, b))
@@ -254,7 +253,7 @@ class Block(Module):
             x = self.bn(x, mode, rng)
         x = T.max_pool(x, 2)
         x = T.dropout(x, DROPOUT_BLOCK, mode, rng)
-        return T.residual_norm(x, RN_LAMBDA)
+        return T.residual_norm(x)
 
 
 def _units(unit_cls, name, cin, widths, rng):

@@ -1,10 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Supports exactly the operations the classification networks need, on
-[batch, frequency, time, channel] layouts. Each operation records its
-inputs and a backward closure on the output tensor; `backward` walks the
-implicit graph in reverse topological order and accumulates gradients
-into every tensor that requires them. Under `no_grad` ops record nothing.
+[batch, frequency, time, channel] layouts. Every op builds a backward
+closure and returns its output through `_result`, which records the op's
+inputs and that closure on the output only when grad is enabled and some
+input requires grad; under `no_grad` ops record nothing. `backward` walks
+the implicit graph in reverse topological order and accumulates gradients
+into every tensor that requires them.
 
 The window ops have the two geometries the networks use. `conv2d` and
 `avg_pool` slide stride-1 'same' windows: the input is zero-padded by
@@ -26,10 +28,17 @@ Every op stores its output, and every gradient, in its input's dtype
 back to that dtype before they broadcast, without any full-size float64
 temporary. After `backward` only leaves (tensors made directly, and
 `Parameter`s) keep their `.grad`; an op's output drops its gradient once
-its backward closure has consumed it. A backward hands an array it built
-for one input alone to that input as is (`Tensor._take`); `add`, which
-gives one array to both inputs, and `reshape` and `concat`, which pass on
-views of their own gradient, have the first gradient copied.
+its backward closure has consumed it. A backward hands each input its
+gradient through `Tensor.accumulate`, which keeps a first gradient of the
+input's shape and dtype as is: the closure must not write to that array or
+give it to another input afterwards. So `add` gives one input a copy of its
+gradient and the other the gradient itself, and `reshape` and `concat` hand
+over non-overlapping views of theirs.
+
+The normalization settings are the module constants `BN_EPS`,
+`BN_MOMENTUM`, `RN_LAMBDA` and `RN_EPS`; no caller sets them. Eval-mode
+`batch_norm` is a per-channel affine map with constant coefficients from
+gamma, beta and the running buffers, so its backward reaches only its input.
 """
 
 from __future__ import annotations
@@ -41,6 +50,12 @@ import numpy as np
 
 from .container import Reader, atomic_write
 from .errors import ConfigMismatch, IOFailure, ShapeMismatch
+
+# normalization settings of the paper's networks
+BN_EPS = 1e-3  # batch norm variance offset
+BN_MOMENTUM = 0.99  # batch norm running-statistics momentum
+RN_LAMBDA = 0.4  # weight of the identity shortcut in residual norm
+RN_EPS = 1e-5  # residual norm variance offset
 
 
 class Tensor:
@@ -63,23 +78,17 @@ class Tensor:
         return self.data.dtype
 
     def accumulate(self, g):
-        """Add `g` into `.grad`; the first gradient is copied, since the caller
-        may hand the same array to another tensor too."""
+        """Add the gradient `g` into `.grad`. A first gradient of this tensor's
+        shape and dtype becomes `.grad` as is, any other is copied: so the
+        caller must not write to `g`, or hand it to another tensor, afterwards."""
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
-        else:
+        if self.grad is not None:
             self.grad += g
-
-    def _take(self, g):
-        """`accumulate` for an array the caller built for this tensor alone: a
-        first gradient of this tensor's shape and dtype becomes `.grad` as is."""
-        if self.requires_grad and self.grad is None and g.shape == self.shape \
-                and g.dtype == self.dtype:
+        elif g.shape == self.shape and g.dtype == self.dtype:
             self.grad = g
         else:
-            self.accumulate(g)
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
 
     def __repr__(self):
         return f"Tensor({self.op}, shape={self.shape}, grad={self.requires_grad})"
@@ -111,11 +120,15 @@ def no_grad():
         _grad_enabled = before
 
 
-def _result(data, parents, op):
-    if not _grad_enabled:
+def _result(data, parents, op, backward):
+    """The output of `op`. It records `parents` and the closure `backward(g)`,
+    which hands each parent its gradient, only when grad is enabled and some
+    parent requires grad; otherwise it is a plain tensor with no parents."""
+    if not (_grad_enabled and any(p.requires_grad for p in parents)):
         return Tensor(data, op=op)
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=parents, op=op)
+    out = Tensor(data, requires_grad=True, parents=parents, op=op)
+    out._backward = backward
+    return out
 
 
 def backward(loss: Tensor) -> None:
@@ -161,78 +174,59 @@ def zero_grads(params) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    out = _result(a.data + b.data, (a, b), "add")
-    if out.requires_grad:
-        def _bw(g):
-            a.accumulate(g)
-            b.accumulate(g)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        a.accumulate(g.copy())
+        b.accumulate(g)
+    return _result(a.data + b.data, (a, b), "add", _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    out = _result(a.data * b.data, (a, b), "mul")
-    if out.requires_grad:
-        def _bw(g):
-            a._take(g * b.data)
-            b._take(g * a.data)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        a.accumulate(g * b.data)
+        b.accumulate(g * a.data)
+    return _result(a.data * b.data, (a, b), "mul", _bw)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    out = _result(x.data * c, (x,), "scale")
-    if out.requires_grad:
-        out._backward = lambda g: x._take(g * c)
-    return out
+    return _result(x.data * c, (x,), "scale", lambda g: x.accumulate(g * c))
 
 
 def log(x: Tensor) -> Tensor:
-    out = _result(np.log(x.data), (x,), "log")
-    if out.requires_grad:
-        out._backward = lambda g: x._take(g / x.data)
-    return out
+    return _result(np.log(x.data), (x,), "log", lambda g: x.accumulate(g / x.data))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Full reduction to a scalar, 64-bit accumulation."""
     total = x.data.sum(dtype=np.float64)
-    out = _result(np.asarray(total, dtype=x.dtype), (x,), "sum")
-    if out.requires_grad:
-        out._backward = lambda g: x._take(np.broadcast_to(g, x.shape).astype(x.dtype))
-    return out
+    return _result(np.asarray(total, dtype=x.dtype), (x,), "sum",
+                   lambda g: x.accumulate(np.broadcast_to(g, x.shape).astype(x.dtype)))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = _result(x.data.reshape(shape), (x,), "reshape")
-    if out.requires_grad:
-        out._backward = lambda g: x.accumulate(g.reshape(x.shape))
-    return out
+    return _result(x.data.reshape(shape), (x,), "reshape",
+                   lambda g: x.accumulate(g.reshape(x.shape)))
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
-                  "concat")
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def _bw(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(idx)])
-        out._backward = _bw
-    return out
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def _bw(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            t.accumulate(g[tuple(idx)])
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                   "concat", _bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _result(np.maximum(x.data, 0), (x,), "relu")
-    if out.requires_grad:
-        out._backward = lambda g: x._take(g * (x.data > 0))
-    return out
+    return _result(np.maximum(x.data, 0), (x,), "relu",
+                   lambda g: x.accumulate(g * (x.data > 0)))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -240,13 +234,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     np.maximum(y, np.finfo(y.dtype).tiny, out=y)  # keeps log(y) and its gradient finite
-    out = _result(y, (x,), "softmax")
-    if out.requires_grad:
-        def _bw(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._take((g - dot) * y)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        x.accumulate((g - dot) * y)
+    return _result(y, (x,), "softmax", _bw)
 
 
 def _check_mode(op, mode):
@@ -264,10 +256,7 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
         raise ConfigMismatch(f"train-mode dropout at rate {p} needs an RNG, got None")
     keep = (rng.random(x.shape) >= p) / np.asarray(1.0 - p, dtype=x.dtype)
     keep = keep.astype(x.dtype)
-    out = _result(x.data * keep, (x,), "dropout")
-    if out.requires_grad:
-        out._backward = lambda g: x._take(g * keep)
-    return out
+    return _result(x.data * keep, (x,), "dropout", lambda g: x.accumulate(g * keep))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +268,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"dense: {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeMismatch(f"dense bias: {b.shape}")
-    out = _result(x.data @ w.data + b.data, (x, w, b), "dense")
-    if out.requires_grad:
-        def _bw(g):
-            x._take(g @ w.data.T)
-            w._take(x.data.T @ g)
-            b._take(g.sum(axis=0))
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        x.accumulate(g @ w.data.T)
+        w.accumulate(x.data.T @ g)
+        b.accumulate(g.sum(axis=0))
+    return _result(x.data @ w.data + b.data, (x, w, b), "dense", _bw)
 
 
 def _windows(x, kernel, tiles=False):
@@ -351,26 +338,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     batch, of, ot = view.shape[:3]
     y = view.reshape(-1, kf * kt * cin) @ w.data.reshape(-1, cout)
     y += b.data
-    out = _result(y.reshape(batch, of, ot, cout), (x, w, b), "conv2d")
-    if out.requires_grad:
-        w3 = w.data.reshape(kf * kt, cin, cout)
+    w3 = w.data.reshape(kf * kt, cin, cout)
 
-        def _bw(g):
-            g2 = g.reshape(-1, cout)
-            if w.requires_grad:
-                gw = np.empty_like(w3)
-                for o, gw_o in zip(offsets, gw):
-                    np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
-                w._take(gw.reshape(w.shape))
-            if b.requires_grad:
-                b._take(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
-            if x.requires_grad:
-                gp = np.zeros_like(xp)
-                for o, w_o in zip(offsets, w3):
-                    gp[o] += (g2 @ w_o.T).reshape(batch, of, ot, cin)
-                x._take(gp[inner])
-        out._backward = _bw
-    return out
+    def _bw(g):
+        g2 = g.reshape(-1, cout)
+        if w.requires_grad:
+            gw = np.empty_like(w3)
+            for o, gw_o in zip(offsets, gw):
+                np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
+            w.accumulate(gw.reshape(w.shape))
+        if b.requires_grad:
+            b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
+        if x.requires_grad:
+            gp = np.zeros_like(xp)
+            for o, w_o in zip(offsets, w3):
+                gp[o] += (g2 @ w_o.T).reshape(batch, of, ot, cin)
+            x.accumulate(gp[inner])
+    return _result(y.reshape(batch, of, ot, cout), (x, w, b), "conv2d", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +369,17 @@ def max_pool(x: Tensor, kernel) -> Tensor:
     """
     xp, _, offsets = _windows(x.data, kernel, tiles=True)
     y = _window_reduce(np.maximum, xp, offsets)
-    out = _result(y, (x,), "max_pool")
-    if out.requires_grad:
-        def _bw(g):
-            gx = np.zeros_like(xp)
-            open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
-            for o in offsets:
-                hit = xp[o] == y
-                hit &= open_
-                open_ ^= hit
-                gx[o] += g * hit
-            x._take(gx)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        gx = np.zeros_like(xp)
+        open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
+        for o in offsets:
+            hit = xp[o] == y
+            hit &= open_
+            open_ ^= hit
+            gx[o] += g * hit
+        x.accumulate(gx)
+    return _result(y, (x,), "max_pool", _bw)
 
 
 def avg_pool(x: Tensor, kernel) -> Tensor:
@@ -410,16 +392,14 @@ def avg_pool(x: Tensor, kernel) -> Tensor:
     counts = _window_reduce(np.add, ones, offsets)
     y = _window_reduce(np.add, xp, offsets)
     y /= counts
-    out = _result(y, (x,), "avg_pool")
-    if out.requires_grad:
-        def _bw(g):
-            gn = g / counts
-            gp = np.zeros_like(xp)
-            for o in offsets:
-                gp[o] += gn
-            x._take(gp[inner])
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        gn = g / counts
+        gp = np.zeros_like(xp)
+        for o in offsets:
+            gp[o] += gn
+        x.accumulate(gp[inner])
+    return _result(y, (x,), "avg_pool", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -469,73 +449,62 @@ def _standardize_grad(g, xhat, scale, axes):
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
-               mode: str, eps: float = 1e-3, momentum: float = 0.99) -> Tensor:
-    """Per-channel batch normalization over all non-channel axes.
+               mode: str) -> Tensor:
+    """Per-channel batch normalization over all non-channel axes, with
+    variance offset BN_EPS.
 
     Train mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode normalizes with the running buffers as one
-    per-channel affine map, (x - mean) * (gamma / std) + beta.
+    buffers in place with momentum BN_MOMENTUM. Eval mode normalizes with the
+    running buffers as one per-channel affine map, (x - mean) * (gamma / std)
+    + beta, whose coefficients are constants: only x gets a gradient.
     """
     _check_mode("batch_norm", mode)
-    axes = tuple(range(x.data.ndim - 1))
     if mode == "eval":
         # the mean is subtracted in x's dtype; the error of casting it there
         # goes into the float64 per-channel bias
-        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * (1.0 / np.sqrt(running_var + BN_EPS))
         shift = running_mean.astype(x.dtype)
-        cast_error = shift - running_mean
-        scale = gamma.data * inv
         y = np.subtract(x.data, shift)
         y *= scale.astype(x.dtype)
-        y += (beta.data + cast_error * scale).astype(x.dtype)
-        out = _result(y, (x, gamma, beta), "batch_norm")
-        if out.requires_grad:
-            def _bw_eval(g):
-                g_sum = g.sum(axis=axes, dtype=np.float64)
-                gx_sum = (g * (x.data - shift)).sum(axis=axes, dtype=np.float64)
-                gamma._take(((gx_sum + g_sum * cast_error) * inv).astype(g.dtype))
-                beta._take(g_sum.astype(g.dtype))
-                x._take(g * scale.astype(g.dtype))
-            out._backward = _bw_eval
-        return out
-    mu, var, inv, xhat, y = _standardize(x.data, axes, eps)
-    running_mean *= momentum
-    running_mean += (1.0 - momentum) * mu.reshape(-1)
-    running_var *= momentum
-    running_var += (1.0 - momentum) * var.reshape(-1)
+        y += (beta.data + (shift - running_mean) * scale).astype(x.dtype)
+        return _result(y, (x,), "batch_norm",
+                       lambda g: x.accumulate(g * scale.astype(g.dtype)))
+    axes = tuple(range(x.data.ndim - 1))
+    mu, var, inv, xhat, y = _standardize(x.data, axes, BN_EPS)
+    running_mean *= BN_MOMENTUM
+    running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
+    running_var *= BN_MOMENTUM
+    running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
-    out = _result(y, (x, gamma, beta), "batch_norm")
-    if out.requires_grad:
-        def _bw(g):
-            dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
-            gamma._take(gx_sum.reshape(gamma.shape).astype(g.dtype))
-            beta._take(g_sum.reshape(beta.shape).astype(g.dtype))
-            x._take(dx)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
+        gamma.accumulate(gx_sum.reshape(gamma.shape).astype(g.dtype))
+        beta.accumulate(g_sum.reshape(beta.shape).astype(g.dtype))
+        x.accumulate(dx)
+    return _result(y, (x, gamma, beta), "batch_norm", _bw)
 
 
-def residual_norm(x: Tensor, lam: float = 0.4, eps: float = 1e-5) -> Tensor:
+def residual_norm(x: Tensor) -> Tensor:
     """Identity shortcut plus frequency-wise instance normalization.
 
     Each (sample, frequency-bin) slice is standardized across (time,
-    channel); the output is lam*x + standardized(x).
+    channel) with variance offset RN_EPS; the output is
+    RN_LAMBDA * x + standardized(x).
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"residual_norm expects B x F x T x C, got {x.shape}")
     axes = (2, 3)
-    _, _, inv, xhat, y = _standardize(x.data, axes, eps)
-    np.multiply(x.data, lam, out=y)
+    _, _, inv, xhat, y = _standardize(x.data, axes, RN_EPS)
+    np.multiply(x.data, RN_LAMBDA, out=y)
     y += xhat
-    out = _result(y, (x,), "residual_norm")
-    if out.requires_grad:
-        def _bw(g):
-            dx, _, _ = _standardize_grad(g, xhat, inv, axes)
-            dx += lam * g
-            x._take(dx)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        dx, _, _ = _standardize_grad(g, xhat, inv, axes)
+        dx += RN_LAMBDA * g
+        x.accumulate(dx)
+    return _result(y, (x,), "residual_norm", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -544,27 +513,20 @@ def residual_norm(x: Tensor, lam: float = 0.4, eps: float = 1e-5) -> Tensor:
 
 def reduce_mean(x: Tensor, axis: int) -> Tensor:
     n = x.shape[axis]
-    out = _result(x.data.mean(axis=axis, dtype=np.float64).astype(x.dtype), (x,),
-                  "reduce_mean")
-    if out.requires_grad:
-        def _bw(g):
-            x._take(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-        out._backward = _bw
-    return out
+    return _result(x.data.mean(axis=axis, dtype=np.float64).astype(x.dtype), (x,),
+                   "reduce_mean",
+                   lambda g: x.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis)))
 
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     idx = x.data.argmax(axis=axis)
     out_data = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    out = _result(np.squeeze(out_data, axis=axis), (x,), "reduce_max")
-    if out.requires_grad:
-        def _bw(g):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis=axis)
-            x._take(gx)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
+        x.accumulate(gx)
+    return _result(np.squeeze(out_data, axis=axis), (x,), "reduce_max", _bw)
 
 
 def global_pool(x: Tensor, kind: str) -> Tensor:

@@ -222,6 +222,16 @@ class TestResample:
         clip = AudioClip(samples=np.ones(12345), sample_rate=44100)
         assert resample_to_32k(clip).n_samples == round(12345 * 32000 / 44100)
 
+    def test_whole_float_rate_stored_as_int(self):
+        clip = AudioClip(samples=np.ones(22050), sample_rate=22050.0)
+        assert type(clip.sample_rate) is int
+        assert resample_to_32k(clip).n_samples == 32000
+
+    @pytest.mark.parametrize("rate", [22050.5, float("nan"), float("inf"), "32000"])
+    def test_non_integer_rate_rejected_naming_it(self, rate):
+        with pytest.raises(MalformedHeader, match=f"got {rate!r}"):
+            AudioClip(samples=np.ones(100), sample_rate=rate)
+
     def test_spectral_peak_preserved(self):
         # oracle: DFT peak location of the resampled tone
         sr_in, f0 = 16000, 1000.0

@@ -11,7 +11,7 @@ from asckit.augment import (
     random_crop,
     spec_augment,
 )
-from asckit.errors import BatchTooSmall, CropWiderThanInput, MaskLongerThanAxis
+from asckit.errors import BatchTooSmall, CropWiderThanInput, MaskLongerThanAxis, ShapeMismatch
 
 
 def make_batch(b=4, f=128, t=305, c=3, m=10, seed=0):
@@ -27,6 +27,14 @@ def streams(n, seed=0):
 
 def on_simplex(labels):
     return np.all(labels >= 0) and np.allclose(labels.sum(axis=1), 1.0, atol=1e-6)
+
+
+class TestLabeledBatch:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        # NaN passes both simplex comparisons, since each is False for it
+        with pytest.raises(ShapeMismatch, match="finite"):
+            LabeledBatch(np.zeros((2, 4, 300, 3)), [[bad, 1.0], [0.5, 0.5]])
 
 
 class TestRandomCrop:

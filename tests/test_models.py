@@ -177,6 +177,12 @@ class TestFoldedEval:
         assert np.isfinite(x.grad).all() and np.abs(x.grad).max() > 0
         for unit in _conv_bn_relus(net):
             assert unit.conv.w.grad is None and unit.bn.gamma.grad is None
+        # folded or not, every BN is a constant affine map in eval mode
+        bn_params = [v for m, _, v in net._leaves()
+                     if isinstance(m, models.BatchNorm) and isinstance(v, T.Parameter)]
+        assert len(bn_params) == 2 * 16 and all(p.grad is None for p in bn_params)
+        fc2 = {p.name: p for p in net.params()}["head.fc2.w"]
+        assert np.abs(fc2.grad).max() > 0
 
 
 class TestTrainBackward:
@@ -197,7 +203,8 @@ class TestTrainBackward:
             for b in got[i + 1:]:
                 assert not np.shares_memory(a, b)
         # the same values as when every first gradient is copied
-        monkeypatch.setattr(T.Tensor, "_take", T.Tensor.accumulate)
+        accumulate = T.Tensor.accumulate
+        monkeypatch.setattr(T.Tensor, "accumulate", lambda t, g: accumulate(t, np.array(g)))
         for a, b in zip(got, grads()):
             assert a.tobytes() == b.tobytes()
 

@@ -76,29 +76,31 @@ class TestBatchNorm:
         x = T.Tensor(rng.normal(size=(4, 3, 3, 2)))
         gamma = T.Tensor(np.array([1.5, 0.5]))
         beta = T.Tensor(np.array([0.1, -0.2]))
-        out = T.batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), "eval", eps=0.0)
-        np.testing.assert_allclose(out.data, gamma.data * x.data + beta.data,
-                                   rtol=1e-12)
+        out = T.batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), "eval")
+        want = x.data * (gamma.data / np.sqrt(1.0 + T.BN_EPS)) + beta.data
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
 
     def test_running_stats_update(self):
         x = T.Tensor(np.full((4, 2, 2, 1), 10.0))
         rm, rv = np.zeros(1), np.ones(1)
-        T.batch_norm(x, T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), rm, rv, "train",
-                     momentum=0.9)
-        np.testing.assert_allclose(rm, 0.9 * 0.0 + 0.1 * 10.0)
-        np.testing.assert_allclose(rv, 0.9 * 1.0 + 0.1 * 0.0)
+        T.batch_norm(x, T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), rm, rv, "train")
+        m = T.BN_MOMENTUM
+        np.testing.assert_allclose(rm, m * 0.0 + (1 - m) * 10.0)
+        np.testing.assert_allclose(rv, m * 1.0 + (1 - m) * 0.0)
 
     def test_running_var_float32_large_offset(self):
         # oracle: np.var in float64 of the same float32 values; the offset is
-        # 1e5 standard deviations, so centring in float32 must not bias it
+        # 1e5 standard deviations, so centring in float32 must not bias it.
+        # From zero buffers the update is (1 - momentum) * batch statistic.
         rng = np.random.default_rng(17)
         x = (1e3 + 1e-2 * rng.normal(size=(4, 16, 16, 3))).astype(np.float32)
-        rm, rv = np.zeros(3), np.ones(3)
+        rm, rv = np.zeros(3), np.zeros(3)
         T.batch_norm(T.Tensor(x), T.Tensor(np.ones(3, np.float32)),
-                     T.Tensor(np.zeros(3, np.float32)), rm, rv, "train", momentum=0.0)
+                     T.Tensor(np.zeros(3, np.float32)), rm, rv, "train")
         want = x.astype(np.float64).var(axis=(0, 1, 2))
-        np.testing.assert_allclose(rv, want, rtol=1e-6)
-        np.testing.assert_allclose(rm, x.astype(np.float64).mean(axis=(0, 1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(rv / (1.0 - T.BN_MOMENTUM), want, rtol=1e-6)
+        np.testing.assert_allclose(rm / (1.0 - T.BN_MOMENTUM),
+                                   x.astype(np.float64).mean(axis=(0, 1, 2)), rtol=1e-12)
 
     def test_eval_float32_large_running_mean(self):
         # oracle: the float64 formula; outputs reach ~4, so 1e-6 is about two
@@ -237,22 +239,21 @@ class TestResidualNorm:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 4, 50, 3))
         x = (x - x.mean(axis=(2, 3), keepdims=True)) / x.std(axis=(2, 3), keepdims=True)
-        out = T.residual_norm(T.Tensor(x), lam=0.4)
-        np.testing.assert_allclose(out.data, 1.4 * x, atol=1e-4)
+        out = T.residual_norm(T.Tensor(x))
+        np.testing.assert_allclose(out.data, (1 + T.RN_LAMBDA) * x, atol=1e-4)
 
     def test_constant_slice_guard(self):
         x = np.full((1, 3, 8, 2), 6.0)
-        out = T.residual_norm(T.Tensor(x), lam=0.4)
-        np.testing.assert_allclose(out.data, 0.4 * 6.0, atol=1e-9)
+        out = T.residual_norm(T.Tensor(x))
+        np.testing.assert_allclose(out.data, T.RN_LAMBDA * 6.0, atol=1e-9)
 
     def test_slice_mean_identity(self):
         # oracle: direct two-pass mean/variance per (sample, frequency) slice
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 8, 16, 3)) * 3 + 1
-        lam = 0.4
-        out = T.residual_norm(T.Tensor(x), lam=lam)
+        out = T.residual_norm(T.Tensor(x))
         got = out.data.mean(axis=(2, 3))
-        want = lam * x.mean(axis=(2, 3))
+        want = T.RN_LAMBDA * x.mean(axis=(2, 3))
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -341,6 +342,28 @@ class TestBackward:
         T.backward(T.tsum(T.add(T.add(x, x), x)))
         np.testing.assert_array_equal(x.grad, 3.0)
 
+    def test_handed_over_gradients_are_exact_and_unshared(self):
+        # concat and reshape hand their inputs views of their own gradient, and
+        # add hands its gradient to one input and a copy to the other
+        rng = np.random.default_rng(20)
+        a, x, y, z = (T.Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4))
+        b = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        r = [T.Tensor(rng.normal(size=s)) for s in [(2, 5), (2, 6), (3, 2), (2, 3)]]
+        outs = [T.concat([a, b], axis=1), T.concat([x, x], axis=1), T.reshape(y, (3, 2)),
+                T.add(z, z)]
+        losses = [T.tsum(T.mul(o, w)) for o, w in zip(outs, r)]
+        T.backward(T.add(T.add(losses[0], losses[1]), T.add(losses[2], losses[3])))
+        w = [t.data for t in r]
+        np.testing.assert_array_equal(a.grad, w[0][:, :3])
+        np.testing.assert_array_equal(b.grad, w[0][:, 3:])
+        np.testing.assert_array_equal(x.grad, w[1][:, :3] + w[1][:, 3:])
+        np.testing.assert_array_equal(y.grad, w[2].reshape(2, 3))
+        np.testing.assert_array_equal(z.grad, 2 * w[3])
+        arrays = [a.grad, b.grad, x.grad, y.grad, z.grad] + w
+        for i, p in enumerate(arrays):
+            for q in arrays[i + 1:]:
+                assert not np.shares_memory(p, q)
+
     def test_scalar_loss_required(self):
         with pytest.raises(ShapeMismatch):
             T.backward(T.Tensor(np.zeros((2, 2))))
@@ -397,6 +420,16 @@ class TestFloat32:
         net = models.build_network("red03")
         x = np.zeros((1,) + models.INPUT_SHAPE, dtype=np.float32)
         assert net.forward(x, mode, rng=np.random.default_rng(16)).dtype == np.float32
+
+
+class TestNoGraph:
+    @pytest.mark.parametrize("op", sorted(FLOAT32_OPS))
+    def test_inputs_without_grad_record_nothing(self, op, monkeypatch):
+        # the same ops on inputs that require no grad, with grad enabled
+        monkeypatch.setitem(globals(), "_f32",
+                            lambda r, *shape: T.Tensor(r.normal(size=shape).astype(np.float32)))
+        out = FLOAT32_OPS[op](np.random.default_rng(15))
+        assert out._parents == () and out._backward is None and not out.requires_grad
 
 
 class TestWeightsIO:
