@@ -9,6 +9,7 @@ from __future__ import annotations
 import numbers
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -150,6 +151,15 @@ def save_wav(path, clip: AudioClip) -> None:
         fh.write(hdr + pcm)
 
 
+@lru_cache(maxsize=4)  # a dataset has one or a few input rates
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """Read-only Kaiser-windowed sinc low-pass for resampling by up/down."""
+    taps = _TAPS_PER_PHASE * up + 1
+    h = signal.firwin(taps, 1.0 / max(up, down), window=("kaiser", _KAISER_BETA))
+    h.flags.writeable = False
+    return h
+
+
 def resample_to_32k(clip: AudioClip) -> AudioClip:
     """Band-limited polyphase resampling to PIPELINE_RATE.
 
@@ -160,9 +170,7 @@ def resample_to_32k(clip: AudioClip) -> AudioClip:
         return clip
     g = gcd(clip.sample_rate, PIPELINE_RATE)
     up, down = PIPELINE_RATE // g, clip.sample_rate // g
-    taps = _TAPS_PER_PHASE * up + 1
-    h = signal.firwin(taps, 1.0 / max(up, down), window=("kaiser", _KAISER_BETA))
-    y = signal.resample_poly(clip.samples, up, down, window=h)
+    y = signal.resample_poly(clip.samples, up, down, window=_resample_filter(up, down))
     target = int(round(clip.n_samples * PIPELINE_RATE / clip.sample_rate))
     y = y[:target]
     if y.size < target:  # resample_poly yields ceil(n*up/down) >= round(...)

@@ -56,6 +56,8 @@ def write_cache(path, frontend: str, records) -> int:
             feats = np.asarray(features, dtype="<f4")
             if feats.ndim != 3:
                 raise ShapeMismatch(f"expected F x T x C features, got {feats.shape}")
+            if not np.isfinite(feats).all():
+                raise IOFailure(f"record {count}: features hold a non-finite value")
             if dims is None:
                 dims = feats.shape
                 fh.write(_MAGIC)
@@ -81,7 +83,8 @@ def write_cache(path, frontend: str, records) -> int:
 
 def read_cache(path) -> FeatureSet:
     """Load a feature cache written by write_cache (version 2) or by its
-    version 1. A version 2 file must hold exactly its record count."""
+    version 1. A version 2 file must hold exactly its record count, and no
+    record may hold a non-finite value."""
     rd = Reader(path)
     version, frontend_id, *dims = rd.header(_MAGIC, (1, _VERSION), _HEADER)
     names = {i: n for n, i in _FRONTEND_IDS.items()}
@@ -93,7 +96,10 @@ def read_cache(path) -> FeatureSet:
         label, tag_len = rd.unpack("<BB", f"record {len(feats)} header")
         devices.append(rd.text(tag_len, f"record {len(feats)} device tag"))
         labels.append(label)
+        start = rd.pos
         feats.append(rd.floats(dims, f"record {len(feats)} payload"))
+        if not np.isfinite(feats[-1]).all():
+            rd.fail(f"record {len(feats) - 1} payload holds a non-finite value", start)
     if not feats:
         rd.fail("no records")
     rd.expect_end(f"the last of {count} records")

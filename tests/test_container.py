@@ -213,6 +213,26 @@ class TestCache:
             write_cache(tmp_path / "c.ascf", "gam", records)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected_and_nothing_written(self, tmp_path, value):
+        bad = RECORDS[1][0].copy()
+        bad[1, 2, 0] = value
+        with pytest.raises(IOFailure, match="record 1: features hold a non-finite value"):
+            write_cache(tmp_path / "c.ascf", "gam", [RECORDS[0], (bad, 0, "B")])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_non_finite_payload_names_path_and_record_offset(self, tmp_path, version):
+        path, raw = _write_cache(tmp_path)
+        if version == 1:
+            raw = _as_version_1(raw)
+        payload = raw.index(RECORDS[1][0].tobytes())
+        value = payload + 4 * 3
+        path.write_bytes(raw[:value] + struct.pack("<f", np.nan) + raw[value + 4 :])
+        with pytest.raises(IOFailure, match=re.escape(
+                f"{path}: record 1 payload holds a non-finite value at offset {payload}")):
+            read_cache(path)
+
     def test_empty_writes_nothing(self, tmp_path):
         with pytest.raises(IOFailure):
             write_cache(tmp_path / "c.ascf", "gam", [])

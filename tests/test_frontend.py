@@ -16,6 +16,7 @@ from asckit.frontend import (
     extract_frontend,
     gammatone,
     gammatone_bank,
+    gammatone_blocks,
     hz_to_mel,
     log_mel,
     mel_bank,
@@ -89,6 +90,12 @@ class TestMelBank:
         bin_hz = np.arange(1025) * SR / 2048
         inside = (bin_hz >= centers[0]) & (bin_hz <= centers[-1])
         assert np.all(weights.sum(axis=0)[inside] > 0)
+
+    @pytest.mark.parametrize("bank", [mel_bank, cqt_bank, gammatone_bank, gammatone_blocks])
+    def test_cached_banks_are_read_only(self, bank):
+        for array in bank():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] *= 2
 
     def test_rows_nonneg_centers_increasing(self):
         centers, weights = mel_bank()
@@ -171,7 +178,57 @@ class TestCqt:
         assert cqt(tone(200.0)).shape == (128, 311)
 
 
+def sosfilt_energies_db(x):
+    """Reference gammatone: each band's cascade through `signal.sosfilt`, then
+    the mean square over each whole hop, log-compressed."""
+    _, sos = gammatone_bank()
+    n_frames = x.size // HOP
+    usable = n_frames * HOP
+    energies = np.empty((N_BANDS, n_frames))
+    for band in range(N_BANDS):
+        y = signal.sosfilt(sos[band].copy(), x)
+        energies[band] = (y[:usable] ** 2).reshape(n_frames, HOP).mean(axis=1)
+    return 10 * np.log10(np.maximum(energies, LOG_FLOOR))
+
+
 class TestGammatone:
+    @pytest.mark.parametrize("name", ["noise-10s", "tone-3s", "64777", "under-a-hop", "x1e3"])
+    def test_equals_per_band_sosfilt(self, name):
+        rng = np.random.default_rng(6)
+        x = {
+            "noise-10s": lambda: rng.uniform(-0.5, 0.5, SEGMENT_SAMPLES),
+            "tone-3s": lambda: tone(gammatone_bank()[0][64], seconds=3.0),
+            "64777": lambda: rng.normal(scale=0.1, size=64000 + 777),
+            "under-a-hop": lambda: rng.normal(size=HOP - 1),
+            "x1e3": lambda: 1e3 * rng.normal(scale=0.1, size=64000),
+        }[name]()
+        out = gammatone(x)
+        oracle = sosfilt_energies_db(x)
+        assert out.shape == oracle.shape == (N_BANDS, x.size // HOP)
+        # 1e-8 dB on every hop within 90 dB of its band's loudest. The tone's
+        # onset rings the lowest bands up to 94 dB; hops that have decayed
+        # 130-190 dB below that keep the float64 rounding of the onset, where
+        # sosfilt itself is 1.4e-5 dB from a long-double cascade. There the
+        # RMS amplitudes agree to 1e-11 of the band's loudest.
+        loudest = oracle.max(axis=1, keepdims=True, initial=-np.inf)
+        near = oracle >= loudest - 90.0
+        assert np.abs(out - oracle)[near].max(initial=0.0) <= 1e-8
+        rms_gap = np.abs(10 ** (out / 20) - 10 ** (oracle / 20))
+        assert np.all(rms_gap <= 1e-11 * 10 ** (loudest / 20))
+
+    def test_block_maps_reproduce_sosfilt(self):
+        _, sos = gammatone_bank()
+        w, m, k = gammatone_blocks()
+        block = w.shape[2]
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=block)
+        for band in (0, 64, N_BANDS - 1):
+            zi = rng.normal(size=(4, 2))
+            y, zf = signal.sosfilt(sos[band].copy(), x, zi=zi)
+            z = zi.reshape(-1)
+            np.testing.assert_allclose(np.concatenate([x, z]) @ w[band], y, rtol=1e-12)
+            np.testing.assert_allclose(m[band] @ z + k[band] @ x, zf.reshape(-1), rtol=1e-12)
+
     def test_zero_signal_floor(self):
         np.testing.assert_allclose(gammatone(np.zeros(64000) + 0.0), -100.0)
 
