@@ -15,7 +15,7 @@ from math import gcd
 import numpy as np
 from scipy import signal
 
-from .container import atomic_write
+from .container import Reader, atomic_write
 from .errors import (
     ClipTooShort,
     EmptyAudio,
@@ -56,75 +56,71 @@ class AudioClip:
         return self.samples.size
 
 
-def _read_chunks(path, raw: bytes):
-    """Yield (chunk id, payload offset, payload) from a RIFF body."""
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid, size = struct.unpack_from("<4sI", raw, pos)
-        if pos + 8 + size > len(raw):
-            raise MalformedHeader(
-                f"{path}: chunk {cid!r} at offset {pos} declares {size} bytes, "
-                f"{len(raw) - pos - 8} left"
-            )
-        yield cid, pos + 8, raw[pos + 8 : pos + 8 + size]
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+# (format tag, bits per sample) -> (sample dtype, scale to [-1, 1]); a 24-bit
+# sample is widened into the top three bytes of an int32
+_ENCODINGS = {(1, 16): ("<i2", 2.0**-15), (1, 24): ("<i4", 2.0**-31), (3, 32): ("<f4", 1.0)}
+# from 8 kHz, resampling to PIPELINE_RATE at most quadruples a clip
+MIN_RATE = 8000
 
 
 def load_wav(path) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip scaled to [-1, 1].
 
-    Accepts 16-bit PCM and 32-bit IEEE float encodings; multi-channel
-    content is averaged down to mono.
+    Accepts 16-bit and 24-bit PCM and 32-bit IEEE float at MIN_RATE or
+    above; multi-channel content is averaged down to mono. A file that is
+    truncated or malformed raises MalformedHeader, one in another encoding
+    UnsupportedEncoding, and one with no samples or a non-finite one
+    EmptyAudio, each naming the path and the offset.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    data = None
-    for cid, offset, payload in _read_chunks(path, raw):
+    rd = Reader(path, MalformedHeader)
+    riff, _, wave = rd.unpack("<4sI4s", "RIFF header")
+    if riff != b"RIFF" or wave != b"WAVE":
+        rd.fail("not a RIFF/WAVE file", 0)
+    fmt = data = None
+    while rd.left:
+        cid, size = rd.unpack("<4sI", "chunk header")
         if cid == b"fmt ":
-            if len(payload) < 16:
-                raise MalformedHeader(f"{path}: truncated fmt chunk at offset {offset}")
-            fmt = struct.unpack_from("<HHIIHH", payload, 0)
+            if size < 16:
+                rd.fail("truncated fmt chunk")
+            fmt_at, fmt = rd.pos, rd.unpack("<HHIIHH", "fmt chunk")
+            rd.skip(size - 16, "fmt chunk")
         elif cid == b"data":
-            data_at, data = offset, payload
+            data_at, data = rd.pos, rd.array("u1", (size,), "data chunk")
+        else:
+            rd.skip(size, f"{cid!r} chunk")
+        if size & 1 and rd.left:  # word-aligned; some writers drop the last pad byte
+            rd.skip(1, "pad byte")
     if fmt is None or data is None:
-        raise MalformedHeader(f"{path}: missing fmt or data chunk")
+        rd.fail("missing fmt or data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels < 1:
-        raise MalformedHeader(f"{path}: zero channels")
-    if sample_rate <= 0:
-        raise MalformedHeader(f"{path}: non-positive sample rate {sample_rate}")
-    if audio_format == 1 and bits == 16:
-        dtype, scale = "<i2", 1.0 / 32768.0
-    elif audio_format == 3 and bits == 32:
-        dtype, scale = "<f4", 1.0
-    else:
-        raise UnsupportedEncoding(
-            f"{path}: format {audio_format}/{bits}-bit (want PCM16 or float32)"
-        )
+        rd.fail("zero channels", fmt_at + 2)
+    if sample_rate < MIN_RATE:
+        rd.fail(f"sample rate {sample_rate} Hz below {MIN_RATE} Hz", fmt_at + 4)
+    if (audio_format, bits) not in _ENCODINGS:
+        rd.fail(f"format {audio_format}/{bits}-bit (want PCM16, PCM24 or float32)",
+                fmt_at, UnsupportedEncoding)
+    dtype, scale = _ENCODINGS[audio_format, bits]
     frame = n_channels * bits // 8
-    if len(data) % frame:
-        raise MalformedHeader(
-            f"{path}: data chunk of {len(data)} bytes is not a whole number of "
-            f"{n_channels}-channel {bits}-bit frames"
-        )
-    if not data:
-        raise EmptyAudio(f"{path}: empty data chunk")
+    if data.size % frame:
+        rd.fail(f"data chunk of {data.size} bytes is not a whole number of "
+                f"{n_channels}-channel {bits}-bit frames", data_at)
+    if not data.size:
+        rd.fail("empty data chunk", data_at, EmptyAudio)
+    if bits == 24:
+        wide = np.zeros((data.size // 3, 4), np.uint8)
+        wide[:, 1:] = data.reshape(-1, 3)
+        data = wide.reshape(-1)
     with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
-        x = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+        x = data.view(dtype).astype(np.float64) * scale
     if n_channels > 1:
         x = x.reshape(-1, n_channels).mean(axis=1)
     try:
-        return AudioClip(samples=x, sample_rate=int(sample_rate))
+        return AudioClip(samples=x, sample_rate=sample_rate)
     except EmptyAudio:  # a float32 payload holding inf or NaN
         bad = int(np.argmin(np.isfinite(x)))
-        raise EmptyAudio(
-            f"{path}: non-finite sample in frame {bad} at offset {data_at + bad * frame}"
-        ) from None
+        rd.fail(f"non-finite sample in frame {bad}", data_at + bad * frame, EmptyAudio)
 
 
 def save_wav(path, clip: AudioClip) -> None:

@@ -12,6 +12,7 @@ end of the file, are still read.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -65,8 +66,9 @@ def write_cache(path, frontend: str, records) -> int:
                 fh.write(struct.pack(_HEADER + "I", _FRONTEND_IDS[frontend], *dims, 0))
             elif feats.shape != dims:
                 raise ShapeMismatch(f"record shape {feats.shape} != cache dims {dims}")
-            if not 0 <= int(label) <= 255:
-                raise IOFailure(f"record {count}: label {label} outside 0..255")
+            if (isinstance(label, bool) or not isinstance(label, numbers.Real)
+                    or not float(label).is_integer() or not 0 <= label <= 255):
+                raise IOFailure(f"record {count}: label {label!r} is not a whole number in 0..255")
             tag = str(device).encode("utf-8")
             if len(tag) > 255:
                 raise IOFailure(f"record {count}: device tag too long: {device!r}")
@@ -92,12 +94,12 @@ def read_cache(path) -> FeatureSet:
         rd.fail(f"unknown frontend id {frontend_id}", len(_MAGIC) + 2)
     count = None if version == 1 else rd.unpack("<I", "record count")[0]
     feats, labels, devices = [], [], []
-    while rd.pos < len(rd.raw) if count is None else len(feats) < count:
+    while rd.left if count is None else len(feats) < count:
         label, tag_len = rd.unpack("<BB", f"record {len(feats)} header")
         devices.append(rd.text(tag_len, f"record {len(feats)} device tag"))
         labels.append(label)
         start = rd.pos
-        feats.append(rd.floats(dims, f"record {len(feats)} payload"))
+        feats.append(rd.array("<f4", dims, f"record {len(feats)} payload"))
         if not np.isfinite(feats[-1]).all():
             rd.fail(f"record {len(feats) - 1} payload holds a non-finite value", start)
     if not feats:

@@ -1,8 +1,8 @@
-"""Bounds-checked reading and atomic writing for the toolkit's binary files:
-ASCW weight files (`tensor.save_weights`) and ASCF feature caches
+"""Bounds-checked reading and atomic writing for the toolkit's files: ASCW
+weight files (`tensor.save_weights`) and ASCF feature caches
 (`cache.write_cache`), which both open with a 4-byte magic and a u16
-version. WAV files (`audio.save_wav`) are written through `atomic_write`
-too."""
+version, and WAV files (`audio.save_wav`). `Reader` is the only code that
+bounds-checks file bytes; `load_wav` walks RIFF chunks through it too."""
 
 from __future__ import annotations
 
@@ -19,29 +19,37 @@ from .errors import IOFailure
 
 class Reader:
     """Cursor over the bytes of one file. Every read that runs past the end
-    or finds malformed data raises IOFailure naming the path and offset."""
+    or finds malformed data raises `error`, or the class a check passes to
+    `fail`, naming the path and offset."""
 
-    def __init__(self, path):
+    def __init__(self, path, error=IOFailure):
         self.path = path
+        self.error = error
         with open(path, "rb") as fh:
             self.raw = fh.read()
         self.pos = 0
 
-    def fail(self, message, offset=None):
-        offset = self.pos if offset is None else offset
-        raise IOFailure(f"{self.path}: {message} at offset {offset}")
+    @property
+    def left(self) -> int:
+        """Bytes after the cursor."""
+        return len(self.raw) - self.pos
 
-    def _advance(self, size, what):
+    def fail(self, message, offset=None, error=None):
+        offset = self.pos if offset is None else offset
+        raise (error or self.error)(f"{self.path}: {message} at offset {offset}") from None
+
+    def skip(self, size: int, what: str) -> int:
+        """Move the cursor past `size` bytes of `what`; return where they start."""
         start = self.pos
-        if size > len(self.raw) - start:
-            self.fail(f"truncated {what}: need {size} bytes, {len(self.raw) - start} left")
+        if size > self.left:
+            self.fail(f"truncated {what}: need {size} bytes, {self.left} left")
         self.pos = start + size
         return start
 
     def expect_end(self, what: str) -> None:
         """Reject any bytes left after `what`, the last item of the file."""
-        if self.pos < len(self.raw):
-            self.fail(f"{len(self.raw) - self.pos} bytes after {what}")
+        if self.left:
+            self.fail(f"{self.left} bytes after {what}")
 
     def header(self, magic: bytes, versions, fmt: str) -> tuple:
         """Check the magic and that the version is one of `versions`; return
@@ -55,21 +63,21 @@ class Reader:
         return (found,) + self.unpack(fmt, "header")
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        start = self._advance(struct.calcsize(fmt), what)
+        start = self.skip(struct.calcsize(fmt), what)
         return struct.unpack_from(fmt, self.raw, start)
 
     def text(self, size: int, what: str) -> str:
-        start = self._advance(size, what)
+        start = self.skip(size, what)
         try:
             return self.raw[start : self.pos].decode("utf-8")
         except UnicodeDecodeError:
             self.fail(f"{what} is not UTF-8", start)
 
-    def floats(self, shape, what: str) -> np.ndarray:
-        """Read-only little-endian float32 view of the file bytes."""
+    def array(self, dtype: str, shape, what: str) -> np.ndarray:
+        """Read-only view of the file bytes as an array of `dtype`."""
         count = math.prod(shape)
-        start = self._advance(4 * count, what)
-        flat = np.frombuffer(self.raw, dtype="<f4", count=count, offset=start)
+        start = self.skip(np.dtype(dtype).itemsize * count, what)
+        flat = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
         try:
             return flat.reshape(shape)
         except ValueError:  # an empty array whose other dims overflow

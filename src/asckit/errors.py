@@ -7,11 +7,13 @@ class AscKitError(Exception):
 
 # audio ingestion
 class MalformedHeader(AscKitError):
-    """The file is not a parseable RIFF/WAVE container."""
+    """A WAV file is truncated or not a parseable RIFF/WAVE container, or
+    its header declares no channels or a rate below `audio.MIN_RATE`; a
+    clip's sample rate is not a positive whole number."""
 
 
 class UnsupportedEncoding(AscKitError):
-    """The WAV encoding is not 16-bit PCM or 32-bit IEEE float."""
+    """The WAV encoding is not 16-bit PCM, 24-bit PCM or 32-bit IEEE float."""
 
 
 class EmptyAudio(AscKitError):

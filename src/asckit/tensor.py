@@ -582,6 +582,6 @@ def load_weights(path) -> dict:
         dims = rd.unpack(f"<{rank}I", f"{name} dims")
         if name in named:
             rd.fail(f"duplicate entry {name!r}", start)
-        named[name] = rd.floats(dims, f"{name} payload")
+        named[name] = rd.array("<f4", dims, f"{name} payload")
     rd.expect_end(f"the last of {count} entries")
     return named

@@ -1,4 +1,7 @@
-"""Hypothesis settings and byte damage shared by the file-reader fuzz tests."""
+"""Hypothesis settings, byte damage and the error-message check shared by the
+file-reader tests."""
+
+import re
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -15,3 +18,9 @@ def flip(raw, flips):
     for pos, mask in flips:
         out[pos % len(out)] ^= mask
     return bytes(out)
+
+
+def assert_names_path_and_offset(exc_info, path):
+    message = str(exc_info.value)
+    assert str(path) in message
+    assert re.search(r"at offset \d+", message), message

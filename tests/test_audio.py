@@ -1,12 +1,14 @@
 import os
+import re
 import struct
+import wave
 
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from asckit.audio import (
+    MIN_RATE,
     PIPELINE_RATE,
     SEGMENT_SAMPLES,
     AudioClip,
@@ -23,7 +25,7 @@ from asckit.errors import (
     ShapeMismatch,
     UnsupportedEncoding,
 )
-from byte_fuzz import FUZZ, flip, flips
+from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
 
 
 def write_pcm16(path, samples_i16, rate, n_channels=1):
@@ -94,7 +96,8 @@ class TestLoadWav:
             b"data", 4,
         )
         p.write_bytes(hdr + b"\x00" * 4)
-        with pytest.raises(UnsupportedEncoding):
+        with pytest.raises(UnsupportedEncoding,
+                           match=r"format 7/8-bit \(want PCM16, PCM24 or float32\) at offset 20"):
             load_wav(p)
 
     def test_empty_payload(self, tmp_path):
@@ -104,8 +107,9 @@ class TestLoadWav:
             load_wav(p)
 
     @pytest.mark.parametrize("fmt,bits,payload", [(1, 16, b"\x01\x02\x03"),
+                                                  (1, 24, b"\x00" * 5),
                                                   (3, 32, b"\x00" * 6)],
-                             ids=["pcm16-3-bytes", "float32-6-bytes"])
+                             ids=["pcm16-3-bytes", "pcm24-5-bytes", "float32-6-bytes"])
     def test_partial_sample_payload(self, tmp_path, fmt, bits, payload):
         p = tmp_path / "partial.wav"
         hdr = struct.pack(
@@ -115,7 +119,7 @@ class TestLoadWav:
             b"data", len(payload),
         )
         p.write_bytes(hdr + payload)
-        with pytest.raises(MalformedHeader, match="partial.wav"):
+        with pytest.raises(MalformedHeader, match=r"partial\.wav: data chunk .* at offset 44"):
             load_wav(p)
 
     def test_partial_stereo_frame(self, tmp_path):
@@ -130,12 +134,55 @@ class TestLoadWav:
         with pytest.raises(MalformedHeader, match="rate0.wav"):
             load_wav(p)
 
+    @pytest.mark.parametrize("rate", [1, MIN_RATE - 1])
+    def test_rate_below_floor_names_path_and_offset(self, tmp_path, rate):
+        # a 1 Hz header would make resample_to_32k upsample 32000-fold
+        p = tmp_path / "slow.wav"
+        write_pcm16(p, np.zeros(10, dtype=np.int16), rate)
+        with pytest.raises(MalformedHeader,
+                           match=rf"slow\.wav: sample rate {rate} Hz below 8000 Hz at offset 24"):
+            load_wav(p)
+
+    def test_rate_at_floor_loads(self, tmp_path):
+        p = tmp_path / "8k.wav"
+        write_pcm16(p, np.full(10, 16384, dtype=np.int16), MIN_RATE)
+        clip = load_wav(p)
+        assert clip.sample_rate == 8000
+        assert np.all(clip.samples == 0.5)
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_pcm24_scaled_by_2_to_the_minus_23(self, tmp_path, n_channels):
+        # the encoding of the TAU Urban Acoustic Scenes recordings
+        p = tmp_path / "pcm24.wav"
+        ints = np.array([0, 1, -1, 2**23 - 1, -(2**23), 123456, -654321, 42], dtype="<i4")
+        with wave.open(str(p), "wb") as fh:
+            fh.setnchannels(n_channels)
+            fh.setsampwidth(3)
+            fh.setframerate(48000)
+            fh.writeframes(b"".join(int(v).to_bytes(3, "little", signed=True) for v in ints))
+        clip = load_wav(p)
+        assert clip.sample_rate == 48000
+        expected = ints.reshape(-1, n_channels).mean(axis=1) * 2.0**-23
+        np.testing.assert_array_equal(clip.samples, expected)
+
+    def test_odd_chunks_padded_except_at_the_end(self, tmp_path):
+        # a 3-byte LIST chunk and its pad byte, then a 3-byte PCM24 data chunk
+        # whose pad byte the writer left out
+        p = tmp_path / "odd.wav"
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 24000, 3, 24)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+                + b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+                + b"data" + struct.pack("<I", 3) + (-2).to_bytes(3, "little", signed=True))
+        p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert load_wav(p).samples.tolist() == [-2 * 2.0**-23]
+
     def test_overrunning_chunk_names_path_and_offset(self, tmp_path):
         p = tmp_path / "cut.wav"
         write_pcm16(p, np.zeros(10, dtype=np.int16), 32000)
         p.write_bytes(p.read_bytes()[:-1])
         with pytest.raises(MalformedHeader,
-                           match=r"cut\.wav: chunk b'data' at offset 36 declares 20 bytes, 19 left"):
+                           match=r"cut\.wav: truncated data chunk: need 20 bytes, 19 left "
+                                 r"at offset 44"):
             load_wav(p)
 
     @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFF800000],
@@ -175,23 +222,28 @@ class TestLoadWav:
 
 class TestLoadWavFuzz:
     """A damaged file either loads as a finite clip or raises a toolkit
-    error naming the file."""
+    error naming the file and the offset."""
 
-    @staticmethod
-    def _valid(tmp_path):
+    VALID = {
+        "float32-mono": lambda p: write_float32(p, np.linspace(-1.0, 1.0, 16), 32000),
+        "pcm16-stereo": lambda p: write_pcm16(p, np.arange(-16, 16), 32000, n_channels=2),
+    }
+
+    @classmethod
+    def _valid(cls, tmp_path, kind="float32-mono"):
         p = tmp_path / "ok.wav"
-        write_float32(p, np.linspace(-1.0, 1.0, 16), 32000)
+        cls.VALID[kind](p)
         return p.read_bytes()
 
-    @FUZZ
-    @given(cut=st.integers(0, 10**6))
-    def test_truncated_file_raises_naming_the_path(self, tmp_path, cut):
-        raw = self._valid(tmp_path)
-        bad = tmp_path / "cut.wav"
-        bad.write_bytes(raw[: cut % len(raw)])
-        with pytest.raises(AscKitError) as exc_info:
-            load_wav(bad)
-        assert str(bad) in str(exc_info.value)
+    @pytest.mark.parametrize("kind", VALID)
+    def test_every_truncation_rejected(self, tmp_path, kind):
+        raw = self._valid(tmp_path, kind)
+        cut = tmp_path / "cut.wav"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(AscKitError) as exc_info:
+                load_wav(cut)
+            assert_names_path_and_offset(exc_info, cut)
 
     @FUZZ
     @given(flips=flips)
@@ -201,7 +253,7 @@ class TestLoadWavFuzz:
         try:
             clip = load_wav(bad)
         except AscKitError as exc:
-            assert str(bad) in str(exc), str(exc)
+            assert str(bad) in str(exc) and re.search(r"at offset \d+", str(exc)), str(exc)
         else:
             assert clip.n_samples > 0 and np.all(np.isfinite(clip.samples))
 

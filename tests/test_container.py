@@ -11,7 +11,7 @@ from asckit import models
 from asckit import tensor as T
 from asckit.cache import read_cache, write_cache
 from asckit.errors import IOFailure
-from byte_fuzz import FUZZ, flip, flips
+from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
 
 WEIGHTS = {
     "conv.w": np.arange(12, dtype=np.float32).reshape(2, 3, 2),
@@ -51,12 +51,6 @@ def _record_ends():
     return ends
 
 
-def _assert_names_path_and_offset(exc_info, path):
-    message = str(exc_info.value)
-    assert str(path) in message
-    assert re.search(r"at offset \d+", message), message
-
-
 class TestWeights:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "w.ascw"
@@ -72,7 +66,7 @@ class TestWeights:
             cut.write_bytes(raw[:n])
             with pytest.raises(IOFailure) as exc_info:
                 T.load_weights(cut)
-            _assert_names_path_and_offset(exc_info, cut)
+            assert_names_path_and_offset(exc_info, cut)
 
     @FUZZ
     @given(flips=flips)
@@ -93,14 +87,14 @@ class TestWeights:
                          + struct.pack("<B4I", 4, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
         with pytest.raises(IOFailure, match="too large") as exc_info:
             T.load_weights(path)
-        _assert_names_path_and_offset(exc_info, path)
+        assert_names_path_and_offset(exc_info, path)
 
     def test_non_utf8_name_rejected(self, tmp_path):
         path, raw = _write_weights(tmp_path)
         path.write_bytes(raw.replace(b"conv.w", b"conv.\xff"))
         with pytest.raises(IOFailure, match="not UTF-8") as exc_info:
             T.load_weights(path)
-        _assert_names_path_and_offset(exc_info, path)
+        assert_names_path_and_offset(exc_info, path)
 
     @pytest.mark.parametrize("extra", [bytes(100), b"junk"], ids=["zeros", "junk"])
     def test_trailing_bytes_rejected(self, tmp_path, extra):
@@ -141,7 +135,7 @@ class TestCache:
             cut.write_bytes(raw[:n])
             with pytest.raises(IOFailure) as exc_info:
                 read_cache(cut)
-            _assert_names_path_and_offset(exc_info, cut)
+            assert_names_path_and_offset(exc_info, cut)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         # a whole extra record past the count, as from two caches concatenated
@@ -171,7 +165,7 @@ class TestCache:
                 continue
             with pytest.raises(IOFailure) as exc_info:
                 read_cache(cut)
-            _assert_names_path_and_offset(exc_info, cut)
+            assert_names_path_and_offset(exc_info, cut)
 
     @FUZZ
     @given(flips=flips)
@@ -191,7 +185,7 @@ class TestCache:
         path.write_bytes(raw.replace("Gerät".encode(), b"Ger\xff\xfet"))
         with pytest.raises(IOFailure, match="not UTF-8") as exc_info:
             read_cache(path)
-        _assert_names_path_and_offset(exc_info, path)
+        assert_names_path_and_offset(exc_info, path)
 
     def test_header_without_records_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)
@@ -206,8 +200,9 @@ class TestCache:
         with pytest.raises(IOFailure, match="frontend id 9 at offset 6"):
             read_cache(path)
 
-    @pytest.mark.parametrize("label", [256, -1])
+    @pytest.mark.parametrize("label", [256, -1, 3.7, True])
     def test_label_outside_a_byte_rejected_and_nothing_written(self, tmp_path, label):
+        # a fraction or a bool is not a class index, though int() would take it
         records = RECORDS[:1] + [(RECORDS[1][0], label, "B")]
         with pytest.raises(IOFailure, match="record 1"):
             write_cache(tmp_path / "c.ascf", "gam", records)
