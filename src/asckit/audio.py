@@ -16,13 +16,7 @@ import numpy as np
 from scipy import signal
 
 from .container import Reader, atomic_write
-from .errors import (
-    ClipTooShort,
-    EmptyAudio,
-    MalformedHeader,
-    ShapeMismatch,
-    UnsupportedEncoding,
-)
+from .errors import ShapeMismatch
 
 PIPELINE_RATE = 32000
 SEGMENT_SECONDS = 10
@@ -43,12 +37,12 @@ class AudioClip:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
-            raise EmptyAudio("clip must hold at least one mono sample")
+            raise ShapeMismatch("clip must hold at least one mono sample")
         if not np.all(np.isfinite(self.samples)):
-            raise EmptyAudio("clip contains non-finite samples")
+            raise ShapeMismatch("clip contains non-finite samples")
         rate = self.sample_rate
         if not (isinstance(rate, numbers.Real) and float(rate).is_integer() and rate > 0):
-            raise MalformedHeader(f"sample rate must be a positive whole number, got {rate!r}")
+            raise ShapeMismatch(f"sample rate must be a positive whole number, got {rate!r}")
         self.sample_rate = int(rate)
 
     @property
@@ -68,11 +62,10 @@ def load_wav(path) -> AudioClip:
 
     Accepts 16-bit and 24-bit PCM and 32-bit IEEE float at MIN_RATE or
     above; multi-channel content is averaged down to mono. A file that is
-    truncated or malformed raises MalformedHeader, one in another encoding
-    UnsupportedEncoding, and one with no samples or a non-finite one
-    EmptyAudio, each naming the path and the offset.
+    truncated, malformed, in another encoding, or holds no samples or a
+    non-finite one raises IOFailure naming the path and the offset.
     """
-    rd = Reader(path, MalformedHeader)
+    rd = Reader(path)
     riff, _, wave = rd.unpack("<4sI4s", "RIFF header")
     if riff != b"RIFF" or wave != b"WAVE":
         rd.fail("not a RIFF/WAVE file", 0)
@@ -99,15 +92,14 @@ def load_wav(path) -> AudioClip:
     if sample_rate < MIN_RATE:
         rd.fail(f"sample rate {sample_rate} Hz below {MIN_RATE} Hz", fmt_at + 4)
     if (audio_format, bits) not in _ENCODINGS:
-        rd.fail(f"format {audio_format}/{bits}-bit (want PCM16, PCM24 or float32)",
-                fmt_at, UnsupportedEncoding)
+        rd.fail(f"format {audio_format}/{bits}-bit (want PCM16, PCM24 or float32)", fmt_at)
     dtype, scale = _ENCODINGS[audio_format, bits]
     frame = n_channels * bits // 8
     if data.size % frame:
         rd.fail(f"data chunk of {data.size} bytes is not a whole number of "
                 f"{n_channels}-channel {bits}-bit frames", data_at)
     if not data.size:
-        rd.fail("empty data chunk", data_at, EmptyAudio)
+        rd.fail("empty data chunk", data_at)
     if bits == 24:
         wide = np.zeros((data.size // 3, 4), np.uint8)
         wide[:, 1:] = data.reshape(-1, 3)
@@ -118,9 +110,9 @@ def load_wav(path) -> AudioClip:
         x = x.reshape(-1, n_channels).mean(axis=1)
     try:
         return AudioClip(samples=x, sample_rate=sample_rate)
-    except EmptyAudio:  # a float32 payload holding inf or NaN
+    except ShapeMismatch:  # a float32 payload holding inf or NaN
         bad = int(np.argmin(np.isfinite(x)))
-        rd.fail(f"non-finite sample in frame {bad}", data_at + bad * frame, EmptyAudio)
+        rd.fail(f"non-finite sample in frame {bad}", data_at + bad * frame)
 
 
 def save_wav(path, clip: AudioClip) -> None:
@@ -160,8 +152,10 @@ def resample_to_32k(clip: AudioClip) -> AudioClip:
     """Band-limited polyphase resampling to PIPELINE_RATE.
 
     Identity when the clip is already at 32 kHz; otherwise the output length
-    is round(n * 32000 / rate_in).
+    is round(n * 32000 / rate_in). A clip below MIN_RATE raises ShapeMismatch.
     """
+    if clip.sample_rate < MIN_RATE:
+        raise ShapeMismatch(f"sample rate {clip.sample_rate} Hz below {MIN_RATE} Hz")
     if clip.sample_rate == PIPELINE_RATE:
         return clip
     g = gcd(clip.sample_rate, PIPELINE_RATE)
@@ -185,7 +179,7 @@ def segment_10s(clip: AudioClip) -> list[AudioClip]:
         )
     n_seg = clip.n_samples // SEGMENT_SAMPLES
     if n_seg == 0:
-        raise ClipTooShort(
+        raise ShapeMismatch(
             f"clip of {clip.n_samples} samples is shorter than one segment "
             f"({SEGMENT_SAMPLES})"
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchTooSmall, CropWiderThanInput, MaskLongerThanAxis, ShapeMismatch
+from .errors import ShapeMismatch
 from .models import INPUT_SHAPE
 
 CROP_WIDTH = INPUT_SHAPE[1]
@@ -65,7 +65,7 @@ def random_crop(batch: LabeledBatch, rngs) -> LabeledBatch:
     from its own stream in `rngs`, one Generator per sample."""
     t_len = batch.features.shape[2]
     if CROP_WIDTH > t_len:
-        raise CropWiderThanInput(f"crop {CROP_WIDTH} > time axis {t_len}")
+        raise ShapeMismatch(f"crop {CROP_WIDTH} > time axis {t_len}")
     rngs = _per_sample_rngs(rngs, batch.size)
     out = np.empty(batch.features.shape[:2] + (CROP_WIDTH,) + batch.features.shape[3:],
                    dtype=batch.features.dtype)
@@ -85,7 +85,7 @@ def spec_augment(batch: LabeledBatch, rngs) -> LabeledBatch:
     feats = batch.features.copy()
     _, f_len, t_len, _ = feats.shape
     if MASK_LEN > min(f_len, t_len):
-        raise MaskLongerThanAxis(f"mask {MASK_LEN} exceeds axis lengths ({f_len}, {t_len})")
+        raise ShapeMismatch(f"mask {MASK_LEN} exceeds axis lengths ({f_len}, {t_len})")
     for i, r in enumerate(_per_sample_rngs(rngs, batch.size)):
         axis_is_freq = bool(r.integers(0, 2) == 0)
         span = f_len if axis_is_freq else t_len
@@ -105,7 +105,7 @@ def mixup(batch: LabeledBatch, rng, per_sample_rngs) -> LabeledBatch:
     `per_sample_rngs`; the permutation comes from the batch-level `rng`.
     """
     if batch.size < 2:
-        raise BatchTooSmall("mixup needs at least two samples")
+        raise ShapeMismatch("mixup needs at least two samples")
     perm = rng.permutation(batch.size)
     lams = np.array([r.beta(MIXUP_ALPHA, MIXUP_ALPHA)
                      for r in _per_sample_rngs(per_sample_rngs, batch.size)])
@@ -136,6 +136,6 @@ def center_crop(features: np.ndarray, crop_width: int) -> np.ndarray:
     """Deterministic center crop of the time axis (no-augmentation phase)."""
     t_len = features.shape[2]
     if crop_width > t_len:
-        raise CropWiderThanInput(f"crop {crop_width} > time axis {t_len}")
+        raise ShapeMismatch(f"crop {crop_width} > time axis {t_len}")
     left = (t_len - crop_width) // 2
     return features[:, :, left : left + crop_width]

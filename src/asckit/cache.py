@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import Reader, atomic_write
-from .errors import IOFailure, ShapeMismatch
+from .errors import ConfigMismatch, IOFailure, ShapeMismatch
 from .frontend import FRONTENDS
 
 _MAGIC = b"ASCF"
@@ -49,7 +49,7 @@ def write_cache(path, frontend: str, records) -> int:
     On any error no file is left at `path`, or the one already there is kept.
     """
     if frontend not in _FRONTEND_IDS:
-        raise IOFailure(f"unknown frontend {frontend!r}")
+        raise ConfigMismatch(f"unknown frontend {frontend!r}")
     count = 0
     dims = None
     with atomic_write(path) as fh:

@@ -2,7 +2,8 @@
 weight files (`tensor.save_weights`) and ASCF feature caches
 (`cache.write_cache`), which both open with a 4-byte magic and a u16
 version, and WAV files (`audio.save_wav`). `Reader` is the only code that
-bounds-checks file bytes; `load_wav` walks RIFF chunks through it too."""
+bounds-checks file bytes; `load_wav` walks RIFF chunks through it too, so
+every malformed input file raises `IOFailure`."""
 
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ from .errors import IOFailure
 
 class Reader:
     """Cursor over the bytes of one file. Every read that runs past the end
-    or finds malformed data raises `error`, or the class a check passes to
-    `fail`, naming the path and offset."""
+    or finds malformed data raises `IOFailure` through `fail`, naming the
+    path and offset."""
 
-    def __init__(self, path, error=IOFailure):
+    def __init__(self, path):
         self.path = path
-        self.error = error
         with open(path, "rb") as fh:
             self.raw = fh.read()
         self.pos = 0
@@ -34,9 +34,9 @@ class Reader:
         """Bytes after the cursor."""
         return len(self.raw) - self.pos
 
-    def fail(self, message, offset=None, error=None):
+    def fail(self, message, offset=None):
         offset = self.pos if offset is None else offset
-        raise (error or self.error)(f"{self.path}: {message} at offset {offset}") from None
+        raise IOFailure(f"{self.path}: {message} at offset {offset}") from None
 
     def skip(self, size: int, what: str) -> int:
         """Move the cursor past `size` bytes of `what`; return where they start."""

@@ -1,64 +1,29 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: one class per kind of fault."""
 
 
 class AscKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-# audio ingestion
-class MalformedHeader(AscKitError):
-    """A WAV file is truncated or not a parseable RIFF/WAVE container, or
-    its header declares no channels or a rate below `audio.MIN_RATE`; a
-    clip's sample rate is not a positive whole number."""
-
-
-class UnsupportedEncoding(AscKitError):
-    """The WAV encoding is not 16-bit PCM, 24-bit PCM or 32-bit IEEE float."""
-
-
-class EmptyAudio(AscKitError):
-    """The audio payload holds no samples, or non-finite ones."""
-
-
-class ClipTooShort(AscKitError):
-    """A clip to cut into segments is shorter than one 10 s segment."""
+class IOFailure(AscKitError):
+    """A file could not be read or written for what it holds: a WAV file,
+    weight file or feature cache is truncated, malformed, in an unsupported
+    encoding or holds no or non-finite samples; a weight file does not match
+    the model; or a record cannot be written. For malformed input the
+    message names the path and the byte offset. Errors of the operating
+    system, such as a missing file, stay `OSError`."""
 
 
 class ShapeMismatch(AscKitError):
-    """Operands have incompatible shapes, a label row is off the simplex, a
-    front-end was given anything but one 10 s / 32 kHz segment, or a clip to
-    segment is not at 32 kHz."""
+    """The data given does not fit: operands of incompatible shapes; a label
+    row off the simplex; a clip that is empty, not mono, non-finite or at a
+    rate that is not a whole number, or one to resample below
+    `audio.MIN_RATE`, to segment not at 32 kHz or shorter than a segment, or
+    to extract features from not one 10 s / 32 kHz segment; or a batch too
+    small for a crop, mask or mixup."""
 
 
-# augmentation
-class CropWiderThanInput(AscKitError):
-    """Requested crop width exceeds the time axis length."""
-
-
-class MaskLongerThanAxis(AscKitError):
-    """Requested mask run exceeds the masked axis length."""
-
-
-class BatchTooSmall(AscKitError):
-    """The operation needs at least two samples in the batch."""
-
-
-# model zoo
 class ConfigMismatch(AscKitError):
-    """A setting is invalid: a duplicate parameter name, an unknown mode, a
-    dropout rate outside [0, 1), a train-mode dropout with no RNG, a batch
-    size below 1 or an unknown front-end name."""
-
-
-class UnknownVariant(AscKitError):
-    """Requested network variant name is not defined."""
-
-
-class WeightsNotLoaded(AscKitError):
-    """A weight file does not match the model's parameters and buffers."""
-
-
-# binary files
-class IOFailure(AscKitError):
-    """Reading or writing a weight file or feature cache failed; for
-    malformed input the message names the path and the byte offset."""
+    """A setting or name is invalid: an unknown variant, front-end, mode or
+    pooling kind, a duplicate parameter name, a dropout rate outside
+    [0, 1), a train-mode dropout with no RNG or a batch size below 1."""

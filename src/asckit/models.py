@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigMismatch, ShapeMismatch, UnknownVariant, WeightsNotLoaded
+from .errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 N_CLASSES = 10
 INPUT_SHAPE = (128, 256, 3)
@@ -106,11 +106,10 @@ class Module:
         named = T.load_weights(path)
         for name, current in self.state_dict().items():
             if name not in named:
-                raise WeightsNotLoaded(f"{path}: file is missing {name}")
+                raise IOFailure(f"{path}: file is missing {name}")
             if named[name].shape != current.shape:
-                raise WeightsNotLoaded(
-                    f"{path}: {name}: file shape {named[name].shape} != {current.shape}"
-                )
+                raise IOFailure(
+                    f"{path}: {name}: file shape {named[name].shape} != {current.shape}")
         for p in self.params():
             p.data = named[p.name].astype(np.float32)
         for name, buf in self.buffers().items():
@@ -135,8 +134,7 @@ class Conv2D(Module):
             rng.uniform(-limit, limit, size=(kf, kt, cin, cout)).astype(np.float32),
             name=f"{name}.w",
         )
-        self.b = T.Parameter(np.zeros(cout, dtype=np.float32), name=f"{name}.b",
-                             l2_included=False)
+        self.b = T.Parameter(np.zeros(cout, dtype=np.float32), name=f"{name}.b")
 
     def __call__(self, x, mode, rng):
         return T.conv2d(x, self.w, self.b)
@@ -149,8 +147,7 @@ class Dense(Module):
             rng.uniform(-limit, limit, size=(din, dout)).astype(np.float32),
             name=f"{name}.w",
         )
-        self.b = T.Parameter(np.zeros(dout, dtype=np.float32), name=f"{name}.b",
-                             l2_included=False)
+        self.b = T.Parameter(np.zeros(dout, dtype=np.float32), name=f"{name}.b")
 
     def __call__(self, x, mode, rng):
         return T.dense(x, self.w, self.b)
@@ -162,10 +159,8 @@ class BatchNorm(Module):
 
     def __init__(self, name, channels):
         self.name = name
-        self.gamma = T.Parameter(np.ones(channels, dtype=np.float32),
-                                 name=f"{name}.gamma", l2_included=False)
-        self.beta = T.Parameter(np.zeros(channels, dtype=np.float32),
-                                name=f"{name}.beta", l2_included=False)
+        self.gamma = T.Parameter(np.ones(channels, dtype=np.float32), name=f"{name}.gamma")
+        self.beta = T.Parameter(np.zeros(channels, dtype=np.float32), name=f"{name}.beta")
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
@@ -309,9 +304,7 @@ class Network(Module):
 
 def build_network(variant: str, seed: int = 0) -> Network:
     if variant not in _VARIANTS:
-        raise UnknownVariant(
-            f"unknown variant {variant!r}; choose from {sorted(_VARIANTS)}"
-        )
+        raise ConfigMismatch(f"unknown variant {variant!r}; choose from {sorted(_VARIANTS)}")
     inception, incres, hidden = _VARIANTS[variant]
     rng = np.random.default_rng(seed)
     blocks = [Block(_units(InceptionUnit, "inception", INPUT_SHAPE[2], inception, rng))]

@@ -95,14 +95,19 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a unique name and an L2-inclusion flag."""
+    """Trainable tensor with a unique name."""
 
-    __slots__ = ("name", "l2_included")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name, l2_included=True):
+    def __init__(self, data, name):
         super().__init__(data, requires_grad=True, op="param")
         self.name = name
-        self.l2_included = l2_included
+
+    @property
+    def l2_included(self) -> bool:
+        """Weight decay applies to kernels and matrices, not to the biases and
+        norm scales and shifts."""
+        return self.data.ndim > 1
 
 
 _grad_enabled = True
@@ -540,7 +545,7 @@ def global_pool(x: Tensor, kind: str) -> Tensor:
     elif kind == "avg_freq":
         red = reduce_mean(x, 1)
     else:
-        raise ShapeMismatch(f"unknown global_pool kind {kind!r}")
+        raise ConfigMismatch(f"unknown global_pool kind {kind!r}")
     return reshape(red, (x.shape[0], -1))
 
 
@@ -548,40 +553,48 @@ def global_pool(x: Tensor, kind: str) -> Tensor:
 # weight serialization ("ASCW")
 
 _WEIGHT_MAGIC = b"ASCW"
-_WEIGHT_VERSION = 1
+_WEIGHT_VERSION = 2
+_WEIGHT_DTYPES = ("<f4", "<f8")  # dtype code -> payload dtype
 
 
 def save_weights(path, named_arrays: dict) -> None:
-    """Write named float32 tensors: magic, version u16, count u32, then
-    per entry a u16-length-prefixed name, rank u8, dims u32 each, payload."""
+    """Write named tensors, float64 ones as float64 and all others as
+    float32: magic, version u16, count u32, then per entry a
+    u16-length-prefixed name, rank u8, dtype code u8 (0 float32, 1 float64),
+    dims u32 each, payload. Version 1 had no dtype code and only float32."""
     with atomic_write(path) as fh:
         fh.write(_WEIGHT_MAGIC)
         fh.write(struct.pack("<HI", _WEIGHT_VERSION, len(named_arrays)))
         for name, arr in named_arrays.items():
-            arr = np.asarray(arr, dtype="<f4")
+            code = int(np.asarray(arr).dtype == np.float64)
+            arr = np.asarray(arr, dtype=_WEIGHT_DTYPES[code])
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise IOFailure(f"{path}: entry name over 65535 bytes: {name[:40]!r}...")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack("<BB", arr.ndim, code))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
 
 
 def load_weights(path) -> dict:
-    """Named read-only float32 arrays from a file written by save_weights."""
+    """Named read-only float32 or float64 arrays from a file written by
+    save_weights, or float32 ones from a version 1 file."""
     rd = Reader(path)
-    _, count = rd.header(_WEIGHT_MAGIC, (_WEIGHT_VERSION,), "<I")
+    version, count = rd.header(_WEIGHT_MAGIC, (1, _WEIGHT_VERSION), "<I")
     named = {}
     for _ in range(count):
         start = rd.pos
         (name_len,) = rd.unpack("<H", "name length")
         name = rd.text(name_len, "name")
         (rank,) = rd.unpack("<B", "rank")
+        code = 0 if version == 1 else rd.unpack("<B", f"{name} dtype code")[0]
+        if code >= len(_WEIGHT_DTYPES):
+            rd.fail(f"{name}: unknown dtype code {code}", rd.pos - 1)
         dims = rd.unpack(f"<{rank}I", f"{name} dims")
         if name in named:
             rd.fail(f"duplicate entry {name!r}", start)
-        named[name] = rd.array("<f4", dims, f"{name} payload")
+        named[name] = rd.array(_WEIGHT_DTYPES[code], dims, f"{name} payload")
     rd.expect_end(f"the last of {count} entries")
     return named

@@ -12,19 +12,13 @@ from asckit.audio import (
     PIPELINE_RATE,
     SEGMENT_SAMPLES,
     AudioClip,
+    _resample_filter,
     load_wav,
     resample_to_32k,
     save_wav,
     segment_10s,
 )
-from asckit.errors import (
-    AscKitError,
-    ClipTooShort,
-    EmptyAudio,
-    MalformedHeader,
-    ShapeMismatch,
-    UnsupportedEncoding,
-)
+from asckit.errors import IOFailure, ShapeMismatch
 from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
 
 
@@ -84,7 +78,7 @@ class TestLoadWav:
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.wav"
         p.write_bytes(b"NOTAWAVEFILE")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(IOFailure, match=r"bad\.wav: not a RIFF/WAVE file at offset 0"):
             load_wav(p)
 
     def test_unsupported_encoding(self, tmp_path):
@@ -96,14 +90,14 @@ class TestLoadWav:
             b"data", 4,
         )
         p.write_bytes(hdr + b"\x00" * 4)
-        with pytest.raises(UnsupportedEncoding,
+        with pytest.raises(IOFailure,
                            match=r"format 7/8-bit \(want PCM16, PCM24 or float32\) at offset 20"):
             load_wav(p)
 
     def test_empty_payload(self, tmp_path):
         p = tmp_path / "empty.wav"
         write_pcm16(p, np.zeros(0, dtype=np.int16), 32000)
-        with pytest.raises(EmptyAudio):
+        with pytest.raises(IOFailure, match=r"empty\.wav: empty data chunk at offset 44"):
             load_wav(p)
 
     @pytest.mark.parametrize("fmt,bits,payload", [(1, 16, b"\x01\x02\x03"),
@@ -119,19 +113,21 @@ class TestLoadWav:
             b"data", len(payload),
         )
         p.write_bytes(hdr + payload)
-        with pytest.raises(MalformedHeader, match=r"partial\.wav: data chunk .* at offset 44"):
+        with pytest.raises(IOFailure, match=r"partial\.wav: data chunk .* at offset 44"):
             load_wav(p)
 
     def test_partial_stereo_frame(self, tmp_path):
         p = tmp_path / "odd.wav"
         write_pcm16(p, np.zeros(5, dtype=np.int16), 32000, n_channels=2)
-        with pytest.raises(MalformedHeader, match="odd.wav"):
+        with pytest.raises(IOFailure, match=r"odd\.wav: data chunk of 10 bytes is not a whole "
+                                            r"number of 2-channel 16-bit frames at offset 44"):
             load_wav(p)
 
     def test_zero_sample_rate(self, tmp_path):
         p = tmp_path / "rate0.wav"
         write_pcm16(p, np.zeros(10, dtype=np.int16), 0)
-        with pytest.raises(MalformedHeader, match="rate0.wav"):
+        with pytest.raises(IOFailure,
+                           match=r"rate0\.wav: sample rate 0 Hz below 8000 Hz at offset 24"):
             load_wav(p)
 
     @pytest.mark.parametrize("rate", [1, MIN_RATE - 1])
@@ -139,7 +135,7 @@ class TestLoadWav:
         # a 1 Hz header would make resample_to_32k upsample 32000-fold
         p = tmp_path / "slow.wav"
         write_pcm16(p, np.zeros(10, dtype=np.int16), rate)
-        with pytest.raises(MalformedHeader,
+        with pytest.raises(IOFailure,
                            match=rf"slow\.wav: sample rate {rate} Hz below 8000 Hz at offset 24"):
             load_wav(p)
 
@@ -180,7 +176,7 @@ class TestLoadWav:
         p = tmp_path / "cut.wav"
         write_pcm16(p, np.zeros(10, dtype=np.int16), 32000)
         p.write_bytes(p.read_bytes()[:-1])
-        with pytest.raises(MalformedHeader,
+        with pytest.raises(IOFailure,
                            match=r"cut\.wav: truncated data chunk: need 20 bytes, 19 left "
                                  r"at offset 44"):
             load_wav(p)
@@ -192,7 +188,7 @@ class TestLoadWav:
         x = np.array([0.5, 0.25, 0.0, 0.0], dtype="<f4")
         x.view("<u4")[2] = bits
         write_float32(p, x, 32000)
-        with pytest.raises(EmptyAudio, match=r"nan\.wav: non-finite sample in frame 2 at offset 52"):
+        with pytest.raises(IOFailure, match=r"nan\.wav: non-finite sample in frame 2 at offset 52"):
             load_wav(p)
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -221,8 +217,8 @@ class TestLoadWav:
 
 
 class TestLoadWavFuzz:
-    """A damaged file either loads as a finite clip or raises a toolkit
-    error naming the file and the offset."""
+    """A damaged file either loads as a finite clip or raises IOFailure
+    naming the file and the offset."""
 
     VALID = {
         "float32-mono": lambda p: write_float32(p, np.linspace(-1.0, 1.0, 16), 32000),
@@ -241,7 +237,7 @@ class TestLoadWavFuzz:
         cut = tmp_path / "cut.wav"
         for n in range(len(raw)):
             cut.write_bytes(raw[:n])
-            with pytest.raises(AscKitError) as exc_info:
+            with pytest.raises(IOFailure) as exc_info:
                 load_wav(cut)
             assert_names_path_and_offset(exc_info, cut)
 
@@ -252,7 +248,7 @@ class TestLoadWavFuzz:
         bad.write_bytes(flip(self._valid(tmp_path), flips))
         try:
             clip = load_wav(bad)
-        except AscKitError as exc:
+        except IOFailure as exc:
             assert str(bad) in str(exc) and re.search(r"at offset \d+", str(exc)), str(exc)
         else:
             assert clip.n_samples > 0 and np.all(np.isfinite(clip.samples))
@@ -281,8 +277,29 @@ class TestResample:
 
     @pytest.mark.parametrize("rate", [22050.5, float("nan"), float("inf"), "32000"])
     def test_non_integer_rate_rejected_naming_it(self, rate):
-        with pytest.raises(MalformedHeader, match=f"got {rate!r}"):
+        with pytest.raises(ShapeMismatch, match=f"got {rate!r}"):
             AudioClip(samples=np.ones(100), sample_rate=rate)
+
+    @pytest.mark.parametrize("rate", [1, MIN_RATE - 1])
+    def test_rate_below_floor_rejected_before_any_filter(self, rate):
+        # a 1 Hz clip would be upsampled 32000-fold
+        misses = _resample_filter.cache_info().misses
+        with pytest.raises(ShapeMismatch, match=rf"^sample rate {rate} Hz below 8000 Hz$"):
+            resample_to_32k(AudioClip(samples=np.ones(100), sample_rate=rate))
+        assert _resample_filter.cache_info().misses == misses
+
+    def test_rate_at_floor_resamples(self):
+        clip = AudioClip(samples=np.ones(800), sample_rate=MIN_RATE)
+        assert resample_to_32k(clip).n_samples == 3200
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.zeros(0), "clip must hold at least one mono sample"),
+        (np.zeros((2, 50)), "clip must hold at least one mono sample"),
+        (np.array([0.0, np.inf]), "clip contains non-finite samples"),
+    ], ids=["empty", "stereo", "inf"])
+    def test_bad_samples_rejected(self, samples, message):
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            AudioClip(samples=samples, sample_rate=32000)
 
     def test_spectral_peak_preserved(self):
         # oracle: DFT peak location of the resampled tone
@@ -345,7 +362,8 @@ class TestSegment:
 
     def test_too_short(self):
         clip = AudioClip(samples=np.ones(SEGMENT_SAMPLES - 1), sample_rate=32000)
-        with pytest.raises(ClipTooShort):
+        with pytest.raises(ShapeMismatch, match=rf"clip of {SEGMENT_SAMPLES - 1} samples is "
+                                                rf"shorter than one segment \({SEGMENT_SAMPLES}\)"):
             segment_10s(clip)
 
     def test_wrong_rate_rejected_naming_both_rates(self):

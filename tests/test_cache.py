@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asckit.cache import read_cache, write_cache
-from asckit.errors import IOFailure, ShapeMismatch
+from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 
 def test_roundtrip(tmp_path):
@@ -49,6 +49,12 @@ def test_mixed_shapes_rejected(tmp_path):
                 (np.zeros((4, 7, 3), np.float32), 0, "A"),
             ],
         )
+
+
+def test_unknown_frontend_rejected(tmp_path):
+    with pytest.raises(ConfigMismatch, match="^unknown frontend 'mfcc'$"):
+        write_cache(tmp_path / "x.ascf", "mfcc", [(np.zeros((4, 6, 3), np.float32), 0, "A")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_rejected(tmp_path):

@@ -16,7 +16,7 @@ from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
 WEIGHTS = {
     "conv.w": np.arange(12, dtype=np.float32).reshape(2, 3, 2),
     "scalar": np.float32(7.5),
-    "bn.running_mean": np.array([0.5, -1.0], np.float32),
+    "bn.running_mean": np.array([0.1, -1.0], np.float64),
 }
 RECORDS = [
     (np.full((2, 3, 1), 1.5, np.float32), 3, "A"),
@@ -54,10 +54,30 @@ def _record_ends():
 class TestWeights:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "w.ascw"
-        T.save_weights(path, {"ab": np.array([[1.0, 2.0]], np.float32)})
-        expected = (b"ASCW" + struct.pack("<HI", 1, 1) + struct.pack("<H", 2) + b"ab"
-                    + struct.pack("<B2I", 2, 1, 2) + struct.pack("<2f", 1.0, 2.0))
+        T.save_weights(path, {"ab": np.array([[1.0, 2.0]], np.float32),
+                              "c": np.array([0.1], np.float64)})
+        expected = (b"ASCW" + struct.pack("<HI", 2, 2)
+                    + struct.pack("<H", 2) + b"ab" + struct.pack("<BB2I", 2, 0, 1, 2)
+                    + struct.pack("<2f", 1.0, 2.0)
+                    + struct.pack("<H", 1) + b"c" + struct.pack("<BBI", 1, 1, 1)
+                    + struct.pack("<d", 0.1))
         assert path.read_bytes() == expected
+
+    def test_version_1_loads_as_float32(self, tmp_path):
+        path = tmp_path / "v1.ascw"
+        path.write_bytes(b"ASCW" + struct.pack("<HI", 1, 1) + struct.pack("<H", 2) + b"ab"
+                         + struct.pack("<B2I", 2, 1, 2) + struct.pack("<2f", 1.0, 2.5))
+        (name, arr), = T.load_weights(path).items()
+        assert name == "ab" and arr.dtype == np.float32
+        np.testing.assert_array_equal(arr, [[1.0, 2.5]])
+
+    def test_unknown_dtype_code_names_path_and_offset(self, tmp_path):
+        path, raw = _write_weights(tmp_path)
+        at = 4 + 6 + 2 + len("conv.w") + 1  # the first entry's dtype code
+        path.write_bytes(raw[:at] + b"\x02" + raw[at + 1 :])
+        with pytest.raises(IOFailure, match=re.escape(
+                f"{path}: conv.w: unknown dtype code 2 at offset {at}")):
+            T.load_weights(path)
 
     def test_every_truncation_rejected(self, tmp_path):
         _, raw = _write_weights(tmp_path)
@@ -79,7 +99,7 @@ class TestWeights:
         except IOFailure as exc:
             assert str(bad) in str(exc) and re.search(r"at offset \d+", str(exc))
         else:
-            assert all(a.dtype == np.float32 for a in named.values())
+            assert all(a.dtype in (np.float32, np.float64) for a in named.values())
 
     def test_empty_payload_with_overflowing_dims_rejected(self, tmp_path):
         path = tmp_path / "w.ascw"

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from asckit import models
 from asckit import tensor as T
-from asckit.errors import ConfigMismatch, ShapeMismatch, UnknownVariant, WeightsNotLoaded
+from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # Parameter and buffer (name, shape) lists in model order, recorded from the
@@ -48,6 +49,14 @@ class TestBudgets:
         assert len(set(counts)) == len(counts)
 
 
+class TestL2:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_l2_names_are_the_kernel_names(self, nets, variant):
+        params = nets[variant].params()
+        assert [p.name for p in params if p.l2_included] == \
+            [p.name for p in params if p.name.endswith(".w")]
+
+
 class TestForward:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -59,7 +68,7 @@ class TestForward:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-5)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(UnknownVariant) as info:
+        with pytest.raises(ConfigMismatch, match=r"unknown variant 'red04'; choose from ") as info:
             models.build_network("red04")
         assert "red04" in str(info.value)
         for variant in VARIANTS:
@@ -276,8 +285,8 @@ class TestSaveLoad:
     def test_roundtrip(self, tmp_path, kind):
         src = _build(kind, seed=3)
         rng = np.random.default_rng(1)
-        for buf in src.buffers().values():  # the file stores float32
-            buf[...] = rng.uniform(0.5, 1.5, size=buf.shape).astype(np.float32)
+        for buf in src.buffers().values():
+            buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
         src.save(tmp_path / "a.ascw")
         dst = _build(kind, seed=4)
         dst.load(tmp_path / "a.ascw")
@@ -288,12 +297,17 @@ class TestSaveLoad:
         assert (tmp_path / "b.ascw").read_bytes() == (tmp_path / "a.ascw").read_bytes()
 
     def test_loaded_network_predicts_the_same(self, tmp_path):
+        # train forwards move the float64 BN running buffers off float32 values
         src = models.build_network("red03", seed=7)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            src.forward(rng.normal(size=(2,) + models.INPUT_SHAPE), "train", rng=rng)
         src.save(tmp_path / "w.ascw")
         dst = models.build_network("red03", seed=8)
         dst.load(tmp_path / "w.ascw")
+        _assert_state_equal(dst.state_dict(), src.state_dict())
         x = np.random.default_rng(0).normal(size=(2,) + models.INPUT_SHAPE)
-        np.testing.assert_array_equal(models.predict(dst, x), models.predict(src, x))
+        assert models.predict(dst, x).tobytes() == models.predict(src, x).tobytes()
 
     @pytest.mark.parametrize("kind, edit", [
         ("network", "drop_last_param"),
@@ -309,18 +323,24 @@ class TestSaveLoad:
         named = dict(other.state_dict())
         param_names = [p.name for p in model.params()]
         buffer_names = list(model.buffers())
+        path = tmp_path / "bad.ascw"
         if edit == "drop_last_param":
             del named[param_names[-1]]
+            message = f"{path}: file is missing {param_names[-1]}"
         elif edit == "drop_last_buffer":
             del named[buffer_names[-1]]
+            message = f"{path}: file is missing {buffer_names[-1]}"
         elif edit == "wrong_param_shape":
             first = param_names[0]
-            named[first] = np.zeros((8,) + named[first].shape[1:], np.float32)
+            shape = named[first].shape
+            named[first] = np.zeros((8,) + shape[1:], np.float32)
+            message = f"{path}: {first}: file shape {(8,) + shape[1:]} != {shape}"
         else:
+            shape = named[buffer_names[-1]].shape
             named[buffer_names[-1]] = np.zeros(1)
-        path = tmp_path / "bad.ascw"
+            message = f"{path}: {buffer_names[-1]}: file shape (1,) != {shape}"
         T.save_weights(path, named)
         before = _snapshot(model)
-        with pytest.raises(WeightsNotLoaded):
+        with pytest.raises(IOFailure, match=f"^{re.escape(message)}$"):
             model.load(path)
         _assert_state_equal(model.state_dict(), before)

@@ -280,6 +280,10 @@ class TestDenseAndShape:
         assert T.global_pool(x, "max_time").shape == (2, 8 * 512)
         assert T.global_pool(x, "avg_freq").shape == (2, 16 * 512)
 
+    def test_global_pool_unknown_kind(self):
+        with pytest.raises(ConfigMismatch, match="^unknown global_pool kind 'max_freq'$"):
+            T.global_pool(T.Tensor(np.zeros((2, 3, 4, 5))), "max_freq")
+
 
 class TestBackward:
     def test_linear_gradient(self):
@@ -439,12 +443,14 @@ class TestWeightsIO:
             "block1.conv.w": rng.normal(size=(3, 3, 2, 4)).astype(np.float32),
             "block1.conv.b": rng.normal(size=4).astype(np.float32),
             "head.fc.w": rng.normal(size=(16, 10)).astype(np.float32),
+            "block1.bn.running_var": rng.uniform(0.5, 1.5, size=4),
         }
         path = tmp_path / "weights.ascw"
         T.save_weights(path, named)
         back = T.load_weights(path)
         assert list(back.keys()) == list(named.keys())
         for k in named:
+            assert back[k].dtype == named[k].dtype, k
             np.testing.assert_array_equal(back[k], named[k])
 
     def test_magic_and_count(self, tmp_path):
@@ -452,7 +458,7 @@ class TestWeightsIO:
         T.save_weights(path, {"a": np.zeros(2, np.float32)})
         raw = path.read_bytes()
         assert raw[:4] == b"ASCW"
-        assert int.from_bytes(raw[4:6], "little") == 1
+        assert int.from_bytes(raw[4:6], "little") == 2
         assert int.from_bytes(raw[6:10], "little") == 1
 
     def test_reject_junk(self, tmp_path):
