@@ -7,7 +7,7 @@ The whole pipeline operates on mono clips at PIPELINE_RATE (32 kHz) cut into
 from __future__ import annotations
 
 import numbers
-import struct
+import wave
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -63,15 +63,19 @@ def load_wav(path) -> AudioClip:
     Accepts 16-bit and 24-bit PCM and 32-bit IEEE float at MIN_RATE or
     above; multi-channel content is averaged down to mono. A file that is
     truncated, malformed, in another encoding, or holds no samples or a
-    non-finite one raises IOFailure naming the path and the offset.
+    non-finite one, or a second fmt or data chunk, raises IOFailure naming
+    the path and the offset.
     """
     rd = Reader(path)
-    riff, _, wave = rd.unpack("<4sI4s", "RIFF header")
-    if riff != b"RIFF" or wave != b"WAVE":
+    riff, _, form = rd.unpack("<4sI4s", "RIFF header")
+    if riff != b"RIFF" or form != b"WAVE":
         rd.fail("not a RIFF/WAVE file", 0)
     fmt = data = None
     while rd.left:
+        start = rd.pos
         cid, size = rd.unpack("<4sI", "chunk header")
+        if (cid == b"fmt " and fmt is not None) or (cid == b"data" and data is not None):
+            rd.fail(f"second {cid.decode()!r} chunk", start)
         if cid == b"fmt ":
             if size < 16:
                 rd.fail("truncated fmt chunk")
@@ -118,25 +122,9 @@ def load_wav(path) -> AudioClip:
 def save_wav(path, clip: AudioClip) -> None:
     """Write a clip as 16-bit PCM mono."""
     x = np.clip(clip.samples, -1.0, 1.0)
-    pcm = np.round(x * 32767.0).astype("<i2").tobytes()
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(pcm),
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,
-        1,
-        clip.sample_rate,
-        clip.sample_rate * 2,
-        2,
-        16,
-        b"data",
-        len(pcm),
-    )
-    with atomic_write(path) as fh:
-        fh.write(hdr + pcm)
+    with atomic_write(path) as fh, wave.open(fh, "wb") as out:
+        out.setparams((1, 2, clip.sample_rate, clip.n_samples, "NONE", "not compressed"))
+        out.writeframes(np.round(x * 32767.0).astype("<i2").tobytes())
 
 
 @lru_cache(maxsize=4)  # a dataset has one or a few input rates

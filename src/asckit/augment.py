@@ -137,5 +137,7 @@ def center_crop(features: np.ndarray, crop_width: int) -> np.ndarray:
     t_len = features.shape[2]
     if crop_width > t_len:
         raise ShapeMismatch(f"crop {crop_width} > time axis {t_len}")
+    if crop_width < 1:
+        raise ShapeMismatch(f"crop width must be at least 1, got {crop_width}")
     left = (t_len - crop_width) // 2
     return features[:, :, left : left + crop_width]

@@ -87,13 +87,15 @@ class Reader:
 @contextlib.contextmanager
 def atomic_write(path):
     """Binary file handle whose content replaces `path` only when the block
-    completes; on any error the partial file is removed and `path` is left
-    as it was."""
+    completes, after it has been flushed and synced to the disk; on any error
+    the partial file is removed and `path` is left as it was."""
     path = os.fspath(path)
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

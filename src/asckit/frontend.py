@@ -56,10 +56,9 @@ FRONTENDS = ("logmel", "cqt", "gam")
 @dataclass
 class SpectrogramTensor:
     """`extract_frontend`'s result: data [N_BANDS, TARGET_FRAMES, 3]
-    (frequency, time, channel) and the front-end that made it."""
+    (frequency, time, channel)."""
 
     data: np.ndarray
-    frontend: str
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -323,6 +322,9 @@ def delta(x: np.ndarray) -> np.ndarray:
 def stack_3ch(feat: np.ndarray) -> np.ndarray:
     """Stack [feature, delta, delta-delta] of a [F, T] feature into
     [F, TARGET_FRAMES, 3], centre-cropping the T >= TARGET_FRAMES frames."""
+    if feat.shape[1] < TARGET_FRAMES:
+        raise ShapeMismatch(f"stack_3ch needs at least {TARGET_FRAMES} frames, "
+                            f"got {feat.shape[1]}")
     d1 = delta(feat)
     stacked = np.stack([feat, d1, delta(d1)], axis=2)
     left = (stacked.shape[1] - TARGET_FRAMES) // 2
@@ -351,4 +353,4 @@ def extract_frontend(clip: AudioClip, frontend: str) -> SpectrogramTensor:
     data = stack_3ch(feat)
     if not np.all(np.isfinite(data)):
         raise ShapeMismatch(f"{frontend} features contain non-finite values")
-    return SpectrogramTensor(data=data, frontend=frontend)
+    return SpectrogramTensor(data=data)

@@ -20,13 +20,13 @@ spectrogram, has 2.1M parameters.
 In eval mode each conv -> BN -> ReLU unit folds its BN into the conv, so
 a red02 eval forward runs 4 batch-norm passes (the BN after each inception
 concat and each block's BN on its pooled sums) where a train forward runs
-16. In eval mode no BN, folded or not, gets a gradient: the folded kernels
-are not parameters, and an unfolded BN is a constant affine map (see
-`tensor.batch_norm`). An eval-mode backward still reaches the input and
-the head.
+16. An eval forward runs under `tensor.no_grad`: it records no graph, so
+nothing trains in eval mode and no graph outlives the call.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -58,10 +58,10 @@ PARAM_BUDGETS = {
 PARAM_TOLERANCE = 0.15
 
 
-def _split_channels(total: int, n_branches: int = 3) -> list[int]:
-    """Spread a unit's channel budget as evenly as possible across branches."""
-    base, rem = divmod(total, n_branches)
-    return [base + (1 if i < rem else 0) for i in range(n_branches)]
+def _split_channels(total: int) -> list[int]:
+    """Spread a unit's channel budget as evenly as possible over three branches."""
+    base, rem = divmod(total, 3)
+    return [base + (1 if i < rem else 0) for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +102,14 @@ class Module:
 
     def load(self, path):
         """Replace every parameter and buffer from a weight file. Nothing is
-        assigned unless the file has every entry with the model's shape."""
+        assigned unless the file's entries are exactly the model's, each with
+        the model's shape."""
         named = T.load_weights(path)
-        for name, current in self.state_dict().items():
+        state = self.state_dict()
+        for name in named:
+            if name not in state:
+                raise IOFailure(f"{path}: file has {name}, which the model does not")
+        for name, current in state.items():
             if name not in named:
                 raise IOFailure(f"{path}: file is missing {name}")
             if named[name].shape != current.shape:
@@ -176,8 +181,8 @@ class _ConvBnRelu(Module):
     bias (b - mean) * s + beta, both cast to the kernel's dtype, replaces the
     conv and the BN. The fold is made anew on every eval forward, so it always
     follows the current parameters and buffers. Its kernel and bias are plain
-    tensors: an eval-mode backward reaches the input but not the conv and BN
-    parameters, so nothing trains in eval mode."""
+    tensors, and an eval forward records no graph (see `Network.forward`), so
+    nothing trains in eval mode."""
 
     def __init__(self, name, kf, kt, cin, cout, rng):
         self.conv = Conv2D(f"{name}.conv", kf, kt, cin, cout, rng)
@@ -246,7 +251,7 @@ class Block(Module):
             x = unit(x, mode, rng)
         if self.bn is not None:
             x = self.bn(x, mode, rng)
-        x = T.max_pool(x, 2)
+        x = T.max_pool(x)
         x = T.dropout(x, DROPOUT_BLOCK, mode, rng)
         return T.residual_norm(x)
 
@@ -272,7 +277,7 @@ class PoolingHead(Module):
         h = T.concat([overall_avg, time_max, freq_avg], axis=1)
         if self.hidden is not None:
             h = T.dropout(T.relu(self.hidden(h, mode, rng)), DROPOUT_FC, mode, rng)
-        return T.softmax(self.classifier(h, mode, rng), axis=1)
+        return T.softmax(self.classifier(h, mode, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +299,16 @@ class Network(Module):
         self.head = head
 
     def forward(self, x, mode: str, rng=None):
+        """Class probabilities for a [B, 128, 256, 3] batch. An eval forward
+        runs under `T.no_grad`: it records no graph, so nothing trains."""
+        T.check_mode("forward", mode)
         if not isinstance(x, T.Tensor):
             x = T.Tensor(np.asarray(x, dtype=np.float32))
         _check_input(x.shape)
-        for block in self.blocks:
-            x = block(x, mode, rng)
-        return self.head(x, mode, rng)
+        with T.no_grad() if mode == "eval" else contextlib.nullcontext():
+            for block in self.blocks:
+                x = block(x, mode, rng)
+            return self.head(x, mode, rng)
 
 
 def build_network(variant: str, seed: int = 0) -> Network:
@@ -354,18 +363,16 @@ def network_summary(model: Network) -> list:
 def predict(model, features, batch_size: int = 32) -> np.ndarray:
     """Deterministic eval-mode class probabilities for [N, F, T, C] features.
 
-    The forward passes run under `T.no_grad`, so no autograd graph is kept,
-    and each conv -> BN -> ReLU unit runs as one conv with its BN folded in
-    (see `_ConvBnRelu`), from the parameters and buffers as they are at the
-    call.
+    The eval forwards record no autograd graph (see `Network.forward`), and
+    each conv -> BN -> ReLU unit runs as one conv with its BN folded in (see
+    `_ConvBnRelu`), from the parameters and buffers as they are at the call.
     """
     if batch_size < 1:
         raise ConfigMismatch(f"batch_size must be at least 1, got {batch_size}")
     features = np.asarray(features, dtype=np.float32)
     _check_input(features.shape)
     outputs = [np.empty((0, N_CLASSES))]
-    with T.no_grad():
-        for lo in range(0, features.shape[0], batch_size):
-            out = model.forward(features[lo : lo + batch_size], mode="eval")
-            outputs.append(out.data.astype(np.float64))
+    for lo in range(0, features.shape[0], batch_size):
+        out = model.forward(features[lo : lo + batch_size], mode="eval")
+        outputs.append(out.data.astype(np.float64))
     return np.concatenate(outputs, axis=0)

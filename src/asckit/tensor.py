@@ -11,16 +11,16 @@ into every tensor that requires them.
 The window ops have the two geometries the networks use. `conv2d` and
 `avg_pool` slide stride-1 'same' windows: the input is zero-padded by
 (k - 1) // 2 cells before and k // 2 after along each axis, so the output
-has the input's frequency and time size. `max_pool` takes the
-non-overlapping kernel-sized tiles of the input and drops a trailing
-remainder. All three share one core, `_windows`, which pads the input and
-gives, for each kernel offset (u, v), the strided view of that cell of
-every window. Pooling is a running max or sum over those views, and every
-backward adds into the same views of a zero gradient: one GEMM per offset
-for `conv2d`, the window gradient for `avg_pool`, and for `max_pool` the
-gradient of each tile given to its first maximum in row-major offset
-order. Only the `conv2d` forward copies the windows out, as the columns of
-one GEMM (im2col).
+has the input's frequency and time size. Both share one core, `_windows`,
+which pads the input and gives, for each kernel offset (u, v), the strided
+view of that cell of every window. `max_pool` is the fixed 2 x 2 tile max
+of every block: its four views are the cells of the non-overlapping tiles,
+and a trailing odd row or column is dropped. Pooling is a running max or
+sum over the views, and every backward adds into the same views of a zero
+gradient: one GEMM per offset for `conv2d`, the window gradient for
+`avg_pool`, and for `max_pool` the gradient of each tile given to its first
+maximum in row-major order. Only the `conv2d` forward copies the windows
+out, as the columns of one GEMM (im2col).
 
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
@@ -234,25 +234,27 @@ def relu(x: Tensor) -> Tensor:
                    lambda g: x.accumulate(g * (x.data > 0)))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     np.maximum(y, np.finfo(y.dtype).tiny, out=y)  # keeps log(y) and its gradient finite
 
     def _bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         x.accumulate((g - dot) * y)
     return _result(y, (x,), "softmax", _bw)
 
 
-def _check_mode(op, mode):
+def check_mode(op, mode):
+    """Raise ConfigMismatch unless `mode` is "train" or "eval"."""
     if mode not in ("train", "eval"):
         raise ConfigMismatch(f"{op}: mode must be 'train' or 'eval', got {mode!r}")
 
 
 def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
-    _check_mode("dropout", mode)
+    check_mode("dropout", mode)
     if not 0 <= p < 1:
         raise ConfigMismatch(f"dropout rate must be in [0, 1), got {p}")
     if mode == "eval" or p == 0.0:
@@ -281,36 +283,25 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(x.data @ w.data + b.data, (x, w, b), "dense", _bw)
 
 
-def _windows(x, kernel, tiles=False):
-    """Windows over (frequency, time) of a [B, F, T, C] array, by kernel offset.
+def _windows(x, kernel):
+    """Stride-1 'same' (frequency, time) windows of [B, F, T, C], by offset.
 
-    `kernel` is an int or a (kf, kt) pair. The windows are stride-1 'same'
-    (the input padded only if the kernel is larger than 1 x 1, since a pad
-    copies it), or with `tiles` the non-overlapping tiles of the unpadded
-    input, F // kf by T // kt of them.
+    `kernel` is an int or a (kf, kt) pair. The input is padded only if the
+    kernel is larger than 1 x 1, since a pad copies it.
 
     Returns `xp`, the padded input, the index of the unpadded input in `xp`,
     and one index per kernel offset (u, v), in row-major order: `xp[index]`
-    is the [B, of, ot, C] strided view of the cell at offset (u, v) of every
+    is the [B, F, T, C] strided view of the cell at offset (u, v) of every
     window. A window op reduces over these views; its backward adds into the
     same views of a zero array shaped like `xp`, then takes the unpadded part.
     """
     kf, kt = (kernel, kernel) if np.isscalar(kernel) else kernel
     _, f, t, _ = x.shape
-    if tiles:
-        if kf > f or kt > t:
-            raise ShapeMismatch(f"kernel {(kf, kt)} exceeds input {(f, t)}")
-        sf, st = kf, kt
-        of, ot = f // kf, t // kt
-        pf = pt = 0
-    else:
-        sf = st = 1
-        of, ot = f, t
-        pf, pt = (kf - 1) // 2, (kt - 1) // 2
-        if kf > 1 or kt > 1:
-            x = np.pad(x, ((0, 0), (pf, kf // 2), (pt, kt // 2), (0, 0)))
+    pf, pt = (kf - 1) // 2, (kt - 1) // 2
+    if kf > 1 or kt > 1:
+        x = np.pad(x, ((0, 0), (pf, kf // 2), (pt, kt // 2), (0, 0)))
     inner = (slice(None), slice(pf, pf + f), slice(pt, pt + t))
-    offsets = [(slice(None), slice(u, u + sf * of, sf), slice(v, v + st * ot, st))
+    offsets = [(slice(None), slice(u, u + f), slice(v, v + t))
                for u in range(kf) for v in range(kt)]
     return x, inner, offsets
 
@@ -366,20 +357,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # pooling
 
 
-def max_pool(x: Tensor, kernel) -> Tensor:
-    """Max over the non-overlapping kernel-sized (frequency, time) tiles; a
-    trailing remainder is dropped and gets zero gradient. The kernel must fit
-    the input. Each tile's gradient goes to its first maximum in row-major
-    order.
+def max_pool(x: Tensor) -> Tensor:
+    """Max over the non-overlapping 2 x 2 (frequency, time) tiles; a trailing
+    odd row or column is dropped and gets zero gradient. Each tile's gradient
+    goes to its first maximum in row-major order.
     """
-    xp, _, offsets = _windows(x.data, kernel, tiles=True)
-    y = _window_reduce(np.maximum, xp, offsets)
+    _, f, t, _ = x.shape
+    if f < 2 or t < 2:
+        raise ShapeMismatch(f"max_pool needs at least 2 x 2 (frequency, time), got {(f, t)}")
+    tiles = [(slice(None), slice(u, f - f % 2, 2), slice(v, t - t % 2, 2))
+             for u in (0, 1) for v in (0, 1)]
+    y = _window_reduce(np.maximum, x.data, tiles)
 
     def _bw(g):
-        gx = np.zeros_like(xp)
+        gx = np.zeros_like(x.data)
         open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
-        for o in offsets:
-            hit = xp[o] == y
+        for o in tiles:
+            hit = x.data[o] == y
             hit &= open_
             open_ ^= hit
             gx[o] += g * hit
@@ -463,7 +457,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     running buffers as one per-channel affine map, (x - mean) * (gamma / std)
     + beta, whose coefficients are constants: only x gets a gradient.
     """
-    _check_mode("batch_norm", mode)
+    check_mode("batch_norm", mode)
     if mode == "eval":
         # the mean is subtracted in x's dtype; the error of casting it there
         # goes into the float64 per-channel bias

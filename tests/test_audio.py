@@ -172,6 +172,20 @@ class TestLoadWav:
         p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         assert load_wav(p).samples.tolist() == [-2 * 2.0**-23]
 
+    @pytest.mark.parametrize("second, offset", [("data", 244), ("fmt ", 244)])
+    def test_second_fmt_or_data_chunk_names_path_and_offset(self, tmp_path, second, offset):
+        # fmt at 12, 100 PCM16 samples at 36, then a second chunk at 244
+        p = tmp_path / "twice.wav"
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 32000, 64000, 2, 16)
+        data = b"data" + struct.pack("<I", 200) + bytes(200)
+        extra = {"data": b"data" + struct.pack("<I", 100) + bytes(100),
+                 "fmt ": b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)}
+        body = b"WAVE" + fmt + data + extra[second]
+        p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(IOFailure,
+                           match=rf"twice\.wav: second '{second}' chunk at offset {offset}$"):
+            load_wav(p)
+
     def test_overrunning_chunk_names_path_and_offset(self, tmp_path):
         p = tmp_path / "cut.wav"
         write_pcm16(p, np.zeros(10, dtype=np.int16), 32000)
@@ -200,6 +214,14 @@ class TestLoadWav:
         assert back.sample_rate == 32000
         # writer quantizes to round(x*32767), reader scales by 1/32768
         np.testing.assert_array_equal(back.samples, np.round(x * 32767) / 32768)
+
+    def test_save_exact_bytes(self, tmp_path):
+        p = tmp_path / "three.wav"
+        save_wav(p, AudioClip(samples=[0.5, -1.5, 1.0], sample_rate=8000))
+        assert p.read_bytes() == (
+            b"RIFF" + struct.pack("<I", 42) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+            + b"data" + struct.pack("<I", 6) + struct.pack("<3h", 16384, -32767, 32767))
 
     def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
         p = tmp_path / "keep.wav"

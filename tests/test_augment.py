@@ -222,3 +222,8 @@ class TestCenterCrop:
     def test_error_when_too_wide(self):
         with pytest.raises(ShapeMismatch, match="crop 8 > time axis 4"):
             center_crop(np.zeros((1, 2, 4, 1)), 8)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_error_when_under_one_wide(self, width):
+        with pytest.raises(ShapeMismatch, match=f"at least 1, got {width}$"):
+            center_crop(np.zeros((1, 2, 4, 1)), width)

@@ -1,5 +1,7 @@
-"""Readers and writers of the two binary formats: ASCW weights and ASCF caches."""
+"""Readers and writers of the two binary formats, ASCW weights and ASCF
+caches, and the atomic writer under every file the toolkit writes."""
 
+import os
 import re
 import struct
 
@@ -10,6 +12,7 @@ from hypothesis import given
 from asckit import models
 from asckit import tensor as T
 from asckit.cache import read_cache, write_cache
+from asckit.container import atomic_write
 from asckit.errors import IOFailure
 from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
 
@@ -260,3 +263,20 @@ class TestCache:
         assert path.read_bytes() == raw
         assert read_cache(path).n_samples == len(RECORDS)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+class TestAtomicWrite:
+    def test_flushed_and_synced_before_replace(self, tmp_path, monkeypatch):
+        # a power loss cannot be simulated in a test; this checks the order of calls
+        events = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: events.append(
+            ("fsync", fd, os.fstat(fd).st_size)) or fsync(fd))
+        monkeypatch.setattr(os, "replace", lambda src, dst: events.append(
+            ("replace", src, dst)) or replace(src, dst))
+        path = tmp_path / "out.bin"
+        with atomic_write(path) as fh:
+            fh.write(b"abc")
+            fd, tmp = fh.fileno(), fh.name
+        assert events == [("fsync", fd, 3), ("replace", tmp, str(path))]
+        assert path.read_bytes() == b"abc"

@@ -126,13 +126,13 @@ class TestBatchNorm:
 
 class TestActivations:
     def test_softmax_uniform(self):
-        out = T.softmax(T.Tensor(np.zeros((3, 10))), axis=1)
+        out = T.softmax(T.Tensor(np.zeros((3, 10))))
         np.testing.assert_allclose(out.data, 0.1, rtol=1e-12)
 
     def test_softmax_simplex_large_logits(self):
         rng = np.random.default_rng(5)
         x = T.Tensor(rng.uniform(-50, 50, size=(100, 10)))
-        out = T.softmax(x, axis=1)
+        out = T.softmax(x)
         assert np.all(out.data > 0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
@@ -140,7 +140,7 @@ class TestActivations:
         # exp(-200) is 0 in float32; the target is on that class
         z = T.Tensor(np.array([[200.0, 0.0]], dtype=np.float32), requires_grad=True)
         t = T.Tensor(np.array([[0.0, 1.0]], dtype=np.float32))
-        loss = T.tsum(T.mul(t, T.log(T.softmax(z, axis=1))))
+        loss = T.tsum(T.mul(t, T.log(T.softmax(z))))
         T.backward(loss)
         assert np.isfinite(loss.data) and np.isfinite(z.grad).all()
 
@@ -182,7 +182,7 @@ class TestActivations:
 class TestPooling:
     def test_max_pool_2x2(self):
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        assert T.max_pool(x, 2).data[0, 0, 0, 0] == 4.0
+        assert T.max_pool(x).data[0, 0, 0, 0] == 4.0
 
     def test_avg_pool_2x2(self):
         # a 2x2 window pads one trailing cell: only the first window is whole
@@ -201,17 +201,22 @@ class TestPooling:
         x = np.arange(35.0).reshape(1, 5, 7, 1)
         x[0, 4, :, 0] = x[0, :, 6, 0] = 100.0
         xt = T.Tensor(x, requires_grad=True)
-        out = T.max_pool(xt, 2)
+        out = T.max_pool(xt)
         np.testing.assert_array_equal(out.data[0, :, :, 0], [[8, 10, 12], [22, 24, 26]])
         T.backward(T.tsum(out))
         assert xt.grad[0, 4, :, 0].sum() == 0 and xt.grad[0, :, 6, 0].sum() == 0
         assert xt.grad.sum() == 6
 
+    @pytest.mark.parametrize("f, t", [(1, 4), (4, 1)])
+    def test_max_pool_input_under_2x2_rejected(self, f, t):
+        with pytest.raises(ShapeMismatch, match=rf"at least 2 x 2 .*got \({f}, {t}\)"):
+            T.max_pool(T.Tensor(np.zeros((1, f, t, 1))))
 
-def _max_pool_grad(x, g, kernel):
+
+def _max_pool_grad(x, g):
     """Input gradient of max_pool for the output gradient g ([F, T] arrays)."""
     xt = T.Tensor(np.asarray(x, float)[None, :, :, None], requires_grad=True)
-    out = T.max_pool(xt, kernel)
+    out = T.max_pool(xt)
     T.backward(T.tsum(T.mul(out, T.Tensor(np.asarray(g, float)[None, :, :, None]))))
     return xt.grad[0, :, :, 0]
 
@@ -220,7 +225,7 @@ class TestMaxPoolTies:
     """A window's gradient goes to its first maximum in row-major order."""
 
     def test_constant_input(self):
-        grad = _max_pool_grad(np.full((4, 4), 0.5), [[1, 2], [3, 4]], 2)
+        grad = _max_pool_grad(np.full((4, 4), 0.5), [[1, 2], [3, 4]])
         np.testing.assert_array_equal(grad, [[1, 0, 2, 0],
                                              [0, 0, 0, 0],
                                              [3, 0, 4, 0],
@@ -229,7 +234,7 @@ class TestMaxPoolTies:
     def test_two_equal_maxima_in_a_window(self):
         x = [[1, 5, 7, 0],
              [5, 2, 0, 7]]
-        grad = _max_pool_grad(x, [[1, 2]], 2)
+        grad = _max_pool_grad(x, [[1, 2]])
         np.testing.assert_array_equal(grad, [[0, 1, 2, 0],
                                              [0, 0, 0, 0]])
 
@@ -397,11 +402,11 @@ FLOAT32_OPS = {
     "reshape": lambda r: T.reshape(_f32(r, 2, 3), (3, 2)),
     "concat": lambda r: T.concat([_f32(r, 2, 3), _f32(r, 2, 1)], axis=1),
     "relu": lambda r: T.relu(_f32(r, 2, 3)),
-    "softmax": lambda r: T.softmax(_f32(r, 2, 3), axis=1),
+    "softmax": lambda r: T.softmax(_f32(r, 2, 3)),
     "dropout": lambda r: T.dropout(_f32(r, 4, 4), 0.5, "train", r),
     "dense": lambda r: T.dense(_f32(r, 2, 3), _f32(r, 3, 4), _f32(r, 4)),
     "conv2d": lambda r: T.conv2d(_f32(r, 1, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3)),
-    "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2), 2),
+    "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2)),
     "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3)),
     "batch_norm_train": lambda r: T.batch_norm(
         _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
