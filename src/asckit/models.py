@@ -17,11 +17,12 @@ the frequency average) concatenated to a 3*C descriptor. The parameter
 counts above are measured; an ensemble of three red02 networks, one per
 spectrogram, has 2.1M parameters.
 
-In eval mode each conv -> BN -> ReLU unit folds its BN into the conv, so
-a red02 eval forward runs 4 batch-norm passes (the BN after each inception
-concat and each block's BN on its pooled sums) where a train forward runs
-16. An eval forward runs under `tensor.no_grad`: it records no graph, so
-nothing trains in eval mode and no graph outlives the call.
+In eval mode each conv -> BN -> ReLU unit folds its BN into the conv; in
+train mode it is one `tensor.conv_bn_relu` op. So a red02 forward runs 4
+`batch_norm` passes in either mode (the BN after each inception concat and
+each block's BN on its pooled sums), and a train forward also runs 12
+fused units. An eval forward runs under `tensor.no_grad`: it records no
+graph, so nothing trains in eval mode and no graph outlives the call.
 """
 
 from __future__ import annotations
@@ -175,11 +176,11 @@ class BatchNorm(Module):
 
 
 class _ConvBnRelu(Module):
-    """conv -> BN -> ReLU. In eval mode the BN is folded into the conv
-    (Jacob et al., arXiv 1712.05877, section 3.2): with s = gamma / sqrt(var +
-    eps) from the running buffers, in float64, one conv with kernel w * s and
-    bias (b - mean) * s + beta, both cast to the kernel's dtype, replaces the
-    conv and the BN. The fold is made anew on every eval forward, so it always
+    """conv -> BN -> ReLU, as one `T.conv_bn_relu` op in train mode. In eval
+    mode the BN is folded into the conv (Jacob et al., arXiv 1712.05877,
+    section 3.2): with s = gamma / sqrt(var + eps) from the running buffers,
+    in float64, one conv with kernel w * s and bias (b - mean) * s + beta,
+    both cast to the kernel's dtype, replaces the conv and the BN. The fold is made anew on every eval forward, so it always
     follows the current parameters and buffers. Its kernel and bias are plain
     tensors, and an eval forward records no graph (see `Network.forward`), so
     nothing trains in eval mode."""
@@ -189,9 +190,10 @@ class _ConvBnRelu(Module):
         self.bn = BatchNorm(f"{name}.bn", cout)
 
     def __call__(self, x, mode, rng):
-        if mode != "eval":
-            return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
         conv, bn = self.conv, self.bn
+        if mode != "eval":
+            return T.conv_bn_relu(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean,
+                                  bn.running_var)
         s = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
         w = T.Tensor((conv.w.data * s).astype(conv.w.dtype))
         b = T.Tensor(((conv.b.data - bn.running_mean) * s + bn.beta.data).astype(conv.w.dtype))

@@ -20,7 +20,15 @@ sum over the views, and every backward adds into the same views of a zero
 gradient: one GEMM per offset for `conv2d`, the window gradient for
 `avg_pool`, and for `max_pool` the gradient of each tile given to its first
 maximum in row-major order. Only the `conv2d` forward copies the windows
-out, as the columns of one GEMM (im2col).
+out, as the columns of one GEMM (im2col). No backward closure keeps a
+padded input: the `conv2d` backward pads the input anew, and the
+`avg_pool` backward makes its zero gradient from the padded shape.
+
+`conv_bn_relu` is the networks' train-mode conv -> batch norm -> ReLU unit
+as one op. It runs the same forward and backward code as `conv2d` and
+train-mode `batch_norm`, so its output, gradients and running buffers are
+bit-identical to the three-op chain, but its graph keeps only the conv
+input, the standardized conv output and its own output.
 
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
@@ -314,6 +322,46 @@ def _window_reduce(ufunc, xp, offsets):
     return out
 
 
+def _conv_forward(x, w, b):
+    """`conv2d`'s output from the arrays x, w and b: one GEMM over the
+    [B*F*T, kf*kt*cin] window columns (im2col)."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
+        raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
+    kf, kt, cin, cout = w.shape
+    if b.shape != (cout,):
+        raise ShapeMismatch(f"conv bias: {b.shape}")
+    xp, _, _ = _windows(x, (kf, kt))
+    # im2col: one copy of the windows as rows, columns ordered (u, v, cin)
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
+    view = view.transpose(0, 1, 2, 4, 5, 3)
+    y = view.reshape(-1, kf * kt * cin) @ w.reshape(-1, cout)
+    y += b
+    return y.reshape(x.shape[:3] + (cout,))
+
+
+def _conv_backward(g, x: Tensor, w: Tensor, b: Tensor):
+    """Hand x, w and b their gradients from the output gradient g of
+    `_conv_forward(x.data, w.data, b.data)`: one GEMM per kernel offset for
+    each of the kernel and input gradients. The padded input is made anew
+    from x.data, so no closure has to keep it."""
+    kf, kt, cin, cout = w.shape
+    xp, inner, offsets = _windows(x.data, (kf, kt))
+    w3 = w.data.reshape(kf * kt, cin, cout)
+    g2 = g.reshape(-1, cout)
+    if w.requires_grad:
+        gw = np.empty_like(w3)
+        for o, gw_o in zip(offsets, gw):
+            np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
+        w.accumulate(gw.reshape(w.shape))
+    if b.requires_grad:
+        b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
+    if x.requires_grad:
+        gp = np.zeros_like(xp)
+        for o, w_o in zip(offsets, w3):
+            gp[o] += (g2 @ w_o.T).reshape(g.shape[:3] + (cin,))
+        x.accumulate(gp[inner])
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 'same' cross-correlation of [B, F, T, cin] with a [kf, kt, cin,
     cout] kernel, plus a per-channel bias, giving [B, F, T, cout].
@@ -322,35 +370,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the backward pass does one GEMM per kernel offset for each of the two
     gradients.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[3] != w.shape[2]:
-        raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
-    kf, kt, cin, cout = w.shape
-    if b.shape != (cout,):
-        raise ShapeMismatch(f"conv bias: {b.shape}")
-    xp, inner, offsets = _windows(x.data, (kf, kt))
-    # im2col: one copy of the windows as rows, columns ordered (u, v, cin)
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
-    view = view.transpose(0, 1, 2, 4, 5, 3)
-    batch, of, ot = view.shape[:3]
-    y = view.reshape(-1, kf * kt * cin) @ w.data.reshape(-1, cout)
-    y += b.data
-    w3 = w.data.reshape(kf * kt, cin, cout)
-
-    def _bw(g):
-        g2 = g.reshape(-1, cout)
-        if w.requires_grad:
-            gw = np.empty_like(w3)
-            for o, gw_o in zip(offsets, gw):
-                np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
-            w.accumulate(gw.reshape(w.shape))
-        if b.requires_grad:
-            b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
-        if x.requires_grad:
-            gp = np.zeros_like(xp)
-            for o, w_o in zip(offsets, w3):
-                gp[o] += (g2 @ w_o.T).reshape(batch, of, ot, cin)
-            x.accumulate(gp[inner])
-    return _result(y.reshape(batch, of, ot, cout), (x, w, b), "conv2d", _bw)
+    return _result(_conv_forward(x.data, w.data, b.data), (x, w, b), "conv2d",
+                   lambda g: _conv_backward(g, x, w, b))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +412,11 @@ def avg_pool(x: Tensor, kernel) -> Tensor:
     counts = _window_reduce(np.add, ones, offsets)
     y = _window_reduce(np.add, xp, offsets)
     y /= counts
+    padded = xp.shape
 
     def _bw(g):
         gn = g / counts
-        gp = np.zeros_like(xp)
+        gp = np.zeros(padded, x.dtype)
         for o in offsets:
             gp[o] += gn
         x.accumulate(gp[inner])
@@ -447,6 +469,31 @@ def _standardize_grad(g, xhat, scale, axes):
     return dx, g_sum, gx_sum
 
 
+def _batch_norm_train(x, gamma: Tensor, beta: Tensor, running_mean, running_var):
+    """Train-mode batch norm of the array x over all non-channel axes.
+
+    Updates the running buffers in place with momentum BN_MOMENTUM and
+    returns gamma * xhat + beta with the function that maps its gradient to
+    x's, handing gamma and beta theirs on the way; that function keeps only
+    xhat and the per-channel scales.
+    """
+    axes = tuple(range(x.ndim - 1))
+    mu, var, inv, xhat, y = _standardize(x, axes, BN_EPS)
+    running_mean *= BN_MOMENTUM
+    running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
+    running_var *= BN_MOMENTUM
+    running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+
+    def grad(g):
+        dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
+        gamma.accumulate(gx_sum.reshape(gamma.shape).astype(g.dtype))
+        beta.accumulate(g_sum.reshape(beta.shape).astype(g.dtype))
+        return dx
+    return y, grad
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
                mode: str) -> Tensor:
     """Per-channel batch normalization over all non-channel axes, with
@@ -468,21 +515,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
         y += (beta.data + (shift - running_mean) * scale).astype(x.dtype)
         return _result(y, (x,), "batch_norm",
                        lambda g: x.accumulate(g * scale.astype(g.dtype)))
-    axes = tuple(range(x.data.ndim - 1))
-    mu, var, inv, xhat, y = _standardize(x.data, axes, BN_EPS)
-    running_mean *= BN_MOMENTUM
-    running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
-    running_var *= BN_MOMENTUM
-    running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    y, grad = _batch_norm_train(x.data, gamma, beta, running_mean, running_var)
+    return _result(y, (x, gamma, beta), "batch_norm", lambda g: x.accumulate(grad(g)))
 
-    def _bw(g):
-        dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
-        gamma.accumulate(gx_sum.reshape(gamma.shape).astype(g.dtype))
-        beta.accumulate(g_sum.reshape(beta.shape).astype(g.dtype))
-        x.accumulate(dx)
-    return _result(y, (x, gamma, beta), "batch_norm", _bw)
+
+def conv_bn_relu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                 running_mean, running_var) -> Tensor:
+    """relu(batch_norm(conv2d(x, w, b), gamma, beta, running_mean,
+    running_var, "train")) as one op, with the same arithmetic and so the
+    same bits, buffer update included.
+
+    Its graph keeps x, BN's xhat and the output, where the chain keeps the
+    conv output, xhat, the BN output and the ReLU output: the ReLU is taken
+    in place, and its backward needs only the output's sign.
+    """
+    y, bn_grad = _batch_norm_train(_conv_forward(x.data, w.data, b.data), gamma, beta,
+                                   running_mean, running_var)
+    np.maximum(y, 0, out=y)
+    return _result(y, (x, w, b, gamma, beta), "conv_bn_relu",
+                   lambda g: _conv_backward(bn_grad(g * (y > 0)), x, w, b))
 
 
 def residual_norm(x: Tensor) -> Tensor:

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,18 +188,110 @@ class TestFoldedEval:
         assert not np.array_equal(after_load, after_edit)
         np.testing.assert_array_equal(after_load, models.predict(other, x))
 
-    @pytest.mark.parametrize("mode, calls", [("eval", 4), ("train", 16)])
+    @pytest.mark.parametrize("mode, calls", [("eval", 4), ("train", 4)])
     def test_batch_norm_calls(self, nets, monkeypatch, mode, calls):
-        seen = []
-        batch_norm = T.batch_norm
-        monkeypatch.setattr(T, "batch_norm", lambda *a, **k: seen.append(1) or batch_norm(*a, **k))
+        # the 12 conv -> BN -> ReLU units are folded convs in eval mode and
+        # fused ops in train mode; the other 4 BNs run as batch_norm in both
+        seen = {"batch_norm": [], "conv_bn_relu": []}
+        for name, calls_made in seen.items():
+            op = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, _op=op, _seen=calls_made, **k:
+                                _seen.append(1) or _op(*a, **k))
         x = np.random.default_rng(6).normal(size=(1,) + models.INPUT_SHAPE)
         with T.no_grad():
             nets["red02"].forward(x, mode, np.random.default_rng(7))
-        assert len(seen) == calls
+        assert len(seen["batch_norm"]) == calls
+        assert len(seen["conv_bn_relu"]) == {"eval": 0, "train": 12}[mode]
+
+
+def _train_step(net, batch, seed):
+    """One train forward and backward of `net` on a random batch; returns
+    the gradients, the buffers and the dropout RNG's state after it."""
+    data = np.random.default_rng(seed)
+    x = T.Tensor(data.normal(size=(batch,) + models.INPUT_SHAPE).astype(np.float32))
+    target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[data.integers(0, 10, batch)])
+    rng = np.random.default_rng(seed + 1)
+    probs = net.forward(x, "train", rng)
+    T.backward(T.tsum(T.mul(target, T.log(probs))))
+    return ([p.grad for p in net.params()], list(net.buffers().values()),
+            rng.bit_generator.state)
+
+
+def _graph(out):
+    """Every tensor `out` depends on, itself included."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _closure_arrays(fn, seen=None):
+    """The arrays a closure reaches through its cells, nested closures and
+    tensors included."""
+    seen = set() if seen is None else seen
+    arrays = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, T.Tensor):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            arrays.extend(_closure_arrays(value, seen))
+    return arrays
 
 
 class TestTrainBackward:
+    def test_fused_units_match_the_chain(self, monkeypatch):
+        got = _train_step(models.build_network("red03", seed=0), batch=2, seed=11)
+        monkeypatch.setattr(models._ConvBnRelu, "__call__", _unfolded)
+        want = _train_step(models.build_network("red03", seed=0), batch=2, seed=11)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[2] == want[2]
+
+    def test_window_closures_keep_no_padded_input(self):
+        net = models.build_network("red03", seed=0)
+        x = np.random.default_rng(12).normal(size=(1,) + models.INPUT_SHAPE)
+        out = net.forward(x, "train", np.random.default_rng(13))
+        checked = 0
+        for node in _graph(out):
+            if node.op in ("conv2d", "avg_pool", "conv_bn_relu"):
+                checked += 1
+                b, f, t, c = node._parents[0].shape
+                for a in _closure_arrays(node._backward):
+                    # a padded copy of the input: its batch and channels, and
+                    # more frequency or time cells
+                    padded = (a.ndim == 4 and (a.shape[0], a.shape[3]) == (b, c)
+                              and (a.shape[1] > f or a.shape[2] > t))
+                    assert not padded, (node.op, a.shape)
+        assert checked == 12 + 9 + 3  # fused units, avg pools, 1x1 projections
+
+    def test_fused_graph_retains_less(self, monkeypatch):
+        def retained():
+            net = models.build_network("red03", seed=0)
+            x = T.Tensor(np.random.default_rng(14).normal(size=(2,) + models.INPUT_SHAPE)
+                         .astype(np.float32))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = net.forward(x, "train", np.random.default_rng(15))  # noqa: F841
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        fused = retained()
+        monkeypatch.setattr(models._ConvBnRelu, "__call__", _unfolded)
+        chain = retained()
+        # the fused graph keeps about 86 MB here and the chain about 117 MB
+        assert fused <= 0.8 * chain, (fused, chain)
+
     def test_gradients_own_their_memory(self, monkeypatch):
         def grads():
             net = models.build_network("red03", seed=0)
