@@ -53,6 +53,11 @@ class AudioClip:
 # (format tag, bits per sample) -> (sample dtype, scale to [-1, 1]); a 24-bit
 # sample is widened into the top three bytes of an int32
 _ENCODINGS = {(1, 16): ("<i2", 2.0**-15), (1, 24): ("<i4", 2.0**-31), (3, 32): ("<f4", 1.0)}
+# WAVE_FORMAT_EXTENSIBLE keeps the encoding in a sub-format GUID at byte 24 of
+# its fmt chunk; the GUIDs of PCM and IEEE float, as stored, map to tags 1 and 3
+_EXTENSIBLE = 0xFFFE
+_SUB_FORMATS = {bytes.fromhex("0100000000001000800000aa00389b71"): 1,
+                bytes.fromhex("0300000000001000800000aa00389b71"): 3}
 # from 8 kHz, resampling to PIPELINE_RATE at most quadruples a clip
 MIN_RATE = 8000
 
@@ -61,10 +66,10 @@ def load_wav(path) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip scaled to [-1, 1].
 
     Accepts 16-bit and 24-bit PCM and 32-bit IEEE float at MIN_RATE or
-    above; multi-channel content is averaged down to mono. A file that is
-    truncated, malformed, in another encoding, or holds no samples or a
-    non-finite one, or a second fmt or data chunk, raises IOFailure naming
-    the path and the offset.
+    above, also as WAVE_FORMAT_EXTENSIBLE; multi-channel content is averaged
+    down to mono. A file that is truncated, malformed, in another encoding,
+    or holds no samples or a non-finite one, or a second fmt or data chunk,
+    raises IOFailure naming the path and the offset.
     """
     rd = Reader(path)
     riff, _, form = rd.unpack("<4sI4s", "RIFF header")
@@ -80,7 +85,14 @@ def load_wav(path) -> AudioClip:
             if size < 16:
                 rd.fail("truncated fmt chunk")
             fmt_at, fmt = rd.pos, rd.unpack("<HHIIHH", "fmt chunk")
-            rd.skip(size - 16, "fmt chunk")
+            if fmt[0] == _EXTENSIBLE:
+                if size < 40:
+                    rd.fail(f"extensible fmt chunk of {size} bytes, under 40", fmt_at)
+                (guid,) = rd.unpack("<8x16s", "extensible fmt chunk")
+                if guid not in _SUB_FORMATS:
+                    rd.fail(f"unknown sub-format GUID {guid.hex()}", rd.pos - 16)
+                fmt = (_SUB_FORMATS[guid],) + fmt[1:]
+            rd.skip(fmt_at + size - rd.pos, "fmt chunk")
         elif cid == b"data":
             data_at, data = rd.pos, rd.array("u1", (size,), "data chunk")
         else:

@@ -1,13 +1,10 @@
 """Binary feature cache holding extracted spectrogram tensors.
 
 Layout (all little-endian):
-  magic "ASCF" | version u16 | frontend id u8 | F u32 | T u32 | C u32
+  magic "ASCF" | version u16 (2) | frontend id u8 | F u32 | T u32 | C u32
   | record count u32
   then exactly that many records, one per segment:
   label u8 | tag length u8 | tag UTF-8 bytes | F*T*C float32 row-major
-
-Version 1 files, which have no record count and whose records run to the
-end of the file, are still read.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from .frontend import FRONTENDS
 
 _MAGIC = b"ASCF"
 _VERSION = 2
-_HEADER = "<B3I"  # frontend id, F, T, C; version 2 follows it with the record count
+_HEADER = "<B3I"  # frontend id, F, T, C; the record count follows
 _COUNT_OFFSET = len(_MAGIC) + 2 + struct.calcsize(_HEADER)
 _FRONTEND_IDS = {name: i for i, name in enumerate(FRONTENDS)}
 
@@ -84,17 +81,16 @@ def write_cache(path, frontend: str, records) -> int:
 
 
 def read_cache(path) -> FeatureSet:
-    """Load a feature cache written by write_cache (version 2) or by its
-    version 1. A version 2 file must hold exactly its record count, and no
-    record may hold a non-finite value."""
+    """Load a feature cache written by write_cache. The file must hold
+    exactly its record count, and no record may hold a non-finite value."""
     rd = Reader(path)
-    version, frontend_id, *dims = rd.header(_MAGIC, (1, _VERSION), _HEADER)
+    frontend_id, *dims = rd.header(_MAGIC, _VERSION, _HEADER)
     names = {i: n for n, i in _FRONTEND_IDS.items()}
     if frontend_id not in names:
         rd.fail(f"unknown frontend id {frontend_id}", len(_MAGIC) + 2)
-    count = None if version == 1 else rd.unpack("<I", "record count")[0]
+    (count,) = rd.unpack("<I", "record count")
     feats, labels, devices = [], [], []
-    while rd.left if count is None else len(feats) < count:
+    while len(feats) < count:
         label, tag_len = rd.unpack("<BB", f"record {len(feats)} header")
         devices.append(rd.text(tag_len, f"record {len(feats)} device tag"))
         labels.append(label)

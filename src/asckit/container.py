@@ -51,16 +51,16 @@ class Reader:
         if self.left:
             self.fail(f"{self.left} bytes after {what}")
 
-    def header(self, magic: bytes, versions, fmt: str) -> tuple:
-        """Check the magic and that the version is one of `versions`; return
-        the version followed by the rest of the header unpacked."""
+    def header(self, magic: bytes, version: int, fmt: str) -> tuple:
+        """Check the magic and that the u16 version is `version`, the only
+        one read; return the rest of the header unpacked with `fmt`."""
         if self.raw[: len(magic)] != magic:
             self.fail(f"not an {magic.decode()} file", 0)
         self.pos = len(magic)
         (found,) = self.unpack("<H", "version")
-        if found not in versions:
+        if found != version:
             self.fail(f"unsupported {magic.decode()} version {found}", len(magic))
-        return (found,) + self.unpack(fmt, "header")
+        return self.unpack(fmt, "header")
 
     def unpack(self, fmt: str, what: str) -> tuple:
         start = self.skip(struct.calcsize(fmt), what)

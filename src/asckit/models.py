@@ -5,16 +5,17 @@ All networks consume [B, 128, 256, 3] feature batches and emit [B, 10]
 class probabilities. Channel plans:
 
     variant    inception   block1  block2  block3   hidden FC   parameters
-    baseline   2 x 64      2x128   2x256   2x512    1024        9.54M
-    red01      64          128     256     512      none        2.78M
-    red02      32          64      128     256      none        0.70M
-    red03      16          32      64      128      none        0.18M
+    baseline   2 x 64      2x128   2x256   2x512    1024        9,531,863
+    red01      64          128     256     512      none        2,777,111
+    red02      32          64      128     256      none          700,428
+    red03      16          32      64      128      none          178,199
 
 Every block ends in max-pool 2x2 -> dropout -> residual normalization.
 The pooling head reduces the backbone output to three per-channel feature
 vectors (overall average, frequency-averaged temporal max, temporal max of
 the frequency average) concatenated to a 3*C descriptor. The parameter
-counts above are measured; an ensemble of three red02 networks, one per
+counts above are exact (`count_parameters`); the conv of a conv -> BN ->
+ReLU unit has no bias. An ensemble of three red02 networks, one per
 spectrogram, has 2.1M parameters.
 
 In eval mode each conv -> BN -> ReLU unit folds its BN into the conv; in
@@ -73,8 +74,8 @@ class Module:
     """Base for layers and networks.
 
     Parameters and buffers are found by walking the instance attributes in
-    assignment order, recursing into child modules and lists of them: a
-    `T.Parameter` attribute is a parameter, an `np.ndarray` attribute is a
+    assignment order, recursing into child modules and into lists item by
+    item: a `T.Parameter` is a parameter, an `np.ndarray` attribute is a
     buffer saved as `<self.name>.<attribute>`.
     """
 
@@ -131,28 +132,16 @@ def _unique(pairs) -> dict:
     return out
 
 
-class Conv2D(Module):
-    """Stride-1 'same' convolution with a per-channel bias."""
-
-    def __init__(self, name, kf, kt, cin, cout, rng):
-        limit = np.sqrt(6.0 / (kf * kt * cin))
-        self.w = T.Parameter(
-            rng.uniform(-limit, limit, size=(kf, kt, cin, cout)).astype(np.float32),
-            name=f"{name}.w",
-        )
-        self.b = T.Parameter(np.zeros(cout, dtype=np.float32), name=f"{name}.b")
-
-    def __call__(self, x, mode, rng):
-        return T.conv2d(x, self.w, self.b)
+def _kernel(name, shape, rng):
+    """He-uniform float32 weights: U(-l, l) with l = sqrt(6 / fan-in), where
+    the fan-in is the product of all but the last (output) dimension."""
+    limit = np.sqrt(6.0 / np.prod(shape[:-1]))
+    return T.Parameter(rng.uniform(-limit, limit, size=shape).astype(np.float32), name=name)
 
 
 class Dense(Module):
     def __init__(self, name, din, dout, rng):
-        limit = np.sqrt(6.0 / din)
-        self.w = T.Parameter(
-            rng.uniform(-limit, limit, size=(din, dout)).astype(np.float32),
-            name=f"{name}.w",
-        )
+        self.w = _kernel(f"{name}.w", (din, dout), rng)
         self.b = T.Parameter(np.zeros(dout, dtype=np.float32), name=f"{name}.b")
 
     def __call__(self, x, mode, rng):
@@ -176,27 +165,28 @@ class BatchNorm(Module):
 
 
 class _ConvBnRelu(Module):
-    """conv -> BN -> ReLU, as one `T.conv_bn_relu` op in train mode. In eval
+    """conv -> BN -> ReLU with no conv bias, which the train-mode batch mean
+    would cancel exactly; one `T.conv_bn_relu` op in train mode. In eval
     mode the BN is folded into the conv (Jacob et al., arXiv 1712.05877,
     section 3.2): with s = gamma / sqrt(var + eps) from the running buffers,
-    in float64, one conv with kernel w * s and bias (b - mean) * s + beta,
-    both cast to the kernel's dtype, replaces the conv and the BN. The fold is made anew on every eval forward, so it always
-    follows the current parameters and buffers. Its kernel and bias are plain
-    tensors, and an eval forward records no graph (see `Network.forward`), so
-    nothing trains in eval mode."""
+    in float64, one conv with kernel w * s and bias beta - mean * s, both
+    cast to the kernel's dtype, replaces the conv and the BN. The fold is made
+    anew on every eval forward, so it always follows the current parameters
+    and buffers. Its kernel and bias are plain tensors, and an eval forward
+    records no graph (see `Network.forward`), so nothing trains in eval mode."""
 
     def __init__(self, name, kf, kt, cin, cout, rng):
-        self.conv = Conv2D(f"{name}.conv", kf, kt, cin, cout, rng)
+        self.w = _kernel(f"{name}.conv.w", (kf, kt, cin, cout), rng)
         self.bn = BatchNorm(f"{name}.bn", cout)
 
     def __call__(self, x, mode, rng):
-        conv, bn = self.conv, self.bn
+        bn = self.bn
         if mode != "eval":
-            return T.conv_bn_relu(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean,
+            return T.conv_bn_relu(x, self.w, bn.gamma, bn.beta, bn.running_mean,
                                   bn.running_var)
         s = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
-        w = T.Tensor((conv.w.data * s).astype(conv.w.dtype))
-        b = T.Tensor(((conv.b.data - bn.running_mean) * s + bn.beta.data).astype(conv.w.dtype))
+        w = T.Tensor((self.w.data * s).astype(self.w.dtype))
+        b = T.Tensor((bn.beta.data - bn.running_mean * s).astype(self.w.dtype))
         return T.relu(T.conv2d(x, w, b))
 
 
@@ -220,7 +210,9 @@ class InceptionUnit(Module):
 
 class IncResUnit(Module):
     """Branches conv(Kx1), conv(KxK), conv(1xK) -> stride-1 average pooling
-    with the same kernels -> summed, plus a projected residual path."""
+    with the same kernels -> summed, plus the residual path: the input, or
+    its 1x1 conv projection `<name>.proj` (kernel and bias) when the width
+    changes."""
 
     KERNELS = ((INCRES_K, 1), (INCRES_K, INCRES_K), (1, INCRES_K))
 
@@ -229,14 +221,15 @@ class IncResUnit(Module):
             _ConvBnRelu(f"{name}.b{i}", kf, kt, cin, cout, rng)
             for i, (kf, kt) in enumerate(self.KERNELS)
         ]
-        self.proj = (Conv2D(f"{name}.proj", 1, 1, cin, cout, rng)
-                     if cin != cout else None)
+        self.proj = ([_kernel(f"{name}.proj.w", (1, 1, cin, cout), rng),
+                      T.Parameter(np.zeros(cout, np.float32), name=f"{name}.proj.b")]
+                     if cin != cout else [])
 
     def __call__(self, x, mode, rng):
         pooled = [T.avg_pool(br(x, mode, rng), kern)
                   for br, kern in zip(self.branches, self.KERNELS)]
         merged = T.add(T.add(pooled[0], pooled[1]), pooled[2])
-        shortcut = self.proj(x, mode, rng) if self.proj is not None else x
+        shortcut = T.conv2d(x, *self.proj) if self.proj else x
         return T.add(merged, shortcut)
 
 
@@ -334,10 +327,10 @@ def count_parameters(model) -> int:
 
 def _macs(layer, f, t) -> int:
     """Multiply-accumulates of one example through `layer` on an F x T input:
-    every conv is stride-1 'same', so each kernel weight is used F*T times,
-    and each dense weight once."""
-    return sum(v.data.size * (f * t if isinstance(m, Conv2D) else 1)
-               for m, attr, v in layer._leaves() if attr == "w")
+    every conv is stride-1 'same', so each weight of a rank-4 conv kernel is
+    used F*T times, and each weight of a rank-2 dense matrix once."""
+    return sum(p.data.size * (f * t if p.data.ndim == 4 else 1)
+               for p in layer.params() if p.data.ndim > 1)
 
 
 def network_summary(model: Network) -> list:

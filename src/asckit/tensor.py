@@ -24,11 +24,13 @@ out, as the columns of one GEMM (im2col). No backward closure keeps a
 padded input: the `conv2d` backward pads the input anew, and the
 `avg_pool` backward makes its zero gradient from the padded shape.
 
-`conv_bn_relu` is the networks' train-mode conv -> batch norm -> ReLU unit
-as one op. It runs the same forward and backward code as `conv2d` and
-train-mode `batch_norm`, so its output, gradients and running buffers are
-bit-identical to the three-op chain, but its graph keeps only the conv
-input, the standardized conv output and its own output.
+The conv core, `_conv_forward` and `_conv_backward`, has no bias; `conv2d`
+adds its own and sums its gradient. `conv_bn_relu` is the networks'
+train-mode conv -> batch norm -> ReLU unit as one op; its conv has no bias,
+which the batch mean would cancel exactly. It runs the core and train-mode
+`batch_norm` code, so its output, gradients and running buffers are
+bit-identical to the three-op chain with a zero bias, but its graph keeps
+only the conv input, the standardized conv output and its own output.
 
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
@@ -322,28 +324,24 @@ def _window_reduce(ufunc, xp, offsets):
     return out
 
 
-def _conv_forward(x, w, b):
-    """`conv2d`'s output from the arrays x, w and b: one GEMM over the
-    [B*F*T, kf*kt*cin] window columns (im2col)."""
+def _conv_forward(x, w):
+    """The bias-free stride-1 'same' conv of the arrays x and w: one GEMM
+    over the [B*F*T, kf*kt*cin] window columns (im2col)."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
     kf, kt, cin, cout = w.shape
-    if b.shape != (cout,):
-        raise ShapeMismatch(f"conv bias: {b.shape}")
     xp, _, _ = _windows(x, (kf, kt))
     # im2col: one copy of the windows as rows, columns ordered (u, v, cin)
     view = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
     view = view.transpose(0, 1, 2, 4, 5, 3)
     y = view.reshape(-1, kf * kt * cin) @ w.reshape(-1, cout)
-    y += b
     return y.reshape(x.shape[:3] + (cout,))
 
 
-def _conv_backward(g, x: Tensor, w: Tensor, b: Tensor):
-    """Hand x, w and b their gradients from the output gradient g of
-    `_conv_forward(x.data, w.data, b.data)`: one GEMM per kernel offset for
-    each of the kernel and input gradients. The padded input is made anew
-    from x.data, so no closure has to keep it."""
+def _conv_backward(g, x: Tensor, w: Tensor):
+    """Hand x and w their gradients from the output gradient g of
+    `_conv_forward(x.data, w.data)`: one GEMM per kernel offset for each.
+    The padded input is made anew from x.data, so no closure has to keep it."""
     kf, kt, cin, cout = w.shape
     xp, inner, offsets = _windows(x.data, (kf, kt))
     w3 = w.data.reshape(kf * kt, cin, cout)
@@ -353,8 +351,6 @@ def _conv_backward(g, x: Tensor, w: Tensor, b: Tensor):
         for o, gw_o in zip(offsets, gw):
             np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
         w.accumulate(gw.reshape(w.shape))
-    if b.requires_grad:
-        b.accumulate(g2.sum(axis=0, dtype=np.float64).astype(b.dtype))
     if x.requires_grad:
         gp = np.zeros_like(xp)
         for o, w_o in zip(offsets, w3):
@@ -367,11 +363,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cout] kernel, plus a per-channel bias, giving [B, F, T, cout].
 
     The forward pass is one GEMM over the [B*F*T, kf*kt*cin] window columns;
-    the backward pass does one GEMM per kernel offset for each of the two
-    gradients.
+    the backward pass does one GEMM per kernel offset for each of the input
+    and kernel gradients, and a float64 sum for the bias gradient.
     """
-    return _result(_conv_forward(x.data, w.data, b.data), (x, w, b), "conv2d",
-                   lambda g: _conv_backward(g, x, w, b))
+    y = _conv_forward(x.data, w.data)
+    if b.shape != y.shape[3:]:
+        raise ShapeMismatch(f"conv bias: {b.shape}")
+    y += b.data
+
+    def _bw(g):
+        if b.requires_grad:
+            b.accumulate(g.reshape(-1, b.shape[0]).sum(axis=0, dtype=np.float64)
+                         .astype(b.dtype))
+        _conv_backward(g, x, w)
+    return _result(y, (x, w, b), "conv2d", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +524,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     return _result(y, (x, gamma, beta), "batch_norm", lambda g: x.accumulate(grad(g)))
 
 
-def conv_bn_relu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-                 running_mean, running_var) -> Tensor:
-    """relu(batch_norm(conv2d(x, w, b), gamma, beta, running_mean,
+def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean,
+                 running_var) -> Tensor:
+    """relu(batch_norm(conv2d(x, w, 0), gamma, beta, running_mean,
     running_var, "train")) as one op, with the same arithmetic and so the
-    same bits, buffer update included.
+    same bits, buffer update included; its conv has no bias.
 
     Its graph keeps x, BN's xhat and the output, where the chain keeps the
     conv output, xhat, the BN output and the ReLU output: the ReLU is taken
     in place, and its backward needs only the output's sign.
     """
-    y, bn_grad = _batch_norm_train(_conv_forward(x.data, w.data, b.data), gamma, beta,
+    y, bn_grad = _batch_norm_train(_conv_forward(x.data, w.data), gamma, beta,
                                    running_mean, running_var)
     np.maximum(y, 0, out=y)
-    return _result(y, (x, w, b, gamma, beta), "conv_bn_relu",
-                   lambda g: _conv_backward(bn_grad(g * (y > 0)), x, w, b))
+    return _result(y, (x, w, gamma, beta), "conv_bn_relu",
+                   lambda g: _conv_backward(bn_grad(g * (y > 0)), x, w))
 
 
 def residual_norm(x: Tensor) -> Tensor:
@@ -604,9 +609,9 @@ _WEIGHT_DTYPES = ("<f4", "<f8")  # dtype code -> payload dtype
 
 def save_weights(path, named_arrays: dict) -> None:
     """Write named tensors, float64 ones as float64 and all others as
-    float32: magic, version u16, count u32, then per entry a
+    float32: magic, version u16 (2), count u32, then per entry a
     u16-length-prefixed name, rank u8, dtype code u8 (0 float32, 1 float64),
-    dims u32 each, payload. Version 1 had no dtype code and only float32."""
+    dims u32 each, payload."""
     with atomic_write(path) as fh:
         fh.write(_WEIGHT_MAGIC)
         fh.write(struct.pack("<HI", _WEIGHT_VERSION, len(named_arrays)))
@@ -625,16 +630,16 @@ def save_weights(path, named_arrays: dict) -> None:
 
 def load_weights(path) -> dict:
     """Named read-only float32 or float64 arrays from a file written by
-    save_weights, or float32 ones from a version 1 file."""
+    save_weights."""
     rd = Reader(path)
-    version, count = rd.header(_WEIGHT_MAGIC, (1, _WEIGHT_VERSION), "<I")
+    (count,) = rd.header(_WEIGHT_MAGIC, _WEIGHT_VERSION, "<I")
     named = {}
     for _ in range(count):
         start = rd.pos
         (name_len,) = rd.unpack("<H", "name length")
         name = rd.text(name_len, "name")
         (rank,) = rd.unpack("<B", "rank")
-        code = 0 if version == 1 else rd.unpack("<B", f"{name} dtype code")[0]
+        (code,) = rd.unpack("<B", f"{name} dtype code")
         if code >= len(_WEIGHT_DTYPES):
             rd.fail(f"{name}: unknown dtype code {code}", rd.pos - 1)
         dims = rd.unpack(f"<{rank}I", f"{name} dims")

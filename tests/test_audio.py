@@ -6,6 +6,7 @@ import wave
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from asckit.audio import (
     MIN_RATE,
@@ -42,6 +43,20 @@ def write_float32(path, samples, rate):
         b"data", len(data),
     )
     path.write_bytes(hdr + data)
+
+
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def write_extensible_pcm24(path, samples_i24, rate, n_channels, guid=PCM_GUID, fmt_size=40):
+    """WAVE_FORMAT_EXTENSIBLE 24-bit samples, as written for PCM above 16 bits;
+    a `fmt_size` under 40 cuts the fmt chunk there."""
+    data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in samples_i24)
+    fmt = struct.pack("<HHIIHHHHI16s", 0xFFFE, n_channels, rate, rate * 3 * n_channels,
+                      3 * n_channels, 24, 22, 24, 3, guid)[:fmt_size]
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 class TestLoadWav:
@@ -146,20 +161,38 @@ class TestLoadWav:
         assert clip.sample_rate == 8000
         assert np.all(clip.samples == 0.5)
 
-    @pytest.mark.parametrize("n_channels", [1, 2])
-    def test_pcm24_scaled_by_2_to_the_minus_23(self, tmp_path, n_channels):
+    @pytest.mark.parametrize("n_channels, extensible", [
+        pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+        pytest.param(2, True, id="2-extensible")])
+    def test_pcm24_scaled_by_2_to_the_minus_23(self, tmp_path, n_channels, extensible):
         # the encoding of the TAU Urban Acoustic Scenes recordings
         p = tmp_path / "pcm24.wav"
         ints = np.array([0, 1, -1, 2**23 - 1, -(2**23), 123456, -654321, 42], dtype="<i4")
-        with wave.open(str(p), "wb") as fh:
-            fh.setnchannels(n_channels)
-            fh.setsampwidth(3)
-            fh.setframerate(48000)
-            fh.writeframes(b"".join(int(v).to_bytes(3, "little", signed=True) for v in ints))
+        if extensible:
+            write_extensible_pcm24(p, ints, 48000, n_channels)
+        else:
+            with wave.open(str(p), "wb") as fh:
+                fh.setnchannels(n_channels)
+                fh.setsampwidth(3)
+                fh.setframerate(48000)
+                fh.writeframes(b"".join(int(v).to_bytes(3, "little", signed=True)
+                                        for v in ints))
         clip = load_wav(p)
         assert clip.sample_rate == 48000
         expected = ints.reshape(-1, n_channels).mean(axis=1) * 2.0**-23
         np.testing.assert_array_equal(clip.samples, expected)
+
+    @pytest.mark.parametrize("guid, fmt_size, message", [
+        (bytes(range(16)), 40, "unknown sub-format GUID 000102030405060708090a0b0c0d0e0f "
+                               "at offset 44"),
+        (PCM_GUID, 24, "extensible fmt chunk of 24 bytes, under 40 at offset 20"),
+    ], ids=["unknown-guid", "short-fmt"])
+    def test_extensible_without_a_known_sub_format_rejected(self, tmp_path, guid, fmt_size,
+                                                            message):
+        p = tmp_path / "ext.wav"
+        write_extensible_pcm24(p, [1, -1], 48000, 2, guid=guid, fmt_size=fmt_size)
+        with pytest.raises(IOFailure, match=rf"ext\.wav: {message}$"):
+            load_wav(p)
 
     def test_odd_chunks_padded_except_at_the_end(self, tmp_path):
         # a 3-byte LIST chunk and its pad byte, then a 3-byte PCM24 data chunk
@@ -245,10 +278,12 @@ class TestLoadWavFuzz:
     VALID = {
         "float32-mono": lambda p: write_float32(p, np.linspace(-1.0, 1.0, 16), 32000),
         "pcm16-stereo": lambda p: write_pcm16(p, np.arange(-16, 16), 32000, n_channels=2),
+        "extensible-pcm24-stereo": lambda p: write_extensible_pcm24(
+            p, np.arange(-8, 8) * 4099, 48000, n_channels=2),
     }
 
     @classmethod
-    def _valid(cls, tmp_path, kind="float32-mono"):
+    def _valid(cls, tmp_path, kind):
         p = tmp_path / "ok.wav"
         cls.VALID[kind](p)
         return p.read_bytes()
@@ -264,10 +299,10 @@ class TestLoadWavFuzz:
             assert_names_path_and_offset(exc_info, cut)
 
     @FUZZ
-    @given(flips=flips)
-    def test_flipped_bytes_load_or_raise_naming_the_path(self, tmp_path, flips):
+    @given(flips=flips, kind=st.sampled_from(sorted(VALID)))
+    def test_flipped_bytes_load_or_raise_naming_the_path(self, tmp_path, flips, kind):
         bad = tmp_path / "bad.wav"
-        bad.write_bytes(flip(self._valid(tmp_path), flips))
+        bad.write_bytes(flip(self._valid(tmp_path, kind), flips))
         try:
             clip = load_wav(bad)
         except IOFailure as exc:

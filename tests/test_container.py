@@ -40,18 +40,16 @@ def _write_cache(tmp_path):
     return path, path.read_bytes()
 
 
-def _as_version_1(raw):
-    """The same cache in ASCF version 1, which has no record count."""
-    return raw[:4] + struct.pack("<H", 1) + raw[6:19] + raw[23:]
-
-
-def _record_ends():
-    """Byte offsets at which each record of a version 1 ASCF file ends."""
-    ends, pos = [], 19
-    for feats, _, tag in RECORDS:
-        pos += 2 + len(tag.encode("utf-8")) + feats.nbytes
-        ends.append(pos)
-    return ends
+@pytest.mark.parametrize("write, read, magic", [(_write_weights, T.load_weights, "ASCW"),
+                                                (_write_cache, read_cache, "ASCF")],
+                         ids=["ascw", "ascf"])
+def test_version_1_rejected(tmp_path, write, read, magic):
+    # each reader reads only the version its writer writes
+    path, raw = write(tmp_path)
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    with pytest.raises(IOFailure, match=re.escape(
+            f"{path}: unsupported {magic} version 1 at offset 4")):
+        read(path)
 
 
 class TestWeights:
@@ -65,14 +63,6 @@ class TestWeights:
                     + struct.pack("<H", 1) + b"c" + struct.pack("<BBI", 1, 1, 1)
                     + struct.pack("<d", 0.1))
         assert path.read_bytes() == expected
-
-    def test_version_1_loads_as_float32(self, tmp_path):
-        path = tmp_path / "v1.ascw"
-        path.write_bytes(b"ASCW" + struct.pack("<HI", 1, 1) + struct.pack("<H", 2) + b"ab"
-                         + struct.pack("<B2I", 2, 1, 2) + struct.pack("<2f", 1.0, 2.5))
-        (name, arr), = T.load_weights(path).items()
-        assert name == "ab" and arr.dtype == np.float32
-        np.testing.assert_array_equal(arr, [[1.0, 2.5]])
 
     def test_unknown_dtype_code_names_path_and_offset(self, tmp_path):
         path, raw = _write_weights(tmp_path)
@@ -106,8 +96,8 @@ class TestWeights:
 
     def test_empty_payload_with_overflowing_dims_rejected(self, tmp_path):
         path = tmp_path / "w.ascw"
-        path.write_bytes(b"ASCW" + struct.pack("<HIH", 1, 1, 1) + b"a"
-                         + struct.pack("<B4I", 4, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+        path.write_bytes(b"ASCW" + struct.pack("<HIH", 2, 1, 1) + b"a"
+                         + struct.pack("<BB4I", 4, 0, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
         with pytest.raises(IOFailure, match="too large") as exc_info:
             T.load_weights(path)
         assert_names_path_and_offset(exc_info, path)
@@ -169,27 +159,6 @@ class TestCache:
                                             f"records at offset {len(raw)}"):
             read_cache(path)
 
-    def test_every_truncation_rejected_unless_at_a_record_boundary(self, tmp_path):
-        # version 1 stores no record count, so a cut at a record end reads back
-        _, raw = _write_cache(tmp_path)
-        raw = _as_version_1(raw)
-        ends = _record_ends()
-        assert ends[-1] == len(raw)
-        cut = tmp_path / "cut.ascf"
-        for n in range(len(raw) + 1):
-            cut.write_bytes(raw[:n])
-            if n in ends:
-                kept = ends.index(n) + 1
-                back = read_cache(cut)
-                assert back.n_samples == kept
-                assert back.devices == [r[2] for r in RECORDS[:kept]]
-                assert [int(v) for v in back.labels] == [r[1] for r in RECORDS[:kept]]
-                assert np.array_equal(back.features, np.stack([r[0] for r in RECORDS[:kept]]))
-                continue
-            with pytest.raises(IOFailure) as exc_info:
-                read_cache(cut)
-            assert_names_path_and_offset(exc_info, cut)
-
     @FUZZ
     @given(flips=flips)
     def test_flipped_bytes_read_or_raise_iofailure(self, tmp_path, flips):
@@ -212,10 +181,9 @@ class TestCache:
 
     def test_header_without_records_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)
-        for empty in (raw[:19] + struct.pack("<I", 0), _as_version_1(raw)[:19]):
-            path.write_bytes(empty)
-            with pytest.raises(IOFailure, match="no records"):
-                read_cache(path)
+        path.write_bytes(raw[:19] + struct.pack("<I", 0))
+        with pytest.raises(IOFailure, match="no records"):
+            read_cache(path)
 
     def test_unknown_frontend_id_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)
@@ -239,11 +207,8 @@ class TestCache:
             write_cache(tmp_path / "c.ascf", "gam", [RECORDS[0], (bad, 0, "B")])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_non_finite_payload_names_path_and_record_offset(self, tmp_path, version):
+    def test_non_finite_payload_names_path_and_record_offset(self, tmp_path):
         path, raw = _write_cache(tmp_path)
-        if version == 1:
-            raw = _as_version_1(raw)
         payload = raw.index(RECORDS[1][0].tobytes())
         value = payload + 4 * 3
         path.write_bytes(raw[:value] + struct.pack("<f", np.nan) + raw[value + 4 :])

@@ -175,20 +175,17 @@ class TestNorms:
     def test_conv_bn_relu_off_kink(self, rng, kernel):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
         w = T.Tensor(rng.normal(size=kernel + (3, 4)) * 0.5, requires_grad=True)
-        b = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
         gamma = T.Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True)
         beta = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
         with T.no_grad():
-            pre = T.batch_norm(T.conv2d(x, w, b), gamma, beta, np.zeros(4), np.ones(4), "train")
+            pre = T.batch_norm(T.conv2d(x, w, T.Tensor(np.zeros(4))), gamma, beta, np.zeros(4),
+                               np.ones(4), "train")
         # outputs within 0.05 of the ReLU kink get no weight in the loss, so no
         # finite-difference step crosses it
         off_kink = T.Tensor((np.abs(pre.data) > 0.05).astype(np.float64))
         rm, rv = np.zeros(4), np.ones(4)
-        check(lambda x, w, g, be: T.mul(T.conv_bn_relu(x, w, b, g, be, rm, rv), off_kink),
+        check(lambda x, w, g, be: T.mul(T.conv_bn_relu(x, w, g, be, rm, rv), off_kink),
               [x, w, gamma, beta])
-        # the batch statistics absorb the conv bias: its gradient is zero, which
-        # a relative error cannot check
-        assert np.abs(b.grad).max() < 1e-12 * np.abs(w.data).max()
 
     def test_residual_norm(self, rng):
         x = T.Tensor(rng.normal(size=(2, 4, 6, 3)), requires_grad=True)

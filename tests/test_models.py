@@ -12,7 +12,8 @@ from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # Parameter and buffer (name, shape) lists in model order, recorded from the
-# hand-written params()/buffers() methods that the Module walk replaced.
+# hand-written params()/buffers() methods that the Module walk replaced; the
+# `.conv.b` rows were dropped when the conv -> BN -> ReLU units lost their bias.
 EXPECTED = json.loads((Path(__file__).parent / "data" / "model_names.json").read_text())
 # model kind -> the variant the save/load and duplicate-name tests build
 KINDS = {"network": "red03"}
@@ -132,7 +133,9 @@ def _conv_bn_relus(net):
 
 
 def _unfolded(self, x, mode, rng):
-    return T.relu(self.bn(self.conv(x, mode, rng), mode, rng))
+    """The unit as conv2d with a zero bias -> batch_norm -> relu."""
+    zero = T.Tensor(np.zeros(self.w.shape[3], self.w.dtype))
+    return T.relu(self.bn(T.conv2d(x, self.w, zero), mode, rng))
 
 
 def _perturb_bns(net, seed):
@@ -159,7 +162,7 @@ class TestFoldedEval:
         _perturb_bns(net, seed=3)
         rng = np.random.default_rng(4)
         for unit in _conv_bn_relus(net):
-            cin = unit.conv.w.shape[2]
+            cin = unit.w.shape[2]
             x = T.Tensor(rng.normal(size=(2, 12, 10, cin)).astype(np.float32))
             got = unit(x, "eval", None).data
             ref = _unfolded(unit, x, "eval", None).data
@@ -255,6 +258,15 @@ class TestTrainBackward:
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got[2] == want[2]
+
+    def test_every_baseline_parameter_reaches_the_loss(self):
+        # a conv bias in front of a train-mode BN would get a zero gradient (up
+        # to rounding); baseline is checked because in red01-red03 each block's
+        # 1x1 projection feeds that block's BN, so `.proj.b` gets none there
+        net = models.build_network("baseline", seed=0)
+        grads, _, _ = _train_step(net, batch=2, seed=11)
+        dead = [p.name for p, g in zip(net.params(), grads) if np.abs(g).max() <= 1e-5]
+        assert dead == []
 
     def test_window_closures_keep_no_padded_input(self):
         net = models.build_network("red03", seed=0)

@@ -132,20 +132,21 @@ class TestConvBnRelu:
         def run(fused):
             rng = np.random.default_rng(19)
             leaves = [T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-                      for shape in [(2, 6, 7, 3), kernel + (3, 4), (4,), (4,), (4,)]]
-            x, w, b, gamma, beta = leaves
+                      for shape in [(2, 6, 7, 3), kernel + (3, 4), (4,), (4,)]]
+            x, w, gamma, beta = leaves
             rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
             if fused:
-                out = T.conv_bn_relu(x, w, b, gamma, beta, rm, rv)
+                out = T.conv_bn_relu(x, w, gamma, beta, rm, rv)
             else:
-                out = T.relu(T.batch_norm(T.conv2d(x, w, b), gamma, beta, rm, rv, "train"))
+                zero = T.Tensor(np.zeros(4, np.float32))
+                out = T.relu(T.batch_norm(T.conv2d(x, w, zero), gamma, beta, rm, rv, "train"))
             weights = T.Tensor(rng.normal(size=out.shape).astype(np.float32))
             T.backward(T.tsum(T.mul(out, weights)))
             return [out.data] + [t.grad for t in leaves] + [rm, rv]
 
         got, want = run(fused=True), run(fused=False)
         assert (got[0] == 0).any() and (got[0] > 0).any()
-        for name, a, b in zip(["out", "x", "w", "b", "gamma", "beta", "mean", "var"], got, want):
+        for name, a, b in zip(["out", "x", "w", "gamma", "beta", "mean", "var"], got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
@@ -432,8 +433,8 @@ FLOAT32_OPS = {
     "dense": lambda r: T.dense(_f32(r, 2, 3), _f32(r, 3, 4), _f32(r, 4)),
     "conv2d": lambda r: T.conv2d(_f32(r, 1, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3)),
     "conv_bn_relu": lambda r: T.conv_bn_relu(
-        _f32(r, 2, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3), _f32(r, 3), _f32(r, 3),
-        np.zeros(3), np.ones(3)),
+        _f32(r, 2, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3), _f32(r, 3), np.zeros(3),
+        np.ones(3)),
     "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2)),
     "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3)),
     "batch_norm_train": lambda r: T.batch_norm(
