@@ -1,10 +1,14 @@
 """Binary feature cache holding extracted spectrogram tensors.
 
 Layout (all little-endian):
-  magic "ASCF" | version u16 (2) | frontend id u8 | F u32 | T u32 | C u32
-  | record count u32
-  then exactly that many records, one per segment:
-  label u8 | tag length u8 | tag UTF-8 bytes | F*T*C float32 row-major
+  magic "ASCF" | version u16 (3) | frontend id u8 | pad u8 | F, T, C, N u32
+  | N*F*T*C float32, the block [N, F, T, C] row-major, from byte 24
+  | N labels u8 | N device tags, each u8 length + UTF-8 bytes
+
+The 24-byte header keeps the block aligned, so `read_cache` returns it as one
+view of the file's bytes. The label and tag tables trail the block because
+`write_cache` streams each record to disk: a table in front would make it hold
+every record before it could write the first payload.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from .errors import ConfigMismatch, IOFailure, ShapeMismatch
 from .frontend import FRONTENDS
 
 _MAGIC = b"ASCF"
-_VERSION = 2
-_HEADER = "<B3I"  # frontend id, F, T, C; the record count follows
-_COUNT_OFFSET = len(_MAGIC) + 2 + struct.calcsize(_HEADER)
-_FRONTEND_IDS = {name: i for i, name in enumerate(FRONTENDS)}
+_VERSION = 3
+_HEADER = "<Bx4I"  # frontend id, pad, F, T, C, record count N
+_COUNT_OFFSET = len(_MAGIC) + 2 + struct.calcsize(_HEADER) - 4
 
 
 @dataclass
 class FeatureSet:
-    """In-memory view of a feature cache."""
+    """A feature cache in memory. `features` is a read-only view of the
+    file's bytes, which it keeps alive; copy it to write into it."""
 
     frontend: str
     features: np.ndarray  # [N, F, T, C] float32
@@ -45,12 +49,13 @@ def write_cache(path, frontend: str, records) -> int:
 
     On any error no file is left at `path`, or the one already there is kept.
     """
-    if frontend not in _FRONTEND_IDS:
+    if frontend not in FRONTENDS:
         raise ConfigMismatch(f"unknown frontend {frontend!r}")
-    count = 0
+    labels, tags = bytearray(), bytearray()
     dims = None
     with atomic_write(path) as fh:
         for features, label, device in records:
+            count = len(labels)
             feats = np.asarray(features, dtype="<f4")
             if feats.ndim != 3:
                 raise ShapeMismatch(f"expected F x T x C features, got {feats.shape}")
@@ -58,9 +63,8 @@ def write_cache(path, frontend: str, records) -> int:
                 raise IOFailure(f"record {count}: features hold a non-finite value")
             if dims is None:
                 dims = feats.shape
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<H", _VERSION))
-                fh.write(struct.pack(_HEADER + "I", _FRONTEND_IDS[frontend], *dims, 0))
+                fh.write(_MAGIC + struct.pack("<H", _VERSION))
+                fh.write(struct.pack(_HEADER, FRONTENDS.index(frontend), *dims, 0))
             elif feats.shape != dims:
                 raise ShapeMismatch(f"record shape {feats.shape} != cache dims {dims}")
             if (isinstance(label, bool) or not isinstance(label, numbers.Real)
@@ -69,41 +73,34 @@ def write_cache(path, frontend: str, records) -> int:
             tag = str(device).encode("utf-8")
             if len(tag) > 255:
                 raise IOFailure(f"record {count}: device tag too long: {device!r}")
-            fh.write(struct.pack("<BB", int(label), len(tag)))
-            fh.write(tag)
             fh.write(feats.tobytes())
-            count += 1
+            labels.append(int(label))
+            tags += bytes([len(tag)]) + tag
         if dims is None:
             raise IOFailure("refusing to write an empty feature cache")
+        fh.write(labels + tags)
         fh.seek(_COUNT_OFFSET)
-        fh.write(struct.pack("<I", count))
-    return count
+        fh.write(struct.pack("<I", len(labels)))
+    return len(labels)
 
 
 def read_cache(path) -> FeatureSet:
     """Load a feature cache written by write_cache. The file must hold
     exactly its record count, and no record may hold a non-finite value."""
     rd = Reader(path)
-    frontend_id, *dims = rd.header(_MAGIC, _VERSION, _HEADER)
-    names = {i: n for n, i in _FRONTEND_IDS.items()}
-    if frontend_id not in names:
+    frontend_id, *dims, count = rd.header(_MAGIC, _VERSION, _HEADER)
+    if frontend_id >= len(FRONTENDS):
         rd.fail(f"unknown frontend id {frontend_id}", len(_MAGIC) + 2)
-    (count,) = rd.unpack("<I", "record count")
-    feats, labels, devices = [], [], []
-    while len(feats) < count:
-        label, tag_len = rd.unpack("<BB", f"record {len(feats)} header")
-        devices.append(rd.text(tag_len, f"record {len(feats)} device tag"))
-        labels.append(label)
-        start = rd.pos
-        feats.append(rd.array("<f4", dims, f"record {len(feats)} payload"))
-        if not np.isfinite(feats[-1]).all():
-            rd.fail(f"record {len(feats) - 1} payload holds a non-finite value", start)
-    if not feats:
+    if not count:
         rd.fail("no records")
-    rd.expect_end(f"the last of {count} records")
-    return FeatureSet(
-        frontend=names[frontend_id],
-        features=np.stack(feats),
-        labels=np.asarray(labels, dtype=np.int64),
-        devices=devices,
-    )
+    block = rd.pos
+    feats = rd.array("<f4", (count, *dims), "feature block")
+    labels = rd.array("u1", (count,), "label table").astype(np.int64)
+    devices = [rd.text(rd.unpack("<B", f"record {k} tag length")[0], f"record {k} device tag")
+               for k in range(count)]
+    rd.expect_end(f"the last of {count} device tags")
+    # after the tables, so that this loop is bounded by the file's size
+    for k in range(count):
+        if not np.isfinite(feats[k]).all():
+            rd.fail(f"record {k} payload holds a non-finite value", block + k * feats.strides[0])
+    return FeatureSet(FRONTENDS[frontend_id], feats, labels, devices)

@@ -3,7 +3,8 @@ weight files (`tensor.save_weights`) and ASCF feature caches
 (`cache.write_cache`), which both open with a 4-byte magic and a u16
 version, and WAV files (`audio.save_wav`). `Reader` is the only code that
 bounds-checks file bytes; `load_wav` walks RIFF chunks through it too, so
-every malformed input file raises `IOFailure`."""
+every malformed input file raises `IOFailure`. `Reader` reads a file once;
+its arrays are views of those bytes, so a cache's feature block is not copied."""
 
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ class Reader:
             self.fail(f"{what} is not UTF-8", start)
 
     def array(self, dtype: str, shape, what: str) -> np.ndarray:
-        """Read-only view of the file bytes as an array of `dtype`."""
+        """Read-only view of the file bytes as an array of `dtype`. It copies
+        nothing and keeps all of the file's bytes alive while it lives."""
         count = math.prod(shape)
         start = self.skip(np.dtype(dtype).itemsize * count, what)
         flat = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)

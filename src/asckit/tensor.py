@@ -272,7 +272,7 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
     if rng is None:
         raise ConfigMismatch(f"train-mode dropout at rate {p} needs an RNG, got None")
     keep = (rng.random(x.shape) >= p) / np.asarray(1.0 - p, dtype=x.dtype)
-    keep = keep.astype(x.dtype)
+    keep = keep.astype(x.dtype, copy=False)  # copies only if the division promoted
     return _result(x.data * keep, (x,), "dropout", lambda g: x.accumulate(g * keep))
 
 

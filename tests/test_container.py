@@ -4,6 +4,7 @@ caches, and the atomic writer under every file the toolkit writes."""
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from asckit import models
 from asckit import tensor as T
 from asckit.cache import read_cache, write_cache
 from asckit.container import atomic_write
-from asckit.errors import IOFailure
+from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
 
 WEIGHTS = {
@@ -40,15 +41,17 @@ def _write_cache(tmp_path):
     return path, path.read_bytes()
 
 
-@pytest.mark.parametrize("write, read, magic", [(_write_weights, T.load_weights, "ASCW"),
-                                                (_write_cache, read_cache, "ASCF")],
-                         ids=["ascw", "ascf"])
-def test_version_1_rejected(tmp_path, write, read, magic):
+@pytest.mark.parametrize("write, read, magic, version",
+                         [(_write_weights, T.load_weights, "ASCW", 1),
+                          (_write_cache, read_cache, "ASCF", 1),
+                          (_write_cache, read_cache, "ASCF", 2)],
+                         ids=["ascw-v1", "ascf-v1", "ascf-v2"])
+def test_old_version_rejected(tmp_path, write, read, magic, version):
     # each reader reads only the version its writer writes
     path, raw = write(tmp_path)
-    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    path.write_bytes(raw[:4] + struct.pack("<H", version) + raw[6:])
     with pytest.raises(IOFailure, match=re.escape(
-            f"{path}: unsupported {magic} version 1 at offset 4")):
+            f"{path}: unsupported {magic} version {version} at offset 4")):
         read(path)
 
 
@@ -141,6 +144,86 @@ class TestWeights:
 
 
 class TestCache:
+    def test_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "feat.ascf"
+        records = [
+            (rng.normal(size=(128, 305, 3)).astype(np.float32), i % 10, f"S{i}")
+            for i in range(5)
+        ]
+        n = write_cache(path, "logmel", iter(records))
+        assert n == 5
+        back = read_cache(path)
+        assert back.frontend == "logmel"
+        assert back.n_samples == 5
+        assert back.features.shape == (5, 128, 305, 3)
+        for i, (feats, label, device) in enumerate(records):
+            np.testing.assert_array_equal(back.features[i], feats)
+            assert back.labels[i] == label
+            assert back.devices[i] == device
+
+    def test_header_layout(self, tmp_path):
+        path = tmp_path / "feat.ascf"
+        feats = np.arange(2 * 4 * 6 * 3, dtype=np.float32).reshape(2, 4, 6, 3)
+        write_cache(path, "cqt", [(feats[0], 2, "A"), (feats[1], 7, "bc")])
+        raw = path.read_bytes()
+        assert raw[:4] == b"ASCF"
+        assert int.from_bytes(raw[4:6], "little") == 3  # version
+        assert raw[6] == 1 and raw[7] == 0  # frontend id for cqt, pad
+        dims = np.frombuffer(raw[8:20], dtype="<u4")
+        np.testing.assert_array_equal(dims, [4, 6, 3])
+        assert int.from_bytes(raw[20:24], "little") == 2  # record count
+        block = 24 + feats.nbytes
+        assert raw[24:block] == feats.tobytes()  # both records, then the tables
+        assert raw[block : block + 2] == bytes([2, 7])  # labels
+        assert raw[block + 2 :] == b"\x01A\x02bc"  # length-prefixed device tags
+
+    def test_features_are_an_aligned_read_only_view(self, tmp_path):
+        path = tmp_path / "c.ascf"
+        write_cache(path, "gam", [(np.full((128, 64, 3), k, np.float32), k, "A")
+                                  for k in range(16)])
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = read_cache(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flags = back.features.flags
+        assert not flags.writeable and flags.aligned and not flags.owndata
+        assert peak <= 1.1 * size, (peak, size)
+
+    def test_read_work_bounded_by_file_size(self, tmp_path, monkeypatch):
+        # F = 0 makes every record empty, so only the tables can bound the loops
+        path = tmp_path / "c.ascf"
+        path.write_bytes(b"ASCF" + struct.pack("<HBx4I", 3, 0, 0, 3, 1, 2**32 - 1))
+        monkeypatch.setattr(np, "isfinite", lambda a: pytest.fail("scan ran before the tables"))
+        with pytest.raises(IOFailure, match=re.escape(
+                f"{path}: truncated label table: need {2**32 - 1} bytes, 0 left at offset 24")):
+            read_cache(path)
+
+    def test_mixed_shapes_rejected(self, tmp_path):
+        with pytest.raises(ShapeMismatch):
+            write_cache(
+                tmp_path / "x.ascf",
+                "gam",
+                [
+                    (np.zeros((4, 6, 3), np.float32), 0, "A"),
+                    (np.zeros((4, 7, 3), np.float32), 0, "A"),
+                ],
+            )
+
+    def test_unknown_frontend_rejected(self, tmp_path):
+        with pytest.raises(ConfigMismatch, match="^unknown frontend 'mfcc'$"):
+            write_cache(tmp_path / "x.ascf", "mfcc", [(np.zeros((4, 6, 3), np.float32), 0, "A")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_not_a_cache(self, tmp_path):
+        p = tmp_path / "junk.bin"
+        p.write_bytes(b"garbage")
+        with pytest.raises(IOFailure):
+            read_cache(p)
+
     def test_every_truncation_rejected(self, tmp_path):
         _, raw = _write_cache(tmp_path)
         cut = tmp_path / "cut.ascf"
@@ -151,12 +234,11 @@ class TestCache:
             assert_names_path_and_offset(exc_info, cut)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        # a whole extra record past the count, as from two caches concatenated
+        # as from two caches concatenated
         path, raw = _write_cache(tmp_path)
-        extra = raw[23 : 25 + len(RECORDS[0][2]) + RECORDS[0][0].nbytes]
-        path.write_bytes(raw + extra)
-        with pytest.raises(IOFailure, match=f"{len(extra)} bytes after the last of 3 "
-                                            f"records at offset {len(raw)}"):
+        path.write_bytes(raw + raw)
+        with pytest.raises(IOFailure, match=f"{len(raw)} bytes after the last of 3 "
+                                            f"device tags at offset {len(raw)}"):
             read_cache(path)
 
     @FUZZ
@@ -181,8 +263,8 @@ class TestCache:
 
     def test_header_without_records_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)
-        path.write_bytes(raw[:19] + struct.pack("<I", 0))
-        with pytest.raises(IOFailure, match="no records"):
+        path.write_bytes(raw[:20] + struct.pack("<I", 0))
+        with pytest.raises(IOFailure, match="no records at offset 24"):
             read_cache(path)
 
     def test_unknown_frontend_id_rejected(self, tmp_path):
