@@ -12,11 +12,21 @@ and hop HOP = 1024, log-mel and CQT have 311 native frames and gammatone
 (energy per hop) has 312. `stack_3ch` adds delta and delta-delta channels
 and centre-crops the time axis to TARGET_FRAMES = 305: 128 x 305 x 3.
 
-Gammatone filters all 128 bands together, one block of _GAM_BLOCK samples
-at a time: each band's four-biquad cascade is an exact linear map from a
-block's samples and the cascade's state to the block's outputs and the next
-state (`gammatone_blocks`). The result equals the per-band `sosfilt` cascade
-to float64 rounding (see `gammatone`).
+CQT analyses each frame with one kernel slab per octave of
+CQT_BINS_PER_OCTAVE bins: the fewest whole rows of HOP samples that hold
+that octave's longest kernel (`cqt_bank`). Frame centres are HOP apart, so
+each frame's slab starts on a row of one [rows, HOP] view of the signal and
+no frame is copied. The magnitudes are within 5e-4 dB of float64 inner
+products with each bin's kernel (see `cqt`).
+
+Gammatone filters all 128 bands together, one block of _GAM_BLOCK = 32
+samples at a time: each band's four-biquad cascade is an exact linear map
+from a block's samples and the cascade's 8-value state to the block's
+outputs (40 multiply-adds per output sample) and the next state
+(`gammatone_blocks`). The state entering each hop comes from exact per-hop
+maps, and the states inside a hop from the block maps, so no state passes
+through more than one hop of block steps. The result equals the per-band
+`sosfilt` cascade to float64 rounding (see `gammatone`).
 
 The cached filter banks are read-only arrays, so no caller can change the
 features every later extraction gives.
@@ -43,11 +53,10 @@ CQT_FMIN = 32.7
 CQT_BINS_PER_OCTAVE = 24
 GAM_FMIN = 50.0
 GAM_FMAX = 16000.0
-# Gammatone is filtered in blocks of _GAM_BLOCK samples, _GAM_CHUNK blocks
-# at a time. A hop is whole blocks and a chunk whole hops; a chunk keeps the
-# working set at a few MB.
-_GAM_BLOCK = 64
-_GAM_CHUNK = 256
+# Gammatone is filtered in blocks of _GAM_BLOCK samples, _GAM_CHUNK hops at
+# a time. A hop is whole blocks; a chunk keeps the working set at a few MB.
+_GAM_BLOCK = 32
+_GAM_CHUNK = 16
 
 # The position of a name is its id in feature caches (`cache.py`).
 FRONTENDS = ("logmel", "cqt", "gam")
@@ -80,8 +89,10 @@ def stft_power(x: np.ndarray) -> np.ndarray:
     """Hann-window power STFT; output [WINDOW//2+1, T].
 
     Frame t covers samples [t*HOP, t*HOP + WINDOW), so there are
-    floor((n - WINDOW)/HOP) + 1 frames.
+    floor((n - WINDOW)/HOP) + 1 frames, and none below WINDOW samples.
     """
+    if x.size < WINDOW:
+        return np.zeros((WINDOW // 2 + 1, 0))
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
     spec = np.fft.rfft(frames * _hann_periodic(WINDOW), axis=1)
     return (spec.real**2 + spec.imag**2).T
@@ -129,47 +140,75 @@ def log_mel(power: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def cqt_bank():
-    """(centres in Hz, kernels [2, n_max, N_BANDS] float32: real, imaginary).
+    """(centres in Hz, slabs): one float32 kernel slab [HOP, q, n, 2] per
+    octave of n = CQT_BINS_PER_OCTAVE bins (the last holds the 8 left over);
+    the last axis is real and imaginary.
 
     Centres are CQT_FMIN * 2^(k/CQT_BINS_PER_OCTAVE), split into octave and
-    fractional factors so f[k+bpo]/f[k] == 2 exactly. Kernels are
-    Hann-windowed complex sinusoids of per-bin length round(Q*sr/f_k),
-    Q = 1/(2^(1/bpo)-1), unit-window-sum normalized and center-aligned in an
-    n_max slab, so frame analysis is a pair of GEMMs.
+    fractional factors so f[k+bpo]/f[k] == 2 exactly. Bin k's kernel is a
+    Hann-windowed complex sinusoid of length n_k = round(Q*sr/f_k),
+    Q = 1/(2^(1/bpo)-1), normalized to unit window sum, whose sample n_k//2
+    sits on the frame centre. An octave's slab is the q = ceil(n/HOP) rows
+    of HOP samples that hold its longest kernel, n = 33397 down to 1044
+    samples (q = 33 down to 2), centred on the frame centre; as
+    [HOP, q*n*2] it is one GEMM operand. The six slabs hold 13.3 MB.
     """
     k = np.arange(N_BANDS)
     frac = np.exp2((k % CQT_BINS_PER_OCTAVE) / CQT_BINS_PER_OCTAVE)
     freqs = CQT_FMIN * np.exp2(k // CQT_BINS_PER_OCTAVE) * frac
     q = 1.0 / (2.0 ** (1.0 / CQT_BINS_PER_OCTAVE) - 1.0)
     lengths = np.round(q * PIPELINE_RATE / freqs).astype(int)
-    n_max = int(lengths[0])
-    kernel = np.zeros((2, n_max, N_BANDS), dtype=np.float32)
-    for b, (f, n_k) in enumerate(zip(freqs, lengths)):
-        start = (n_max - n_k) // 2
-        win = _hann_periodic(n_k)
-        phase = np.exp(-2j * np.pi * f * np.arange(n_k) / PIPELINE_RATE)
-        band = win * phase / win.sum()
-        kernel[0, start : start + n_k, b] = band.real
-        kernel[1, start : start + n_k, b] = band.imag
-    return _read_only(freqs, kernel)
+    slabs = []
+    for first in range(0, N_BANDS, CQT_BINS_PER_OCTAVE):
+        bins = range(first, min(first + CQT_BINS_PER_OCTAVE, N_BANDS))
+        n_rows = -(-lengths[first] // HOP)
+        slab = np.zeros((n_rows * HOP, len(bins), 2), dtype=np.float32)
+        for i, b in enumerate(bins):
+            n_k = lengths[b]
+            start = n_rows * HOP // 2 - n_k // 2
+            win = _hann_periodic(n_k)
+            phase = np.exp(-2j * np.pi * freqs[b] * np.arange(n_k) / PIPELINE_RATE)
+            band = win * phase / win.sum()
+            slab[start : start + n_k, i, 0] = band.real
+            slab[start : start + n_k, i, 1] = band.imag
+        rows = slab.reshape(n_rows, HOP, len(bins), 2)
+        slabs.append(np.ascontiguousarray(rows.transpose(1, 0, 2, 3)))
+    _read_only(freqs, *slabs)
+    return freqs, tuple(slabs)
 
 
 def cqt(x: np.ndarray) -> np.ndarray:
     """Constant-Q magnitudes [N_BANDS, T], log-compressed.
 
-    Frames are centered where the matching STFT frames sit
-    (t*HOP + WINDOW//2), so all front-ends share the native frame count.
+    Frames are centred where the matching STFT frames sit
+    (t*HOP + WINDOW//2), so all front-ends share the native frame count,
+    and there are none below WINDOW samples. Frame centres are HOP apart,
+    so for each octave the signal from the first frame's slab start on is
+    a [rows, HOP] view. One GEMM with the slab gives each row's inner
+    product with each slab row, and frame t sums the q products of signal
+    rows t..t+q-1 with slab rows 0..q-1. The products are float32 and the
+    sum float64: on a noise segment, within 3e-4 dB of a float64 inner
+    product with each bin's kernel for bins within 60 dB of the frame's
+    loudest, and within 2e-4 dB of one 33397-sample slab for all bins.
     """
-    _, kernel = cqt_bank()
-    n_max = kernel.shape[1]
-    half = n_max // 2
+    if x.size < WINDOW:
+        return np.zeros((N_BANDS, 0))
+    _, slabs = cqt_bank()
     n_frames = (x.size - WINDOW) // HOP + 1
-    padded = np.zeros(x.size + n_max, dtype=np.float32)
-    padded[half : half + x.size] = x
-    centres = np.arange(n_frames) * HOP + WINDOW // 2
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_max)[centres]
-    mags = np.hypot(frames @ kernel[0], frames @ kernel[1]).T.astype(np.float64)
-    return _log_compress(mags)
+    lead = max(slab.shape[1] for slab in slabs) * HOP // 2 - WINDOW // 2
+    padded = np.zeros(lead + x.size + lead, dtype=np.float32)
+    padded[lead : lead + x.size] = x
+    mags = []
+    for slab in slabs:
+        _, q, n, _ = slab.shape
+        start = lead + WINDOW // 2 - q * HOP // 2
+        rows = padded[start : start + (n_frames - 1 + q) * HOP].reshape(-1, HOP)
+        products = (rows @ slab.reshape(HOP, -1)).reshape(len(rows), q, n, 2)
+        spectrum = products[:n_frames, 0].astype(np.float64)
+        for r in range(1, q):
+            spectrum += products[r : r + n_frames, r]
+        mags.append(np.hypot(spectrum[..., 0], spectrum[..., 1]))
+    return _log_compress(np.concatenate(mags, axis=1).T)
 
 
 def erb_bandwidth(f):
@@ -232,16 +271,42 @@ def gammatone_bank():
     return _read_only(cf, sos)
 
 
+def _impulse_states(sections: np.ndarray, n: int) -> np.ndarray:
+    """[n, 2 * len(sections)]: the state `sosfilt` holds after each of the
+    first n samples of a unit impulse through the cascade `sections`.
+
+    `sosfilt` returns only the final state, so each section's transposed
+    direct-form II state is recomputed from that section's input u and
+    output y with `sosfilt`'s own arithmetic: z2 = b2*u - a2*y, and
+    z1 = b1*u - a1*y plus the previous z2.
+    """
+    u = np.zeros(n)
+    u[0] = 1.0
+    states = np.empty((n, len(sections), 2))
+    for i, (_, b1, b2, _, a1, a2) in enumerate(sections):
+        y = signal.sosfilt(sections[i : i + 1], u)
+        states[:, i, 1] = b2 * u - a2 * y
+        states[:, i, 0] = b1 * u - a1 * y
+        states[1:, i, 0] += states[:-1, i, 1]
+        u = y
+    return states.reshape(n, -1)
+
+
 @lru_cache(maxsize=1)
 def gammatone_blocks():
-    """(W [N_BANDS, L+S, L], M [N_BANDS, S, S], K [N_BANDS, S, L]): each
-    band's gammatone cascade as maps over one block of L = _GAM_BLOCK
-    samples. Its state is the S = 8 values of `sosfilt`'s `zi` for the four
-    sections, flattened section by section.
+    """(W [N_BANDS, L+S, L], M [N_BANDS, S, S], K [N_BANDS, S, L],
+    M_hop [N_BANDS, S, S], K_hop [N_BANDS, S, HOP]): each band's gammatone
+    cascade as maps over one block of L = _GAM_BLOCK samples and over one
+    hop of HOP samples. Its state is the S = 8 values of `sosfilt`'s `zi`
+    for the four sections, flattened section by section.
 
     A block x entered with state z gives the outputs [x, z] @ W and leaves
-    the state M @ z + K @ x. Each map is `sosfilt`'s own response, on
-    `gammatone_bank()`'s sections, to unit samples and unit initial states.
+    the state M @ z + K @ x; a hop x entered with state z leaves the state
+    M_hop @ z + K_hop @ x. Each map is `sosfilt`'s own response, on
+    `gammatone_bank()`'s sections, to unit samples and unit initial states,
+    not a power of another map. K_hop's column j is the state after the
+    first HOP - j samples of the impulse response (`_impulse_states`): a
+    unit sample at j of a hop entered at rest leaves that state.
     """
     _, sos = gammatone_bank()
     n_sections = sos.shape[1]
@@ -249,55 +314,76 @@ def gammatone_blocks():
     units = np.eye(_GAM_BLOCK + n_state)
     samples = units[:, :_GAM_BLOCK]  # rows past _GAM_BLOCK are silent
     zi = units[:, _GAM_BLOCK:].reshape(-1, n_sections, 2).transpose(1, 0, 2)
+    silent_hops = np.zeros((n_state, HOP))
     w = np.empty((N_BANDS, _GAM_BLOCK + n_state, _GAM_BLOCK))
     m = np.empty((N_BANDS, n_state, n_state))
     k = np.empty((N_BANDS, n_state, _GAM_BLOCK))
+    m_hop = np.empty((N_BANDS, n_state, n_state))
+    k_hop = np.empty((N_BANDS, n_state, HOP))
     for band in range(N_BANDS):
-        # sosfilt rejects read-only sections
-        w[band], zf = signal.sosfilt(sos[band].copy(), samples, zi=zi)
+        sections = sos[band].copy()  # sosfilt rejects read-only sections
+        w[band], zf = signal.sosfilt(sections, samples, zi=zi)
         after = zf.transpose(1, 0, 2).reshape(-1, n_state)  # state after each unit row
         k[band] = after[:_GAM_BLOCK].T
         m[band] = after[_GAM_BLOCK:].T
-    return _read_only(w, m, k)
+        _, zf = signal.sosfilt(sections, silent_hops, zi=zi[:, _GAM_BLOCK:])
+        m_hop[band] = zf.transpose(1, 0, 2).reshape(-1, n_state).T
+        k_hop[band] = _impulse_states(sections, HOP)[::-1].T
+    return _read_only(w, m, k, m_hop, k_hop)
 
 
 def gammatone(x: np.ndarray) -> np.ndarray:
     """Gammatone band energies [N_BANDS, T] per HOP samples, log-compressed.
 
     Energy is the mean squared filter output over consecutive
-    non-overlapping hop windows. All bands are filtered at once, block by
-    block (`gammatone_blocks`): per chunk of _GAM_CHUNK blocks, one GEMM
-    drives the states, a loop over the blocks advances all band states, and
-    one GEMM per band gives that band's outputs. The energies equal those of
-    `signal.sosfilt` with each band's sections to float64 rounding: within
-    1e-8 dB on hops within 90 dB of the band's loudest, and to the rounding
-    of that loudest output on hops that have decayed further below it.
+    non-overlapping hop windows, so T = n // HOP. All bands are filtered at
+    once (`gammatone_blocks`). One GEMM gives each hop's drive of the
+    state, and one serial step per hop gives the state entering every hop.
+    Then, _GAM_CHUNK hops at a time, one GEMM gives each block's drive, one
+    batched step per block position advances all bands and hops of the
+    chunk from those hop-entry states, and one GEMM per band gives that
+    band's outputs. The energies equal those of `signal.sosfilt` with each
+    band's sections to float64 rounding: within 1e-8 dB on hops within
+    90 dB of the band's loudest, and to the rounding of that loudest output
+    on hops that have decayed further below it.
     """
-    w, m, k = gammatone_blocks()
+    w, m, k, m_hop, k_hop = gammatone_blocks()
+    n_state = m.shape[1]
     n_frames = x.size // HOP
-    n_blocks = n_frames * HOP // _GAM_BLOCK
-    blocks = x[: n_blocks * _GAM_BLOCK].reshape(n_blocks, _GAM_BLOCK)
-    drive_map = k.reshape(-1, _GAM_BLOCK).T
+    hops = x[: n_frames * HOP].reshape(n_frames, HOP)
     blocks_per_hop = HOP // _GAM_BLOCK
+    hop_drive = (hops @ k_hop.reshape(-1, HOP).T).reshape(n_frames, N_BANDS, n_state)
+    drive_map = k.reshape(-1, _GAM_BLOCK)
     energies = np.empty((N_BANDS, n_frames))
-    state = np.zeros(m.shape[:2])
-    for start in range(0, n_blocks, _GAM_CHUNK):
-        chunk = blocks[start : start + _GAM_CHUNK]
+    entry = np.zeros((N_BANDS, n_state))  # each band's state entering the next hop
+    state_buffer = np.empty(blocks_per_hop * N_BANDS * n_state * _GAM_CHUNK)
+    inputs = np.empty((_GAM_CHUNK * blocks_per_hop, _GAM_BLOCK + n_state))
+    out = np.empty((_GAM_CHUNK * blocks_per_hop, _GAM_BLOCK))
+    for start in range(0, n_frames, _GAM_CHUNK):
+        chunk = hops[start : start + _GAM_CHUNK]
         n = chunk.shape[0]
-        drive = (chunk @ drive_map).reshape(n, N_BANDS, -1)
-        states = np.empty_like(drive)  # each band's state entering each block
-        for i in range(n):
-            states[i] = state
-            state = np.einsum("bij,bj->bi", m, state) + drive[i]
-        inputs = np.empty((n, w.shape[1]))
-        inputs[:, :_GAM_BLOCK] = chunk
-        out = np.empty((n, _GAM_BLOCK))
-        hops = out.reshape(-1, HOP)
-        frames = slice(start // blocks_per_hop, (start + n) // blocks_per_hop)
+        # states[j, band, :, h]: the band's state entering block j of hop h
+        shape = (blocks_per_hop, N_BANDS, n_state, n)
+        states = state_buffer[: np.prod(shape)].reshape(shape)
+        for h in range(n):
+            states[0, :, :, h] = entry
+            entry = np.einsum("bij,bj->bi", m_hop, entry) + hop_drive[start + h]
+        # block j - 1's drive, then the state it was entered with, through M
+        blocks = chunk.reshape(n, blocks_per_hop, _GAM_BLOCK)[:, :-1].transpose(1, 2, 0)
+        np.matmul(drive_map, blocks, out=states[1:].reshape(blocks_per_hop - 1, -1, n))
+        for j in range(1, blocks_per_hop):
+            states[j] += np.matmul(m, states[j - 1])
+        rows = inputs[: n * blocks_per_hop]
+        rows[:, :_GAM_BLOCK] = chunk.reshape(-1, _GAM_BLOCK)
+        entered = rows[:, _GAM_BLOCK:].reshape(n, blocks_per_hop, n_state)
+        outputs = out[: n * blocks_per_hop]
+        hop_outputs = outputs.reshape(n, HOP)
         for band in range(N_BANDS):
-            inputs[:, _GAM_BLOCK:] = states[:, band]
-            np.matmul(inputs, w[band], out=out)
-            energies[band, frames] = np.einsum("ij,ij->i", hops, hops) / HOP
+            entered[...] = states[:, band].transpose(2, 0, 1)
+            np.matmul(rows, w[band], out=outputs)
+            energies[band, start : start + n] = (
+                np.einsum("ij,ij->i", hop_outputs, hop_outputs) / HOP
+            )
     return _log_compress(energies)
 
 

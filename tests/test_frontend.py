@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -93,7 +95,8 @@ class TestMelBank:
 
     @pytest.mark.parametrize("bank", [mel_bank, cqt_bank, gammatone_bank, gammatone_blocks])
     def test_cached_banks_are_read_only(self, bank):
-        for array in bank():
+        arrays = [a for item in bank() for a in (item if isinstance(item, tuple) else (item,))]
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] *= 2
 
@@ -177,6 +180,31 @@ class TestCqt:
     def test_shape_10s(self):
         assert cqt(tone(200.0)).shape == (128, 311)
 
+    def test_equals_float64_kernel_inner_products(self):
+        # oracle: float64 inner product of every frame with each bin's analytic
+        # kernel, whose sample n_k // 2 sits on the frame centre t*HOP + WINDOW//2
+        freqs, _ = cqt_bank()
+        q = 1.0 / (2 ** (1 / 24) - 1)
+        x = np.random.default_rng(8).uniform(-0.5, 0.5, SEGMENT_SAMPLES)
+        n_frames = (x.size - WINDOW) // HOP + 1
+        lead = 20000  # longer than half the longest kernel
+        padded = np.concatenate([np.zeros(lead), x, np.zeros(lead)])
+        oracle = np.empty((N_BANDS, n_frames))
+        for band, f in enumerate(freqs):
+            n_k = int(round(q * SR / f))
+            n = np.arange(n_k)
+            win = 0.5 - 0.5 * np.cos(2 * np.pi * n / n_k)
+            kern = win * np.exp(-2j * np.pi * f * n / SR) / win.sum()
+            first = lead + WINDOW // 2 - n_k // 2
+            frames = np.lib.stride_tricks.sliding_window_view(padded, n_k)[first::HOP][:n_frames]
+            oracle[band] = np.hypot(frames @ kern.real, frames @ kern.imag)
+        oracle = 10 * np.log10(oracle)
+        out = cqt(x)
+        assert out.shape == oracle.shape
+        # float32 products: bins far below their frame's loudest keep its rounding
+        near = oracle >= oracle.max(axis=0) - 60.0
+        assert np.abs(out - oracle)[near].max() <= 5e-4
+
 
 def sosfilt_energies_db(x):
     """Reference gammatone: each band's cascade through `signal.sosfilt`, then
@@ -218,7 +246,7 @@ class TestGammatone:
 
     def test_block_maps_reproduce_sosfilt(self):
         _, sos = gammatone_bank()
-        w, m, k = gammatone_blocks()
+        w, m, k, m_hop, k_hop = gammatone_blocks()
         block = w.shape[2]
         rng = np.random.default_rng(7)
         x = rng.normal(size=block)
@@ -228,6 +256,25 @@ class TestGammatone:
             z = zi.reshape(-1)
             np.testing.assert_allclose(np.concatenate([x, z]) @ w[band], y, rtol=1e-12)
             np.testing.assert_allclose(m[band] @ z + k[band] @ x, zf.reshape(-1), rtol=1e-12)
+
+        # Over one hop, the hop maps give sosfilt's final state, and the block
+        # maps, stepped from the hop's entry state as `gammatone` steps them,
+        # its outputs. Gaps are relative to the largest value. Band 0's states
+        # run about 100x above its outputs (its centre gain is 1e7), so after
+        # 31 block steps its outputs keep up to 3e-12 of the largest; bands 64
+        # and 127 keep 1e-14.
+        x = rng.normal(size=HOP)
+        for band in (0, 64, N_BANDS - 1):
+            zi = rng.normal(size=(4, 2))
+            y, zf = signal.sosfilt(sos[band].copy(), x, zi=zi)
+            z = zi.reshape(-1)
+            gap = np.abs(m_hop[band] @ z + k_hop[band] @ x - zf.reshape(-1))
+            assert gap.max() <= 1e-12 * np.abs(zf).max()
+            outputs = []
+            for xb in x.reshape(-1, block):
+                outputs.append(np.concatenate([xb, z]) @ w[band])
+                z = m[band] @ z + k[band] @ xb
+            assert np.abs(np.concatenate(outputs) - y).max() <= 1e-11 * np.abs(y).max()
 
     def test_zero_signal_floor(self):
         np.testing.assert_allclose(gammatone(np.zeros(64000) + 0.0), -100.0)
@@ -254,6 +301,31 @@ class TestGammatone:
 
     def test_shape_10s(self):
         assert gammatone(tone(500.0)).shape == (128, 312)
+
+
+class TestShortInput:
+    @pytest.mark.parametrize("n,windows", [(1000, 0), (2047, 0), (2048, 1)])
+    def test_every_stage_gives_its_frame_count(self, n, windows):
+        # stft and cqt frames need WINDOW samples; gammatone hops need HOP
+        x = np.random.default_rng(10).normal(size=n)
+        assert stft_power(x).shape == (WINDOW // 2 + 1, windows)
+        assert cqt(x).shape == (N_BANDS, windows)
+        assert gammatone(x).shape == (N_BANDS, n // HOP)
+
+
+@pytest.mark.parametrize("stage", [cqt, gammatone])
+def test_stage_makes_no_segment_sized_copy(stage):
+    # the working arrays are a few MB; a copy of every CQT frame would be
+    # 41.5 MB, and one band's full-length output 2.6 MB per band
+    x = np.random.default_rng(11).uniform(-0.5, 0.5, SEGMENT_SAMPLES)
+    stage(x)  # build the cached banks first
+    tracemalloc.start()
+    try:
+        stage(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 class TestDelta:
