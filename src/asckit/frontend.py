@@ -16,7 +16,7 @@ CQT analyses each frame with one kernel slab per octave of
 CQT_BINS_PER_OCTAVE bins: the fewest whole rows of HOP samples that hold
 that octave's longest kernel (`cqt_bank`). Frame centres are HOP apart, so
 each frame's slab starts on a row of one [rows, HOP] view of the signal and
-no frame is copied. The magnitudes are within 5e-4 dB of float64 inner
+no frame is copied. The magnitudes are within 3e-4 dB of float64 inner
 products with each bin's kernel (see `cqt`).
 
 Gammatone filters all 128 bands together, one block of _GAM_BLOCK = 32
@@ -189,7 +189,7 @@ def cqt(x: np.ndarray) -> np.ndarray:
     rows t..t+q-1 with slab rows 0..q-1. The products are float32 and the
     sum float64: on a noise segment, within 3e-4 dB of a float64 inner
     product with each bin's kernel for bins within 60 dB of the frame's
-    loudest, and within 2e-4 dB of one 33397-sample slab for all bins.
+    loudest.
     """
     if x.size < WINDOW:
         return np.zeros((N_BANDS, 0))

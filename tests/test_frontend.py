@@ -303,20 +303,18 @@ class TestGammatone:
         assert gammatone(tone(500.0)).shape == (128, 312)
 
 
-class TestShortInput:
-    @pytest.mark.parametrize("n,windows", [(1000, 0), (2047, 0), (2048, 1)])
-    def test_every_stage_gives_its_frame_count(self, n, windows):
-        # stft and cqt frames need WINDOW samples; gammatone hops need HOP
-        x = np.random.default_rng(10).normal(size=n)
-        assert stft_power(x).shape == (WINDOW // 2 + 1, windows)
-        assert cqt(x).shape == (N_BANDS, windows)
-        assert gammatone(x).shape == (N_BANDS, n // HOP)
+@pytest.mark.parametrize("n,windows", [(1000, 0), (2047, 0), (2048, 1)])
+def test_short_input_gives_every_stage_its_frame_count(n, windows):
+    # stft and cqt frames need WINDOW samples; gammatone hops need HOP
+    x = np.random.default_rng(10).normal(size=n)
+    assert stft_power(x).shape == (WINDOW // 2 + 1, windows)
+    assert cqt(x).shape == (N_BANDS, windows)
+    assert gammatone(x).shape == (N_BANDS, n // HOP)
 
 
 @pytest.mark.parametrize("stage", [cqt, gammatone])
 def test_stage_makes_no_segment_sized_copy(stage):
-    # the working arrays are a few MB; a copy of every CQT frame would be
-    # 41.5 MB, and one band's full-length output 2.6 MB per band
+    # the working arrays are a few MB; a copy of every CQT frame is 41.5 MB
     x = np.random.default_rng(11).uniform(-0.5, 0.5, SEGMENT_SAMPLES)
     stage(x)  # build the cached banks first
     tracemalloc.start()
