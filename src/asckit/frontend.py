@@ -152,6 +152,11 @@ def cqt_bank():
     of HOP samples that hold its longest kernel, n = 33397 down to 1044
     samples (q = 33 down to 2), centred on the frame centre; as
     [HOP, q*n*2] it is one GEMM operand. The six slabs hold 13.3 MB.
+
+    Each slab is filled in place, one bin at a time, from a one-bin kernel
+    buffer. A slab-sized temporary freed here, early in a process, leaves a
+    hole that later long-lived arrays split in some processes and not in
+    others; where they split it, later multi-MB allocations page-fault.
     """
     k = np.arange(N_BANDS)
     frac = np.exp2((k % CQT_BINS_PER_OCTAVE) / CQT_BINS_PER_OCTAVE)
@@ -162,17 +167,19 @@ def cqt_bank():
     for first in range(0, N_BANDS, CQT_BINS_PER_OCTAVE):
         bins = range(first, min(first + CQT_BINS_PER_OCTAVE, N_BANDS))
         n_rows = -(-lengths[first] // HOP)
-        slab = np.zeros((n_rows * HOP, len(bins), 2), dtype=np.float32)
+        slab = np.empty((HOP, n_rows, len(bins), 2), dtype=np.float32)
+        kernel = np.empty(n_rows * HOP, dtype=np.complex128)
         for i, b in enumerate(bins):
             n_k = lengths[b]
             start = n_rows * HOP // 2 - n_k // 2
             win = _hann_periodic(n_k)
             phase = np.exp(-2j * np.pi * freqs[b] * np.arange(n_k) / PIPELINE_RATE)
-            band = win * phase / win.sum()
-            slab[start : start + n_k, i, 0] = band.real
-            slab[start : start + n_k, i, 1] = band.imag
-        rows = slab.reshape(n_rows, HOP, len(bins), 2)
-        slabs.append(np.ascontiguousarray(rows.transpose(1, 0, 2, 3)))
+            kernel[:] = 0.0
+            kernel[start : start + n_k] = win * phase / win.sum()
+            rows = kernel.reshape(n_rows, HOP).T
+            slab[:, :, i, 0] = rows.real
+            slab[:, :, i, 1] = rows.imag
+        slabs.append(slab)
     _read_only(freqs, *slabs)
     return freqs, tuple(slabs)
 
