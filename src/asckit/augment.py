@@ -14,11 +14,12 @@ the result; only mixup's permutation comes from a (seed, epoch) stream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConfigMismatch, ShapeMismatch
 from .models import INPUT_SHAPE
 
 CROP_WIDTH = INPUT_SHAPE[1]
@@ -115,16 +116,26 @@ def mixup(batch: LabeledBatch, rng, per_sample_rngs) -> LabeledBatch:
     return LabeledBatch(feats.astype(batch.features.dtype), labels)
 
 
+def _stream_key(what: str, value):
+    """`value` if it is a non-negative integer, a NumPy one too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigMismatch(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 class AugmentPipeline:
-    """crop -> mask -> mixup with (seed, epoch, sample index) substreams."""
+    """crop -> mask -> mixup with (seed, epoch, sample index) substreams. Each
+    of the three must be a non-negative integer: any other raises
+    `ConfigMismatch` before any draw."""
 
     def __init__(self, cfg: AugmentConfig):
         self.cfg = cfg
 
     def __call__(self, batch: LabeledBatch, epoch: int, sample_indices=None) -> LabeledBatch:
+        seed, epoch = _stream_key("rng_seed", self.cfg.rng_seed), _stream_key("epoch", epoch)
         idx = sample_indices if sample_indices is not None else range(batch.size)
-        rngs = [np.random.default_rng([self.cfg.rng_seed, epoch, int(i)]) for i in idx]
-        batch_rng = np.random.default_rng([self.cfg.rng_seed, epoch])
+        rngs = [np.random.default_rng([seed, epoch, _stream_key("sample index", i)]) for i in idx]
+        batch_rng = np.random.default_rng([seed, epoch])
         out = random_crop(batch, rngs)
         out = spec_augment(out, rngs)
         if out.size >= 2:

@@ -1,5 +1,5 @@
 """Bounds-checked reading and atomic writing for the toolkit's files: ASCW
-weight files (`tensor.save_weights`) and ASCF feature caches
+weight files (`models.Module.save`) and ASCF feature caches
 (`cache.write_cache`), which both open with a 4-byte magic and a u16
 version, and WAV files (`audio.save_wav`). `Reader` is the only code that
 bounds-checks file bytes; `load_wav` walks RIFF chunks through it too, so

@@ -26,4 +26,6 @@ class ShapeMismatch(AscKitError):
 class ConfigMismatch(AscKitError):
     """A setting or name is invalid: an unknown variant, front-end, mode or
     pooling kind, a duplicate parameter name, a dropout rate outside
-    [0, 1), a train-mode dropout with no RNG or a batch size below 1."""
+    [0, 1), a train-mode dropout with no RNG, a batch size below 1, or an
+    augmentation seed, epoch or sample index that is not a non-negative
+    integer."""

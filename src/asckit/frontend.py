@@ -58,9 +58,6 @@ GAM_FMAX = 16000.0
 _GAM_BLOCK = 32
 _GAM_CHUNK = 16
 
-# The position of a name is its id in feature caches (`cache.py`).
-FRONTENDS = ("logmel", "cqt", "gam")
-
 
 @dataclass
 class SpectrogramTensor:
@@ -424,6 +421,11 @@ def stack_3ch(feat: np.ndarray) -> np.ndarray:
     return stacked[:, left : left + TARGET_FRAMES]
 
 
+# front-end name -> stage; a name's position is its id in feature caches (`cache.py`)
+_STAGES = {"logmel": lambda x: log_mel(stft_power(x)), "cqt": cqt, "gam": gammatone}
+FRONTENDS = tuple(_STAGES)
+
+
 def extract_frontend(clip: AudioClip, frontend: str) -> SpectrogramTensor:
     """Full front-end: one 10 s / 32 kHz segment -> N_BANDS x TARGET_FRAMES x 3.
 
@@ -435,15 +437,9 @@ def extract_frontend(clip: AudioClip, frontend: str) -> SpectrogramTensor:
             f"front-ends take one segment of {SEGMENT_SAMPLES} samples at "
             f"{PIPELINE_RATE} Hz, got {clip.n_samples} samples at {clip.sample_rate} Hz"
         )
-    if frontend == "logmel":
-        feat = log_mel(stft_power(clip.samples))
-    elif frontend == "cqt":
-        feat = cqt(clip.samples)
-    elif frontend == "gam":
-        feat = gammatone(clip.samples)
-    else:
+    if frontend not in _STAGES:
         raise ConfigMismatch(f"unknown frontend {frontend!r}, expected one of {FRONTENDS}")
-    data = stack_3ch(feat)
+    data = stack_3ch(_STAGES[frontend](clip.samples))
     if not np.all(np.isfinite(data)):
         raise ShapeMismatch(f"{frontend} features contain non-finite values")
     return SpectrogramTensor(data=data)

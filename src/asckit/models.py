@@ -29,10 +29,12 @@ graph, so nothing trains in eval mode and no graph outlives the call.
 from __future__ import annotations
 
 import contextlib
+import struct
 
 import numpy as np
 
 from . import tensor as T
+from .container import Reader, atomic_write
 from .errors import ConfigMismatch, IOFailure, ShapeMismatch
 
 N_CLASSES = 10
@@ -64,6 +66,11 @@ def _split_channels(total: int) -> list[int]:
     """Spread a unit's channel budget as evenly as possible over three branches."""
     base, rem = divmod(total, 3)
     return [base + (1 if i < rem else 0) for i in range(3)]
+
+
+_WEIGHT_MAGIC = b"ASCW"
+_WEIGHT_VERSION = 2
+_WEIGHT_DTYPES = ("<f4", "<f8")  # dtype code -> payload dtype
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +107,58 @@ class Module:
                        + list(self.buffers().items()))
 
     def save(self, path):
-        T.save_weights(path, self.state_dict())
+        """Write every parameter and buffer, in `state_dict` order, to an ASCW
+        file: "ASCW", version u16 (2), count u32, then per entry a u16-length
+        name (UTF-8), rank u8, dtype code u8 (1 float64 for float64 arrays, else
+        0 float32), dims u32 each and the payload, little-endian. A non-finite
+        value raises `IOFailure` naming the entry; a file at `path` is kept."""
+        state = self.state_dict()
+        with atomic_write(path) as fh:
+            fh.write(_WEIGHT_MAGIC + struct.pack("<HI", _WEIGHT_VERSION, len(state)))
+            for name, value in state.items():
+                code = int(value.dtype == np.float64)
+                value = np.asarray(value, dtype=_WEIGHT_DTYPES[code])
+                if not np.isfinite(value).all():
+                    raise IOFailure(f"{path}: {name} holds a non-finite value")
+                encoded = name.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise IOFailure(f"{path}: entry name over 65535 bytes: {name[:40]!r}...")
+                fh.write(struct.pack(f"<H{len(encoded)}sBB{value.ndim}I", len(encoded),
+                                     encoded, value.ndim, code, *value.shape))
+                fh.write(value.tobytes())
 
     def load(self, path):
-        """Replace every parameter and buffer from a weight file. Nothing is
-        assigned unless the file's entries are exactly the model's, each with
-        the model's shape."""
-        named = T.load_weights(path)
+        """Replace every parameter and buffer in place from an ASCW file (see
+        `save`) in one pass: each entry must be the model's, once, with its
+        dtype code, shape and finite values, and none may be missing. Any other
+        file raises `IOFailure` naming the path and the faulty entry's or
+        payload's offset (a missing entry's at the end); nothing is assigned."""
         state = self.state_dict()
-        for name in named:
+        rd = Reader(path)
+        (count,) = rd.header(_WEIGHT_MAGIC, _WEIGHT_VERSION, "<I")
+        named = {}
+        for _ in range(count):
+            start = rd.pos
+            name = rd.text(*rd.unpack("<H", "name length"), "name")
+            if name in named:
+                rd.fail(f"duplicate entry {name!r}", start)
             if name not in state:
-                raise IOFailure(f"{path}: file has {name}, which the model does not")
-        for name, current in state.items():
-            if name not in named:
-                raise IOFailure(f"{path}: file is missing {name}")
-            if named[name].shape != current.shape:
-                raise IOFailure(
-                    f"{path}: {name}: file shape {named[name].shape} != {current.shape}")
-        for p in self.params():
-            p.data = named[p.name].astype(np.float32)
-        for name, buf in self.buffers().items():
-            buf[...] = named[name]
+                rd.fail(f"entry {name!r} is not in the model", start)
+            rank, code = rd.unpack("<BB", f"{name} rank and dtype code")
+            want = int(state[name].dtype == np.float64)
+            if code != want:
+                rd.fail(f"{name}: dtype code {code}, the model's is {want}", rd.pos - 1)
+            dims = rd.unpack(f"<{rank}I", f"{name} dims")
+            if dims != state[name].shape:
+                rd.fail(f"{name}: file shape {dims} != model shape {state[name].shape}", start)
+            named[name] = rd.array(_WEIGHT_DTYPES[code], dims, f"{name} payload")
+            if not np.isfinite(named[name]).all():
+                rd.fail(f"{name} payload holds a non-finite value", rd.pos - named[name].nbytes)
+        rd.expect_end(f"the last of {count} entries")
+        if len(named) < len(state):
+            rd.fail(f"file is missing {next(n for n in state if n not in named)}")
+        for name, value in named.items():
+            state[name][...] = value
 
 
 def _unique(pairs) -> dict:
@@ -266,9 +304,10 @@ class PoolingHead(Module):
         self.classifier = Dense("head.fc2", hidden or pooled_dim, N_CLASSES, rng)
 
     def __call__(self, x, mode, rng):
-        overall_avg = T.reduce_mean(T.reduce_mean(x, 1), 1)      # mean over (F, T)
+        freq_mean = T.reduce_mean(x, 1)                           # avg over F
+        overall_avg = T.reduce_mean(freq_mean, 1)                 # then over T
         time_max = T.reduce_mean(T.reduce_max(x, 2), 1)           # max over T, avg F
-        freq_avg = T.reduce_max(T.reduce_mean(x, 1), 1)           # avg over F, max T
+        freq_avg = T.reduce_max(freq_mean, 1)                     # avg over F, max T
         h = T.concat([overall_avg, time_max, freq_avg], axis=1)
         if self.hidden is not None:
             h = T.dropout(T.relu(self.hidden(h, mode, rng)), DROPOUT_FC, mode, rng)

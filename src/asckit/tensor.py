@@ -54,12 +54,10 @@ gamma, beta and the running buffers, so its backward reaches only its input.
 from __future__ import annotations
 
 import contextlib
-import struct
 
 import numpy as np
 
-from .container import Reader, atomic_write
-from .errors import ConfigMismatch, IOFailure, ShapeMismatch
+from .errors import ConfigMismatch, ShapeMismatch
 
 # normalization settings of the paper's networks
 BN_EPS = 1e-3  # batch norm variance offset
@@ -597,54 +595,3 @@ def global_pool(x: Tensor, kind: str) -> Tensor:
     else:
         raise ConfigMismatch(f"unknown global_pool kind {kind!r}")
     return reshape(red, (x.shape[0], -1))
-
-
-# ---------------------------------------------------------------------------
-# weight serialization ("ASCW")
-
-_WEIGHT_MAGIC = b"ASCW"
-_WEIGHT_VERSION = 2
-_WEIGHT_DTYPES = ("<f4", "<f8")  # dtype code -> payload dtype
-
-
-def save_weights(path, named_arrays: dict) -> None:
-    """Write named tensors, float64 ones as float64 and all others as
-    float32: magic, version u16 (2), count u32, then per entry a
-    u16-length-prefixed name, rank u8, dtype code u8 (0 float32, 1 float64),
-    dims u32 each, payload."""
-    with atomic_write(path) as fh:
-        fh.write(_WEIGHT_MAGIC)
-        fh.write(struct.pack("<HI", _WEIGHT_VERSION, len(named_arrays)))
-        for name, arr in named_arrays.items():
-            code = int(np.asarray(arr).dtype == np.float64)
-            arr = np.asarray(arr, dtype=_WEIGHT_DTYPES[code])
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise IOFailure(f"{path}: entry name over 65535 bytes: {name[:40]!r}...")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", arr.ndim, code))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_weights(path) -> dict:
-    """Named read-only float32 or float64 arrays from a file written by
-    save_weights."""
-    rd = Reader(path)
-    (count,) = rd.header(_WEIGHT_MAGIC, _WEIGHT_VERSION, "<I")
-    named = {}
-    for _ in range(count):
-        start = rd.pos
-        (name_len,) = rd.unpack("<H", "name length")
-        name = rd.text(name_len, "name")
-        (rank,) = rd.unpack("<B", "rank")
-        (code,) = rd.unpack("<B", f"{name} dtype code")
-        if code >= len(_WEIGHT_DTYPES):
-            rd.fail(f"{name}: unknown dtype code {code}", rd.pos - 1)
-        dims = rd.unpack(f"<{rank}I", f"{name} dims")
-        if name in named:
-            rd.fail(f"duplicate entry {name!r}", start)
-        named[name] = rd.array(_WEIGHT_DTYPES[code], dims, f"{name} payload")
-    rd.expect_end(f"the last of {count} entries")
-    return named

@@ -1,5 +1,4 @@
 import os
-import re
 import struct
 import wave
 
@@ -20,43 +19,18 @@ from asckit.audio import (
     segment_10s,
 )
 from asckit.errors import IOFailure, ShapeMismatch
-from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
-
-
-def write_pcm16(path, samples_i16, rate, n_channels=1):
-    data = np.asarray(samples_i16, dtype="<i2").tobytes()
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(data), b"WAVE",
-        b"fmt ", 16, 1, n_channels, rate, rate * 2 * n_channels, 2 * n_channels, 16,
-        b"data", len(data),
-    )
-    path.write_bytes(hdr + data)
-
-
-def write_float32(path, samples, rate):
-    data = np.asarray(samples, dtype="<f4").tobytes()
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(data), b"WAVE",
-        b"fmt ", 16, 3, 1, rate, rate * 4, 4, 32,
-        b"data", len(data),
-    )
-    path.write_bytes(hdr + data)
-
-
-PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
-
-
-def write_extensible_pcm24(path, samples_i24, rate, n_channels, guid=PCM_GUID, fmt_size=40):
-    """WAVE_FORMAT_EXTENSIBLE 24-bit samples, as written for PCM above 16 bits;
-    a `fmt_size` under 40 cuts the fmt chunk there."""
-    data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in samples_i24)
-    fmt = struct.pack("<HHIIHHHHI16s", 0xFFFE, n_channels, rate, rate * 3 * n_channels,
-                      3 * n_channels, 24, 22, 24, 3, guid)[:fmt_size]
-    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data)
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+from byte_fuzz import (
+    FUZZ,
+    PCM_GUID,
+    READERS,
+    WAV_KINDS,
+    assert_every_truncation_rejected,
+    assert_flipped_bytes_read_or_rejected,
+    flips,
+    write_extensible_pcm24,
+    write_float32,
+    write_pcm16,
+)
 
 
 class TestLoadWav:
@@ -272,43 +246,16 @@ class TestLoadWav:
 
 
 class TestLoadWavFuzz:
-    """A damaged file either loads as a finite clip or raises IOFailure
-    naming the file and the offset."""
+    """The shared truncation and byte-flip checks on each kind of WAV file."""
 
-    VALID = {
-        "float32-mono": lambda p: write_float32(p, np.linspace(-1.0, 1.0, 16), 32000),
-        "pcm16-stereo": lambda p: write_pcm16(p, np.arange(-16, 16), 32000, n_channels=2),
-        "extensible-pcm24-stereo": lambda p: write_extensible_pcm24(
-            p, np.arange(-8, 8) * 4099, 48000, n_channels=2),
-    }
-
-    @classmethod
-    def _valid(cls, tmp_path, kind):
-        p = tmp_path / "ok.wav"
-        cls.VALID[kind](p)
-        return p.read_bytes()
-
-    @pytest.mark.parametrize("kind", VALID)
+    @pytest.mark.parametrize("kind", WAV_KINDS)
     def test_every_truncation_rejected(self, tmp_path, kind):
-        raw = self._valid(tmp_path, kind)
-        cut = tmp_path / "cut.wav"
-        for n in range(len(raw)):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(IOFailure) as exc_info:
-                load_wav(cut)
-            assert_names_path_and_offset(exc_info, cut)
+        assert_every_truncation_rejected(tmp_path, READERS[kind])
 
     @FUZZ
-    @given(flips=flips, kind=st.sampled_from(sorted(VALID)))
+    @given(flips=flips, kind=st.sampled_from(WAV_KINDS))
     def test_flipped_bytes_load_or_raise_naming_the_path(self, tmp_path, flips, kind):
-        bad = tmp_path / "bad.wav"
-        bad.write_bytes(flip(self._valid(tmp_path, kind), flips))
-        try:
-            clip = load_wav(bad)
-        except IOFailure as exc:
-            assert str(bad) in str(exc) and re.search(r"at offset \d+", str(exc)), str(exc)
-        else:
-            assert clip.n_samples > 0 and np.all(np.isfinite(clip.samples))
+        assert_flipped_bytes_read_or_rejected(tmp_path, READERS[kind], flips)
 
 
 class TestResample:

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from asckit import models
+from asckit import augment, models
 from asckit.augment import (
     CROP_WIDTH,
     MASK_LEN,
@@ -13,7 +15,7 @@ from asckit.augment import (
     random_crop,
     spec_augment,
 )
-from asckit.errors import ShapeMismatch
+from asckit.errors import ConfigMismatch, ShapeMismatch
 
 
 def make_batch(b=4, f=128, t=305, c=3, m=10, seed=0):
@@ -211,6 +213,33 @@ class TestPipelineProperties:
         net = models.build_network("red03")
         probs = net.forward(out.features, "train", rng=np.random.default_rng(0))
         assert probs.shape == (4, models.N_CLASSES)
+
+    @pytest.mark.parametrize("seed, epoch, indices, what, bad", [
+        (-1, 0, None, "rng_seed", -1),
+        (True, 0, None, "rng_seed", True),
+        (0, -1, None, "epoch", -1),
+        (0, 2.5, None, "epoch", 2.5),
+        (0, 0, [0, 1, -1, 3], "sample index", -1),
+        (0, 0, [0, 1.5, 2, 3], "sample index", 1.5),
+        (0, 0, np.array([0.0, 1.0, 2.0, 3.0]), "sample index", np.float64(0.0)),
+    ])
+    def test_stream_key_not_a_non_negative_integer_rejected(self, monkeypatch, seed, epoch,
+                                                            indices, what, bad):
+        # 1.5 would draw sample 1's stream through int(); the others would
+        # reach np.random.default_rng and fail there with a bare numpy error
+        monkeypatch.setattr(augment, "random_crop", lambda *a: pytest.fail("drew"))
+        pipe = AugmentPipeline(AugmentConfig(rng_seed=seed))
+        with pytest.raises(ConfigMismatch, match=re.escape(
+                f"{what} must be a non-negative integer, got {bad!r}")):
+            pipe(make_batch(), epoch, indices)
+
+    def test_numpy_integer_keys_accepted(self):
+        batch = make_batch()
+        pipe = AugmentPipeline(AugmentConfig(rng_seed=np.uint32(5)))
+        a = pipe(batch, np.int64(2), np.array([7, 0, 3, 1]))
+        b = AugmentPipeline(AugmentConfig(rng_seed=5))(batch, 2, [7, 0, 3, 1])
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 class TestCenterCrop:

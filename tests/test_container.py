@@ -15,23 +15,24 @@ from asckit import tensor as T
 from asckit.cache import read_cache, write_cache
 from asckit.container import atomic_write
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
-from byte_fuzz import FUZZ, assert_names_path_and_offset, flip, flips
-
-WEIGHTS = {
-    "conv.w": np.arange(12, dtype=np.float32).reshape(2, 3, 2),
-    "scalar": np.float32(7.5),
-    "bn.running_mean": np.array([0.1, -1.0], np.float64),
-}
-RECORDS = [
-    (np.full((2, 3, 1), 1.5, np.float32), 3, "A"),
-    (np.arange(6, dtype=np.float32).reshape(2, 3, 1), 0, ""),
-    (np.full((2, 3, 1), -2.0, np.float32), 255, "Gerät-s1"),
-]
+from byte_fuzz import (
+    FUZZ,
+    READERS,
+    RECORDS,
+    Holder,
+    assert_every_truncation_rejected,
+    assert_flipped_bytes_read_or_rejected,
+    assert_names_path_and_offset,
+    entry_offset,
+    flips,
+    load_three_entries,
+    three_entries,
+)
 
 
 def _write_weights(tmp_path):
     path = tmp_path / "w.ascw"
-    T.save_weights(path, WEIGHTS)
+    three_entries().save(path)
     return path, path.read_bytes()
 
 
@@ -42,7 +43,7 @@ def _write_cache(tmp_path):
 
 
 @pytest.mark.parametrize("write, read, magic, version",
-                         [(_write_weights, T.load_weights, "ASCW", 1),
+                         [(_write_weights, load_three_entries, "ASCW", 1),
                           (_write_cache, read_cache, "ASCF", 1),
                           (_write_cache, read_cache, "ASCF", 2)],
                          ids=["ascw-v1", "ascf-v1", "ascf-v2"])
@@ -55,11 +56,24 @@ def test_old_version_rejected(tmp_path, write, read, magic, version):
         read(path)
 
 
+def _rejected_unchanged(path, message):
+    """Loading `path` into the three-entry module raises `message` exactly,
+    and leaves the module as it was built."""
+    model = three_entries()
+    with pytest.raises(IOFailure, match=f"^{re.escape(f'{path}: {message}')}$"):
+        model.load(path)
+    for name, value in three_entries().state_dict().items():
+        np.testing.assert_array_equal(model.state_dict()[name], value, err_msg=name)
+
+
 class TestWeights:
+    """ASCW files through `Module.save` and `Module.load`, on the three-entry
+    module; a full network's files are in `test_models.TestSaveLoad`."""
+
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "w.ascw"
-        T.save_weights(path, {"ab": np.array([[1.0, 2.0]], np.float32),
-                              "c": np.array([0.1], np.float64)})
+        Holder([T.Parameter(np.array([[1.0, 2.0]], np.float32), "ab"),
+                T.Parameter(np.array([0.1], np.float64), "c")]).save(path)
         expected = (b"ASCW" + struct.pack("<HI", 2, 2)
                     + struct.pack("<H", 2) + b"ab" + struct.pack("<BB2I", 2, 0, 1, 2)
                     + struct.pack("<2f", 1.0, 2.0)
@@ -71,46 +85,37 @@ class TestWeights:
         path, raw = _write_weights(tmp_path)
         at = 4 + 6 + 2 + len("conv.w") + 1  # the first entry's dtype code
         path.write_bytes(raw[:at] + b"\x02" + raw[at + 1 :])
-        with pytest.raises(IOFailure, match=re.escape(
-                f"{path}: conv.w: unknown dtype code 2 at offset {at}")):
-            T.load_weights(path)
+        _rejected_unchanged(path, f"conv.w: dtype code 2, the model's is 0 at offset {at}")
+
+    def test_dtype_code_must_be_the_models(self, tmp_path):
+        # the float64 buffer stored as float32: the same entry size as a float32 pair
+        path, raw = _write_weights(tmp_path)
+        at = entry_offset(raw, "bn.running_mean") + 2 + len("bn.running_mean") + 1
+        path.write_bytes(raw[:at] + b"\x00" + raw[at + 1 :-8])
+        _rejected_unchanged(path, f"bn.running_mean: dtype code 0, the model's is 1 "
+                                  f"at offset {at}")
 
     def test_every_truncation_rejected(self, tmp_path):
-        _, raw = _write_weights(tmp_path)
-        cut = tmp_path / "cut.ascw"
-        for n in range(len(raw)):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(IOFailure) as exc_info:
-                T.load_weights(cut)
-            assert_names_path_and_offset(exc_info, cut)
+        assert_every_truncation_rejected(tmp_path, READERS["ascw"])
 
     @FUZZ
     @given(flips=flips)
     def test_flipped_bytes_load_or_raise_iofailure(self, tmp_path, flips):
-        _, raw = _write_weights(tmp_path)
-        bad = tmp_path / "bad.ascw"
-        bad.write_bytes(flip(raw, flips))
-        try:
-            named = T.load_weights(bad)
-        except IOFailure as exc:
-            assert str(bad) in str(exc) and re.search(r"at offset \d+", str(exc))
-        else:
-            assert all(a.dtype in (np.float32, np.float64) for a in named.values())
+        assert_flipped_bytes_read_or_rejected(tmp_path, READERS["ascw"], flips)
 
     def test_empty_payload_with_overflowing_dims_rejected(self, tmp_path):
-        path = tmp_path / "w.ascw"
-        path.write_bytes(b"ASCW" + struct.pack("<HIH", 2, 1, 1) + b"a"
-                         + struct.pack("<BB4I", 4, 0, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
-        with pytest.raises(IOFailure, match="too large") as exc_info:
-            T.load_weights(path)
-        assert_names_path_and_offset(exc_info, path)
+        # dims that no payload could hold fail the model's shape before any read
+        path, raw = _write_weights(tmp_path)
+        dims = 4 + 6 + 2 + len("conv.w") + 2
+        path.write_bytes(raw[:dims] + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1)
+                         + raw[dims + 12 :])
+        _rejected_unchanged(path, f"conv.w: file shape (0, {2**32 - 1}, {2**32 - 1}) != "
+                                  f"model shape (2, 3, 2) at offset 10")
 
     def test_non_utf8_name_rejected(self, tmp_path):
         path, raw = _write_weights(tmp_path)
         path.write_bytes(raw.replace(b"conv.w", b"conv.\xff"))
-        with pytest.raises(IOFailure, match="not UTF-8") as exc_info:
-            T.load_weights(path)
-        assert_names_path_and_offset(exc_info, path)
+        _rejected_unchanged(path, "name is not UTF-8 at offset 12")
 
     @pytest.mark.parametrize("extra", [bytes(100), b"junk"], ids=["zeros", "junk"])
     def test_trailing_bytes_rejected(self, tmp_path, extra):
@@ -128,17 +133,40 @@ class TestWeights:
     def test_duplicate_name_rejected(self, tmp_path):
         path, raw = _write_weights(tmp_path)
         path.write_bytes(raw.replace(b"scalar", b"conv.w"))
-        with pytest.raises(IOFailure, match="duplicate"):
-            T.load_weights(path)
+        _rejected_unchanged(path, f"duplicate entry 'conv.w' at offset "
+                                  f"{entry_offset(raw, 'scalar')}")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_entry_and_offset(self, tmp_path, value):
+        path, raw = _write_weights(tmp_path)
+        payload = entry_offset(raw, "conv.w") + 2 + len("conv.w") + 2 + 12
+        at = payload + 4 * 5
+        path.write_bytes(raw[:at] + struct.pack("<f", value) + raw[at + 4 :])
+        _rejected_unchanged(path, f"conv.w payload holds a non-finite value at offset {payload}")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_not_saved(self, tmp_path, value):
+        path, raw = _write_weights(tmp_path)
+        model = three_entries()
+        model.entries[0].data[1, 2, 0] = value
+        with pytest.raises(IOFailure, match=f"^{re.escape(str(path))}: conv.w holds a "
+                                            f"non-finite value$"):
+            model.save(path)
+        assert path.read_bytes() == raw
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("bad, error", [
-        ({"a": np.zeros(2), "b": "not a number"}, ValueError),
-        ({"a": np.zeros(2), "x" * 70000: np.zeros(1)}, IOFailure),
+        ({"data": np.array("not a number")}, ValueError),
+        ({"name": "x" * 70000}, IOFailure),
     ])
     def test_failed_save_keeps_earlier_file(self, tmp_path, bad, error):
+        # each edit is to the 0-d parameter
         path, raw = _write_weights(tmp_path)
+        model = three_entries()
+        for attr, value in bad.items():
+            setattr(model.entries[1], attr, value)
         with pytest.raises(error):
-            T.save_weights(path, bad)
+            model.save(path)
         assert path.read_bytes() == raw
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -225,13 +253,7 @@ class TestCache:
             read_cache(p)
 
     def test_every_truncation_rejected(self, tmp_path):
-        _, raw = _write_cache(tmp_path)
-        cut = tmp_path / "cut.ascf"
-        for n in range(len(raw)):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(IOFailure) as exc_info:
-                read_cache(cut)
-            assert_names_path_and_offset(exc_info, cut)
+        assert_every_truncation_rejected(tmp_path, READERS["ascf"])
 
     def test_trailing_bytes_rejected(self, tmp_path):
         # as from two caches concatenated
@@ -244,15 +266,13 @@ class TestCache:
     @FUZZ
     @given(flips=flips)
     def test_flipped_bytes_read_or_raise_iofailure(self, tmp_path, flips):
-        _, raw = _write_cache(tmp_path)
-        bad = tmp_path / "bad.ascf"
-        bad.write_bytes(flip(raw, flips))
-        try:
-            back = read_cache(bad)
-        except IOFailure as exc:
-            assert str(bad) in str(exc) and re.search(r"at offset \d+", str(exc))
-        else:
-            assert back.features.shape[0] == len(back.labels) == len(back.devices)
+        assert_flipped_bytes_read_or_rejected(tmp_path, READERS["ascf"], flips)
+
+    def test_empty_block_with_overflowing_dims_rejected(self, tmp_path):
+        path = tmp_path / "c.ascf"
+        path.write_bytes(b"ASCF" + struct.pack("<HBx4I", 3, 0, 0, 2**32 - 1, 2**32 - 1, 1))
+        with pytest.raises(IOFailure, match="feature block: shape .* too large at offset 24"):
+            read_cache(path)
 
     def test_non_utf8_device_tag_rejected(self, tmp_path):
         path, raw = _write_cache(tmp_path)

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from asckit import models
 from asckit import tensor as T
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
+from byte_fuzz import entry_offset
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # Parameter and buffer (name, shape) lists in model order, recorded from the
@@ -121,6 +123,17 @@ class TestPredict:
         expected = np.concatenate([out.data for out in outs]).astype(np.float64)
         assert probs.tobytes() == expected.tobytes()
 
+    def test_rows_do_not_depend_on_the_batch(self):
+        # eval BN uses its running statistics and residual norm works per
+        # sample, so no sample's row depends on the others in its batch
+        net = models.build_network("red03", seed=5)
+        _perturb_bns(net, seed=6)
+        x = np.random.default_rng(7).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
+        alone = models.predict(net, x, batch_size=1)
+        for batch_size in (2, 5):
+            np.testing.assert_allclose(models.predict(net, x, batch_size=batch_size), alone,
+                                       rtol=0, atol=1e-5)
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, nets, batch_size):
         x = np.zeros((1,) + models.INPUT_SHAPE)
@@ -205,6 +218,19 @@ class TestFoldedEval:
             nets["red02"].forward(x, mode, np.random.default_rng(7))
         assert len(seen["batch_norm"]) == calls
         assert len(seen["conv_bn_relu"]) == {"eval": 0, "train": 12}[mode]
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_head_reduce_calls(self, nets, monkeypatch, mode):
+        # the frequency mean feeds two pooled features but is taken once
+        seen = {"reduce_mean": [], "reduce_max": []}
+        for name, calls_made in seen.items():
+            op = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, _op=op, _seen=calls_made, **k:
+                                _seen.append(1) or _op(*a, **k))
+        x = np.random.default_rng(6).normal(size=(1,) + models.INPUT_SHAPE)
+        nets["red02"].forward(x, mode, np.random.default_rng(7))
+        assert {name: len(calls) for name, calls in seen.items()} == \
+            {"reduce_mean": 3, "reduce_max": 2}
 
 
 def _train_step(net, batch, seed):
@@ -418,6 +444,27 @@ class TestSaveLoad:
         x = np.random.default_rng(0).normal(size=(2,) + models.INPUT_SHAPE)
         assert models.predict(dst, x).tobytes() == models.predict(src, x).tobytes()
 
+    def test_non_finite_weights_neither_saved_nor_loaded(self, tmp_path):
+        # one NaN in the first kernel would make every predicted row NaN
+        path = tmp_path / "w.ascw"
+        model = models.build_network("red03", seed=3)
+        first = model.params()[0]
+        first.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(IOFailure, match=f"^{re.escape(str(path))}: {first.name} holds a "
+                                            f"non-finite value$"):
+            model.save(path)
+        assert list(tmp_path.iterdir()) == []
+        first.data[0, 0, 0, 0] = 0.0
+        model.save(path)
+        raw = path.read_bytes()
+        payload = 10 + 2 + len(first.name) + 2 + 4 * first.data.ndim
+        path.write_bytes(raw[:payload] + struct.pack("<f", np.nan) + raw[payload + 4 :])
+        before = _snapshot(model)
+        with pytest.raises(IOFailure, match=f"^{re.escape(str(path))}: {first.name} payload "
+                                            f"holds a non-finite value at offset {payload}$"):
+            model.load(path)
+        _assert_state_equal(model.state_dict(), before)
+
     @pytest.mark.parametrize("kind, edit", [
         ("network", "drop_last_param"),
         ("network", "drop_last_buffer"),
@@ -426,34 +473,39 @@ class TestSaveLoad:
         ("network", "stray_entry"),
     ])
     def test_bad_file_rejected_and_model_unchanged(self, tmp_path, kind, edit):
+        # the file is another model's, with one entry too few, too many or reshaped
         model = _build(kind, seed=3)
         other = _build(kind, seed=9)
         for buf in other.buffers().values():
             buf += 0.5
-        named = dict(other.state_dict())
-        param_names = [p.name for p in model.params()]
-        buffer_names = list(model.buffers())
-        path = tmp_path / "bad.ascw"
+        first, last_bn = other.params()[0], other.blocks[-1].bn
+        name = {"drop_last_param": other.params()[-1].name,
+                "drop_last_buffer": list(other.buffers())[-1],
+                "wrong_param_shape": first.name,
+                "wrong_buffer_shape": list(other.buffers())[-1],
+                "stray_entry": "stray.w"}[edit]
+        shape = model.state_dict()[name].shape if edit != "stray_entry" else None
         if edit == "drop_last_param":
-            del named[param_names[-1]]
-            message = f"{path}: file is missing {param_names[-1]}"
+            other.head.classifier.b = None
         elif edit == "drop_last_buffer":
-            del named[buffer_names[-1]]
-            message = f"{path}: file is missing {buffer_names[-1]}"
+            del last_bn.running_var
         elif edit == "wrong_param_shape":
-            first = param_names[0]
-            shape = named[first].shape
-            named[first] = np.zeros((8,) + shape[1:], np.float32)
-            message = f"{path}: {first}: file shape {(8,) + shape[1:]} != {shape}"
-        elif edit == "stray_entry":
-            named["stray.w"] = np.zeros(2, np.float32)
-            message = f"{path}: file has stray.w, which the model does not"
+            first.data = np.zeros((8,) + shape[1:], np.float32)
+        elif edit == "wrong_buffer_shape":
+            last_bn.running_var = np.ones(1)
         else:
-            shape = named[buffer_names[-1]].shape
-            named[buffer_names[-1]] = np.zeros(1)
-            message = f"{path}: {buffer_names[-1]}: file shape (1,) != {shape}"
-        T.save_weights(path, named)
+            other.stray = T.Parameter(np.zeros(2, np.float32), name)
+        path = tmp_path / "bad.ascw"
+        other.save(path)
+        raw = path.read_bytes()
+        if edit.startswith("drop"):
+            message = f"file is missing {name} at offset {len(raw)}"
+        elif edit == "stray_entry":
+            message = f"entry {name!r} is not in the model at offset {entry_offset(raw, name)}"
+        else:
+            message = (f"{name}: file shape {other.state_dict()[name].shape} != model shape "
+                       f"{shape} at offset {entry_offset(raw, name)}")
         before = _snapshot(model)
-        with pytest.raises(IOFailure, match=f"^{re.escape(message)}$"):
+        with pytest.raises(IOFailure, match=f"^{re.escape(f'{path}: {message}')}$"):
             model.load(path)
         _assert_state_equal(model.state_dict(), before)

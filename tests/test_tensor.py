@@ -3,7 +3,7 @@ import pytest
 
 from asckit import models
 from asckit import tensor as T
-from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
+from asckit.errors import ConfigMismatch, ShapeMismatch
 
 
 def _naive_conv_same(x, w, b):
@@ -469,34 +469,3 @@ class TestNoGraph:
         out = FLOAT32_OPS[op](np.random.default_rng(15))
         assert out._parents == () and out._backward is None and not out.requires_grad
 
-
-class TestWeightsIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        named = {
-            "block1.conv.w": rng.normal(size=(3, 3, 2, 4)).astype(np.float32),
-            "block1.conv.b": rng.normal(size=4).astype(np.float32),
-            "head.fc.w": rng.normal(size=(16, 10)).astype(np.float32),
-            "block1.bn.running_var": rng.uniform(0.5, 1.5, size=4),
-        }
-        path = tmp_path / "weights.ascw"
-        T.save_weights(path, named)
-        back = T.load_weights(path)
-        assert list(back.keys()) == list(named.keys())
-        for k in named:
-            assert back[k].dtype == named[k].dtype, k
-            np.testing.assert_array_equal(back[k], named[k])
-
-    def test_magic_and_count(self, tmp_path):
-        path = tmp_path / "w.ascw"
-        T.save_weights(path, {"a": np.zeros(2, np.float32)})
-        raw = path.read_bytes()
-        assert raw[:4] == b"ASCW"
-        assert int.from_bytes(raw[4:6], "little") == 2
-        assert int.from_bytes(raw[6:10], "little") == 1
-
-    def test_reject_junk(self, tmp_path):
-        p = tmp_path / "bad.ascw"
-        p.write_bytes(b"nope")
-        with pytest.raises(IOFailure):
-            T.load_weights(p)
