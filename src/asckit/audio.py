@@ -83,7 +83,7 @@ def load_wav(path) -> AudioClip:
             rd.fail(f"second {cid.decode()!r} chunk", start)
         if cid == b"fmt ":
             if size < 16:
-                rd.fail("truncated fmt chunk")
+                rd.fail(f"fmt chunk of {size} bytes, under 16")
             fmt_at, fmt = rd.pos, rd.unpack("<HHIIHH", "fmt chunk")
             if fmt[0] == _EXTENSIBLE:
                 if size < 40:
@@ -161,11 +161,9 @@ def resample_to_32k(clip: AudioClip) -> AudioClip:
     g = gcd(clip.sample_rate, PIPELINE_RATE)
     up, down = PIPELINE_RATE // g, clip.sample_rate // g
     y = signal.resample_poly(clip.samples, up, down, window=_resample_filter(up, down))
+    # resample_poly gives ceil(n * up / down) samples, never fewer than this
     target = int(round(clip.n_samples * PIPELINE_RATE / clip.sample_rate))
-    y = y[:target]
-    if y.size < target:  # resample_poly yields ceil(n*up/down) >= round(...)
-        y = np.pad(y, (0, target - y.size), mode="edge")
-    return AudioClip(samples=y, sample_rate=PIPELINE_RATE)
+    return AudioClip(samples=y[:target], sample_rate=PIPELINE_RATE)
 
 
 def segment_10s(clip: AudioClip) -> list[AudioClip]:

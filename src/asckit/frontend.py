@@ -67,10 +67,6 @@ class SpectrogramTensor:
     data: np.ndarray
 
 
-def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
 def _read_only(*arrays: np.ndarray) -> tuple:
     """The arrays, marked read-only: a cached bank is shared by every caller."""
     for a in arrays:
@@ -91,7 +87,7 @@ def stft_power(x: np.ndarray) -> np.ndarray:
     if x.size < WINDOW:
         return np.zeros((WINDOW // 2 + 1, 0))
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
-    spec = np.fft.rfft(frames * _hann_periodic(WINDOW), axis=1)
+    spec = np.fft.rfft(frames * signal.get_window("hann", WINDOW), axis=1)
     return (spec.real**2 + spec.imag**2).T
 
 
@@ -169,7 +165,7 @@ def cqt_bank():
         for i, b in enumerate(bins):
             n_k = lengths[b]
             start = n_rows * HOP // 2 - n_k // 2
-            win = _hann_periodic(n_k)
+            win = signal.get_window("hann", n_k)
             phase = np.exp(-2j * np.pi * freqs[b] * np.arange(n_k) / PIPELINE_RATE)
             kernel[:] = 0.0
             kernel[start : start + n_k] = win * phase / win.sum()
@@ -235,7 +231,14 @@ def gammatone_bank():
     [GAM_FMIN, GAM_FMAX], both ends included.
 
     Standard all-pole gammatone approximation: four cascaded biquads per
-    band, overall gain normalized to unity at the center frequency.
+    band. The gain at each centre frequency is meant to be 1 but is not:
+    the `a1` numerators double the cosine term of Slaney's A11..A14, and
+    `signal.sosfreqz` gives 1.08e7 in band 0 (50 Hz), 3.89 in band 64 and
+    3.65 in band 127. Halving that term gives 1 in every band, but it
+    changes every gammatone feature and so `perfbench/reference.json`; it
+    waits for that reference's regeneration (ROADMAP item 4). Band 127's
+    centre, GAM_FMAX = 16 kHz, is the Nyquist frequency of the 32 kHz
+    pipeline.
     """
     cf = erb_rate_to_hz(
         np.linspace(hz_to_erb_rate(GAM_FMIN), hz_to_erb_rate(GAM_FMAX), N_BANDS)
@@ -394,19 +397,10 @@ def gammatone(x: np.ndarray) -> np.ndarray:
 def delta(x: np.ndarray) -> np.ndarray:
     """Regression delta along time (axis 1) with replicate-padded edges.
 
-    d_t = sum_{k=1..K} k*(x_{t+k} - x_{t-k}) / (2*sum k^2), K = DELTA_WIDTH//2.
+    d_t = sum_{k=1..K} k*(x_{t+k} - x_{t-k}) / (2*sum k^2), K = DELTA_WIDTH//2:
+    the least-squares slope over DELTA_WIDTH frames.
     """
-    t_len = x.shape[1]
-    k_max = DELTA_WIDTH // 2
-    denom = 2.0 * sum(k * k for k in range(1, k_max + 1))
-    padded = np.pad(x, ((0, 0), (k_max, k_max)), mode="edge")
-    out = np.zeros_like(x, dtype=np.float64)
-    for k in range(1, k_max + 1):
-        out += k * (
-            padded[:, k_max + k : k_max + k + t_len]
-            - padded[:, k_max - k : k_max - k + t_len]
-        )
-    return out / denom
+    return signal.savgol_filter(x, DELTA_WIDTH, 1, deriv=1, mode="nearest", axis=1)
 
 
 def stack_3ch(feat: np.ndarray) -> np.ndarray:

@@ -38,12 +38,12 @@ Every op stores its output, and every gradient, in its input's dtype
 back to that dtype before they broadcast, without any full-size float64
 temporary. After `backward` only leaves (tensors made directly, and
 `Parameter`s) keep their `.grad`; an op's output drops its gradient once
-its backward closure has consumed it. A backward hands each input its
-gradient through `Tensor.accumulate`, which keeps a first gradient of the
-input's shape and dtype as is: the closure must not write to that array or
-give it to another input afterwards. So `add` gives one input a copy of its
-gradient and the other the gradient itself, and `reshape` and `concat` hand
-over non-overlapping views of theirs.
+its backward closure has consumed it. A backward hands each input a
+gradient of that input's shape and dtype through `Tensor.accumulate`, which
+keeps a first gradient as is and adds later ones into it: the closure must
+not write to that array or give it to another input afterwards. So `add`
+gives one input a copy of its gradient and the other the gradient itself,
+and `reshape` and `concat` hand over non-overlapping views of theirs.
 
 The normalization settings are the module constants `BN_EPS`,
 `BN_MOMENTUM`, `RN_LAMBDA` and `RN_EPS`; no caller sets them. Eval-mode
@@ -86,17 +86,15 @@ class Tensor:
         return self.data.dtype
 
     def accumulate(self, g):
-        """Add the gradient `g` into `.grad`. A first gradient of this tensor's
-        shape and dtype becomes `.grad` as is, any other is copied: so the
-        caller must not write to `g`, or hand it to another tensor, afterwards."""
+        """Add the gradient `g`, of this tensor's shape and dtype, into `.grad`.
+        A first gradient becomes `.grad` as is: so the caller must not write
+        to `g`, or hand it to another tensor, afterwards."""
         if not self.requires_grad:
             return
-        if self.grad is not None:
-            self.grad += g
-        elif g.shape == self.shape and g.dtype == self.dtype:
+        if self.grad is None:
             self.grad = g
         else:
-            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor({self.op}, shape={self.shape}, grad={self.requires_grad})"

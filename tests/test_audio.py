@@ -1,11 +1,13 @@
 import os
 import struct
 import wave
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import signal
 
 from asckit.audio import (
     MIN_RATE,
@@ -168,6 +170,21 @@ class TestLoadWav:
         with pytest.raises(IOFailure, match=rf"ext\.wav: {message}$"):
             load_wav(p)
 
+    @pytest.mark.parametrize("fmt_size, n_channels, message", [
+        (14, 1, "fmt chunk of 14 bytes, under 16 at offset 20"),
+        (16, 0, "zero channels at offset 22"),
+    ], ids=["short-fmt", "zero-channels"])
+    def test_malformed_fmt_chunk_names_path_and_offset(self, tmp_path, fmt_size, n_channels,
+                                                       message):
+        # a 14-byte fmt chunk is the old WAVEFORMAT, which has no bits per sample
+        p = tmp_path / "fmt.wav"
+        fmt = struct.pack("<HHIIHH", 1, n_channels, 32000, 64000, 2, 16)[:fmt_size]
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", fmt_size) + fmt
+                + b"data" + struct.pack("<I", 4) + bytes(4))
+        p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(IOFailure, match=rf"fmt\.wav: {message}$"):
+            load_wav(p)
+
     def test_odd_chunks_padded_except_at_the_end(self, tmp_path):
         # a 3-byte LIST chunk and its pad byte, then a 3-byte PCM24 data chunk
         # whose pad byte the writer left out
@@ -270,9 +287,16 @@ class TestResample:
         assert resample_to_32k(clip).n_samples == 320000
 
     def test_length_rounding(self):
-        # 44.1k -> 32k on an awkward length: round(12345*32000/44100) = 8958
-        clip = AudioClip(samples=np.ones(12345), sample_rate=44100)
-        assert resample_to_32k(clip).n_samples == round(12345 * 32000 / 44100)
+        # round(n * 32000 / rate) samples are kept of the ceil(n * up / down)
+        # that resample_poly returns, never fewer: an awkward length at 44.1k,
+        # the half-way cases 2.5 (rounded down to 2) and 3.5 (up to 4), and
+        # one sample
+        for n, rate, kept, made in [(12345, 44100, 8958, 8958), (5, 64000, 2, 3),
+                                    (7, 64000, 4, 4), (1, 44100, 1, 1)]:
+            clip = AudioClip(samples=np.ones(n), sample_rate=rate)
+            g = gcd(rate, PIPELINE_RATE)
+            assert signal.resample_poly(clip.samples, PIPELINE_RATE // g, rate // g).size == made
+            assert resample_to_32k(clip).n_samples == kept == round(n * PIPELINE_RATE / rate)
 
     def test_whole_float_rate_stored_as_int(self):
         clip = AudioClip(samples=np.ones(22050), sample_rate=22050.0)

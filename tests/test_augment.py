@@ -40,6 +40,25 @@ class TestLabeledBatch:
         with pytest.raises(ShapeMismatch, match="finite"):
             LabeledBatch(np.zeros((2, 4, 300, 3)), [[bad, 1.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros((2, 4, 300)), np.eye(2), "features must be B x F x T x C"),
+        (np.zeros((2, 4, 300, 3)), np.ones(2), "labels must be B x M aligned"),
+        (np.zeros((2, 4, 300, 3)), np.eye(3), "labels must be B x M aligned"),
+        (np.zeros((2, 4, 300, 3)), [[1.5, -0.5], [0.5, 0.5]], "probability simplex"),
+        (np.zeros((2, 4, 300, 3)), [[0.5, 0.4], [0.5, 0.5]], "probability simplex"),
+    ], ids=["features-3d", "labels-1d", "labels-unaligned", "negative", "sum-not-one"])
+    def test_malformed_batch_rejected(self, features, labels, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            LabeledBatch(features, labels)
+
+
+@pytest.mark.parametrize("transform", [
+    random_crop, spec_augment, lambda batch, rngs: mixup(batch, np.random.default_rng(0), rngs),
+], ids=["random_crop", "spec_augment", "mixup"])
+def test_one_stream_per_sample_required(transform):
+    with pytest.raises(ShapeMismatch, match="^need 4 per-sample streams, got 3$"):
+        transform(make_batch(), streams(3))
+
 
 class TestRandomCrop:
     def test_output_shape_and_offsets(self):

@@ -301,6 +301,17 @@ class TestCache:
             write_cache(tmp_path / "c.ascf", "gam", records)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("features, device, error, message", [
+        (np.zeros((2, 3), np.float32), "B", ShapeMismatch, r"expected F x T x C features"),
+        (RECORDS[1][0], "é" * 128, IOFailure, r"record 1: device tag too long"),
+    ], ids=["features-2d", "tag-256-bytes"])
+    def test_malformed_record_rejected_and_nothing_written(self, tmp_path, features, device,
+                                                           error, message):
+        # a tag's length is one byte, so its UTF-8 form holds at most 255 bytes
+        with pytest.raises(error, match=message):
+            write_cache(tmp_path / "c.ascf", "gam", [RECORDS[0], (features, 0, device)])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_record_rejected_and_nothing_written(self, tmp_path, value):
         bad = RECORDS[1][0].copy()

@@ -339,10 +339,12 @@ class TestTrainBackward:
             target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[[1, 4]])
             probs = net.forward(x, "train", rng=np.random.default_rng(10))
             T.backward(T.tsum(T.mul(target, T.log(probs))))
-            return [x.grad] + [p.grad for p in net.params()]
+            return [x] + net.params()
 
-        got = grads()
-        assert all(g is not None for g in got)
+        tensors = grads()
+        for t in tensors:  # each of its own shape and dtype, as `accumulate` keeps it
+            assert t.grad is not None and (t.grad.shape, t.grad.dtype) == (t.shape, t.dtype), t
+        got = [t.grad for t in tensors]
         for i, a in enumerate(got):
             for b in got[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -350,7 +352,7 @@ class TestTrainBackward:
         accumulate = T.Tensor.accumulate
         monkeypatch.setattr(T.Tensor, "accumulate", lambda t, g: accumulate(t, np.array(g)))
         for a, b in zip(got, grads()):
-            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == b.grad.tobytes()
 
 
 class TestNames:

@@ -399,6 +399,15 @@ class TestBackward:
             for q in arrays[i + 1:]:
                 assert not np.shares_memory(p, q)
 
+    def test_zero_grads_starts_the_next_step_afresh(self):
+        w = T.Parameter(np.array([1.0, 2.0]), name="w")
+        x = T.Tensor(np.array([3.0, -1.0]))
+        for _ in range(2):
+            T.zero_grads([w])
+            assert w.grad is None
+            T.backward(T.tsum(T.mul(w, x)))
+            np.testing.assert_array_equal(w.grad, x.data)  # not summed over steps
+
     def test_scalar_loss_required(self):
         with pytest.raises(ShapeMismatch):
             T.backward(T.Tensor(np.zeros((2, 2))))
@@ -415,6 +424,27 @@ class TestBackward:
         np.testing.assert_array_equal(a, b)
 
 
+def _t(*shape):
+    return T.Tensor(np.zeros(shape))
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: T.add(_t(2, 3), _t(3, 2)), r"add: \(2, 3\) vs \(3, 2\)"),
+        (lambda: T.mul(_t(2, 3), _t(2, 1)), r"mul: \(2, 3\) vs \(2, 1\)"),
+        (lambda: T.dense(_t(2, 3), _t(4, 5), _t(5)), r"dense: \(2, 3\) @ \(4, 5\)"),
+        (lambda: T.dense(_t(2, 3, 1), _t(3, 5), _t(5)), r"dense: \(2, 3, 1\) @ \(3, 5\)"),
+        (lambda: T.dense(_t(2, 3), _t(3, 5), _t(1, 5)), r"dense bias: \(1, 5\)"),
+        (lambda: T.conv2d(_t(1, 4, 4, 2), _t(3, 3, 2, 5), _t(4)), r"conv bias: \(4,\)"),
+        (lambda: T.residual_norm(_t(2, 3, 4)), "residual_norm expects B x F x T x C"),
+        (lambda: T.global_pool(_t(2, 3, 4), "max_time"), "global_pool expects 4-D input"),
+    ], ids=["add", "mul", "dense-inner", "dense-rank", "dense-bias", "conv2d-bias",
+            "residual_norm-rank", "global_pool-rank"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            make()
+
+
 def _f32(rng, *shape):
     return T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
@@ -423,7 +453,7 @@ FLOAT32_OPS = {
     "add": lambda r: T.add(_f32(r, 2, 3), _f32(r, 2, 3)),
     "mul": lambda r: T.mul(_f32(r, 2, 3), _f32(r, 2, 3)),
     "scale": lambda r: T.scale(_f32(r, 2, 3), -2.5),
-    "log": lambda r: T.log(T.Tensor(np.full((2, 3), 0.5, np.float32))),
+    "log": lambda r: T.log(T.softmax(_f32(r, 2, 3))),
     "tsum": lambda r: T.tsum(_f32(r, 2, 3)),
     "reshape": lambda r: T.reshape(_f32(r, 2, 3), (3, 2)),
     "concat": lambda r: T.concat([_f32(r, 2, 3), _f32(r, 2, 1)], axis=1),
@@ -439,8 +469,10 @@ FLOAT32_OPS = {
     "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3)),
     "batch_norm_train": lambda r: T.batch_norm(
         _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
+    # eval-mode gamma and beta are constants: they get no gradient
     "batch_norm_eval": lambda r: T.batch_norm(
-        _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "eval"),
+        _f32(r, 2, 3, 4, 2), T.Tensor(np.ones(2, np.float32)), T.Tensor(np.zeros(2, np.float32)),
+        np.zeros(2), np.ones(2), "eval"),
     "residual_norm": lambda r: T.residual_norm(_f32(r, 2, 3, 4, 2)),
     "reduce_mean": lambda r: T.reduce_mean(_f32(r, 2, 3, 4), 1),
     "reduce_max": lambda r: T.reduce_max(_f32(r, 2, 3, 4), 1),
@@ -450,8 +482,20 @@ FLOAT32_OPS = {
 
 class TestFloat32:
     @pytest.mark.parametrize("op", sorted(FLOAT32_OPS))
-    def test_op_keeps_float32(self, op):
-        assert FLOAT32_OPS[op](np.random.default_rng(15)).dtype == np.float32
+    def test_op_keeps_float32(self, op, monkeypatch):
+        # and hands each input that requires grad a gradient of its shape and dtype
+        inputs, make = [], _f32
+
+        def f32(r, *shape):
+            inputs.append(make(r, *shape))
+            return inputs[-1]
+        monkeypatch.setitem(globals(), "_f32", f32)
+        out = FLOAT32_OPS[op](np.random.default_rng(15))
+        assert out.dtype == np.float32
+        T.backward(out if out.shape == () else T.tsum(out))
+        assert inputs
+        for t in inputs:
+            assert t.grad is not None and (t.grad.shape, t.grad.dtype) == (t.shape, t.dtype)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_network_keeps_float32(self, mode):
