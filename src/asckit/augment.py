@@ -54,68 +54,6 @@ class LabeledBatch:
         return self.features.shape[0]
 
 
-def _per_sample_rngs(rngs, batch_size: int):
-    rngs = list(rngs)
-    if len(rngs) != batch_size:
-        raise ShapeMismatch(f"need {batch_size} per-sample streams, got {len(rngs)}")
-    return rngs
-
-
-def random_crop(batch: LabeledBatch, rngs) -> LabeledBatch:
-    """Crop each sample's time axis to CROP_WIDTH frames at an offset drawn
-    from its own stream in `rngs`, one Generator per sample."""
-    t_len = batch.features.shape[2]
-    if CROP_WIDTH > t_len:
-        raise ShapeMismatch(f"crop {CROP_WIDTH} > time axis {t_len}")
-    rngs = _per_sample_rngs(rngs, batch.size)
-    out = np.empty(batch.features.shape[:2] + (CROP_WIDTH,) + batch.features.shape[3:],
-                   dtype=batch.features.dtype)
-    for i, r in enumerate(rngs):
-        off = int(r.integers(0, t_len - CROP_WIDTH + 1))
-        out[i] = batch.features[i, :, off : off + CROP_WIDTH]
-    return LabeledBatch(out, batch.labels.copy())
-
-
-def spec_augment(batch: LabeledBatch, rngs) -> LabeledBatch:
-    """Zero one contiguous run of MASK_LEN bins per sample.
-
-    Each sample's stream in `rngs` picks the masked axis (frequency or time)
-    uniformly, then the run's start; the run is erased across all remaining
-    axes.
-    """
-    feats = batch.features.copy()
-    _, f_len, t_len, _ = feats.shape
-    if MASK_LEN > min(f_len, t_len):
-        raise ShapeMismatch(f"mask {MASK_LEN} exceeds axis lengths ({f_len}, {t_len})")
-    for i, r in enumerate(_per_sample_rngs(rngs, batch.size)):
-        axis_is_freq = bool(r.integers(0, 2) == 0)
-        span = f_len if axis_is_freq else t_len
-        start = int(r.integers(0, span - MASK_LEN + 1))
-        if axis_is_freq:
-            feats[i, start : start + MASK_LEN, :, :] = 0.0
-        else:
-            feats[i, :, start : start + MASK_LEN, :] = 0.0
-    return LabeledBatch(feats, batch.labels.copy())
-
-
-def mixup(batch: LabeledBatch, rng, per_sample_rngs) -> LabeledBatch:
-    """Convex-combine each sample with a permutation partner.
-
-    x'_i = lam_i*x_i + (1-lam_i)*x_pi(i), same for labels, with lam_i drawn
-    from Beta(MIXUP_ALPHA, MIXUP_ALPHA) by sample i's stream in
-    `per_sample_rngs`; the permutation comes from the batch-level `rng`.
-    """
-    if batch.size < 2:
-        raise ShapeMismatch("mixup needs at least two samples")
-    perm = rng.permutation(batch.size)
-    lams = np.array([r.beta(MIXUP_ALPHA, MIXUP_ALPHA)
-                     for r in _per_sample_rngs(per_sample_rngs, batch.size)])
-    lam_x = lams[:, None, None, None]
-    feats = lam_x * batch.features + (1.0 - lam_x) * batch.features[perm]
-    labels = lams[:, None] * batch.labels + (1.0 - lams[:, None]) * batch.labels[perm]
-    return LabeledBatch(feats.astype(batch.features.dtype), labels)
-
-
 def _stream_key(what: str, value):
     """`value` if it is a non-negative integer, a NumPy one too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -124,9 +62,17 @@ def _stream_key(what: str, value):
 
 
 class AugmentPipeline:
-    """crop -> mask -> mixup with (seed, epoch, sample index) substreams. Each
-    of the three must be a non-negative integer: any other raises
-    `ConfigMismatch` before any draw."""
+    """Crop, mask and mix a batch in one pass.
+
+    Sample i's stream, default_rng([seed, epoch, sample_indices[i]]), draws
+    in this order: the crop offset in [0, T - CROP_WIDTH]; the masked axis,
+    0 for frequency and 1 for time; the start of the masked run on that
+    axis of the crop; and the sample's mixup weight. Mixup runs only on a
+    batch of at least two samples, with partners from a permutation drawn
+    by default_rng([seed, epoch]). The seed, the epoch and every sample
+    index must be a non-negative integer: any other raises `ConfigMismatch`
+    before any draw. The input batch is never written to.
+    """
 
     def __init__(self, cfg: AugmentConfig):
         self.cfg = cfg
@@ -134,13 +80,32 @@ class AugmentPipeline:
     def __call__(self, batch: LabeledBatch, epoch: int, sample_indices=None) -> LabeledBatch:
         seed, epoch = _stream_key("rng_seed", self.cfg.rng_seed), _stream_key("epoch", epoch)
         idx = sample_indices if sample_indices is not None else range(batch.size)
-        rngs = [np.random.default_rng([seed, epoch, _stream_key("sample index", i)]) for i in idx]
-        batch_rng = np.random.default_rng([seed, epoch])
-        out = random_crop(batch, rngs)
-        out = spec_augment(out, rngs)
-        if out.size >= 2:
-            out = mixup(out, batch_rng, rngs)
-        return out
+        idx = [_stream_key("sample index", i) for i in idx]
+        b, f_len, t_len, c = batch.features.shape
+        if CROP_WIDTH > t_len:
+            raise ShapeMismatch(f"crop {CROP_WIDTH} > time axis {t_len}")
+        if MASK_LEN > min(f_len, CROP_WIDTH):
+            raise ShapeMismatch(f"mask {MASK_LEN} exceeds axis lengths ({f_len}, {CROP_WIDTH})")
+        if len(idx) != b:
+            raise ShapeMismatch(f"need {b} sample indices, got {len(idx)}")
+        feats = np.empty((b, f_len, CROP_WIDTH, c), dtype=batch.features.dtype)
+        lams = np.empty(b)
+        for i, key in enumerate(idx):
+            r = np.random.default_rng([seed, epoch, key])
+            off = int(r.integers(0, t_len - CROP_WIDTH + 1))
+            feats[i] = batch.features[i, :, off : off + CROP_WIDTH]
+            # a view of the sample whose first axis is the masked one
+            masked = feats[i] if r.integers(0, 2) == 0 else feats[i].swapaxes(0, 1)
+            start = int(r.integers(0, len(masked) - MASK_LEN + 1))
+            masked[start : start + MASK_LEN] = 0.0
+            lams[i] = r.beta(MIXUP_ALPHA, MIXUP_ALPHA)
+        labels = batch.labels.copy()
+        if b >= 2:
+            perm = np.random.default_rng([seed, epoch]).permutation(b)
+            lam_x = lams[:, None, None, None]
+            feats = (lam_x * feats + (1.0 - lam_x) * feats[perm]).astype(feats.dtype)
+            labels = lams[:, None] * labels + (1.0 - lams[:, None]) * labels[perm]
+        return LabeledBatch(feats, labels)
 
 
 def center_crop(features: np.ndarray, crop_width: int) -> np.ndarray:

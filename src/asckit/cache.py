@@ -45,7 +45,7 @@ class FeatureSet:
 
 
 def write_cache(path, frontend: str, records) -> int:
-    """Write (features [F,T,C], label 0..255, device_tag) records; returns count.
+    """Write (features [F,T,C], label 0..255, device tag str) records; returns count.
 
     On any error no file is left at `path`, or the one already there is kept.
     """
@@ -56,11 +56,12 @@ def write_cache(path, frontend: str, records) -> int:
     with atomic_write(path) as fh:
         for features, label, device in records:
             count = len(labels)
-            feats = np.asarray(features, dtype="<f4")
+            with np.errstate(over="ignore"):  # a value past float32's range is caught below
+                feats = np.asarray(features, dtype="<f4")
             if feats.ndim != 3:
                 raise ShapeMismatch(f"expected F x T x C features, got {feats.shape}")
             if not np.isfinite(feats).all():
-                raise IOFailure(f"record {count}: features hold a non-finite value")
+                raise IOFailure(f"record {count}: features hold a non-finite value in float32")
             if dims is None:
                 dims = feats.shape
                 fh.write(_MAGIC + struct.pack("<H", _VERSION))
@@ -70,7 +71,12 @@ def write_cache(path, frontend: str, records) -> int:
             if (isinstance(label, bool) or not isinstance(label, numbers.Real)
                     or not float(label).is_integer() or not 0 <= label <= 255):
                 raise IOFailure(f"record {count}: label {label!r} is not a whole number in 0..255")
-            tag = str(device).encode("utf-8")
+            if not isinstance(device, str):
+                raise IOFailure(f"record {count}: device tag {device!r} is not a string")
+            try:
+                tag = device.encode("utf-8")
+            except UnicodeEncodeError:
+                raise IOFailure(f"record {count}: device tag {device!r} has no UTF-8 form") from None
             if len(tag) > 255:
                 raise IOFailure(f"record {count}: device tag too long: {device!r}")
             fh.write(feats.tobytes())

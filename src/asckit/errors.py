@@ -19,13 +19,15 @@ class ShapeMismatch(AscKitError):
     row off the simplex; a clip that is empty, not mono, non-finite or at a
     rate that is not a whole number, or one to resample below
     `audio.MIN_RATE`, to segment not at 32 kHz or shorter than a segment, or
-    to extract features from not one 10 s / 32 kHz segment; or a batch too
-    small for a crop, mask or mixup."""
+    to extract features from not one 10 s / 32 kHz segment; features that
+    overflow; a batch too small for a crop or mask, or given a number of
+    sample indices other than its size; or a forward batch with no
+    examples."""
 
 
 class ConfigMismatch(AscKitError):
     """A setting or name is invalid: an unknown variant, front-end, mode or
     pooling kind, a duplicate parameter name, a dropout rate outside
-    [0, 1), a train-mode dropout with no RNG, a batch size below 1, or an
-    augmentation seed, epoch or sample index that is not a non-negative
-    integer."""
+    [0, 1), a train-mode dropout or forward with no RNG, a batch size below
+    1, or an augmentation seed, epoch or sample index that is not a
+    non-negative integer."""

@@ -433,7 +433,8 @@ def extract_frontend(clip: AudioClip, frontend: str) -> SpectrogramTensor:
         )
     if frontend not in _STAGES:
         raise ConfigMismatch(f"unknown frontend {frontend!r}, expected one of {FRONTENDS}")
-    data = stack_3ch(_STAGES[frontend](clip.samples))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        data = stack_3ch(_STAGES[frontend](clip.samples))
     if not np.all(np.isfinite(data)):
         raise ShapeMismatch(f"{frontend} features contain non-finite values")
     return SpectrogramTensor(data=data)

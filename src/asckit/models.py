@@ -334,11 +334,19 @@ class Network(Module):
 
     def forward(self, x, mode: str, rng=None):
         """Class probabilities for a [B, 128, 256, 3] batch. An eval forward
-        runs under `T.no_grad`: it records no graph, so nothing trains."""
+        runs under `T.no_grad`: it records no graph, so nothing trains.
+
+        The batch must hold at least one example, and a train forward needs
+        an RNG for its dropout: either fault raises before any op runs, so
+        that no BN running buffer moves."""
         T.check_mode("forward", mode)
+        if mode == "train" and rng is None:
+            raise ConfigMismatch("forward: train mode needs an RNG for dropout, got None")
         if not isinstance(x, T.Tensor):
             x = T.Tensor(np.asarray(x, dtype=np.float32))
         _check_input(x.shape)
+        if not x.shape[0]:
+            raise ShapeMismatch("forward: the batch holds no examples")
         with T.no_grad() if mode == "eval" else contextlib.nullcontext():
             for block in self.blocks:
                 x = block(x, mode, rng)

@@ -3,17 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from asckit import augment, models
+from asckit import models
 from asckit.augment import (
     CROP_WIDTH,
     MASK_LEN,
+    MIXUP_ALPHA,
     AugmentConfig,
     AugmentPipeline,
     LabeledBatch,
     center_crop,
-    mixup,
-    random_crop,
-    spec_augment,
 )
 from asckit.errors import ConfigMismatch, ShapeMismatch
 
@@ -23,10 +21,6 @@ def make_batch(b=4, f=128, t=305, c=3, m=10, seed=0):
     feats = rng.normal(size=(b, f, t, c)).astype(np.float32)
     labels = np.eye(m)[rng.integers(0, m, b)]
     return LabeledBatch(feats, labels)
-
-
-def streams(n, seed=0):
-    return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
 def on_simplex(labels):
@@ -52,67 +46,106 @@ class TestLabeledBatch:
             LabeledBatch(features, labels)
 
 
-@pytest.mark.parametrize("transform", [
-    random_crop, spec_augment, lambda batch, rngs: mixup(batch, np.random.default_rng(0), rngs),
-], ids=["random_crop", "spec_augment", "mixup"])
-def test_one_stream_per_sample_required(transform):
-    with pytest.raises(ShapeMismatch, match="^need 4 per-sample streams, got 3$"):
-        transform(make_batch(), streams(3))
+def augment(batch, seed=0, epoch=0, indices=None):
+    return AugmentPipeline(AugmentConfig(rng_seed=seed))(batch, epoch, indices)
+
+
+def alone(batch, i, seed=0, epoch=0):
+    """Sample i augmented in a batch of its own, which is never mixed."""
+    return augment(LabeledBatch(batch.features[i : i + 1], batch.labels[i : i + 1]),
+                   seed, epoch, [i])
+
+
+def rebuilt(batch, seed, epoch, indices):
+    """The pipeline's output rebuilt from its documented draw order."""
+    _, f_len, t_len, _ = batch.features.shape
+    feats, lams = [], []
+    for x, index in zip(batch.features, indices):
+        r = np.random.default_rng([seed, epoch, index])
+        off = r.integers(0, t_len - CROP_WIDTH + 1)
+        y = x[:, off : off + CROP_WIDTH].copy()
+        if r.integers(0, 2) == 0:
+            start = r.integers(0, f_len - MASK_LEN + 1)
+            y[start : start + MASK_LEN] = 0.0
+        else:
+            start = r.integers(0, CROP_WIDTH - MASK_LEN + 1)
+            y[:, start : start + MASK_LEN] = 0.0
+        feats.append(y)
+        lams.append(r.beta(MIXUP_ALPHA, MIXUP_ALPHA))
+    feats, labels, lams = np.stack(feats), batch.labels, np.array(lams)
+    if len(feats) >= 2:
+        perm = np.random.default_rng([seed, epoch]).permutation(len(feats))
+        lam = lams[:, None, None, None]
+        feats = (lam * feats + (1.0 - lam) * feats[perm]).astype(feats.dtype)
+        labels = lams[:, None] * labels + (1.0 - lams[:, None]) * labels[perm]
+    return feats, labels
+
+
+def test_one_sample_index_per_sample_required():
+    for indices in ([0, 1, 2], [0, 1, 2, 3, 4]):
+        with pytest.raises(ShapeMismatch, match=f"^need 4 sample indices, got {len(indices)}$"):
+            augment(make_batch(), indices=indices)
 
 
 class TestRandomCrop:
+    """Batches of one sample, so that no mixup runs."""
+
     def test_output_shape_and_offsets(self):
         batch = make_batch()
-        out = random_crop(batch, streams(4))
-        assert out.features.shape == (4, 128, 256, 3)
-        # every cropped sample is a contiguous slice of the original
         for i in range(batch.size):
-            found = any(
-                np.array_equal(out.features[i], batch.features[i, :, o : o + 256])
+            out = alone(batch, i).features
+            assert out.shape == (1, 128, 256, 3)
+            # outside the masked run, the sample is a contiguous slice of the original
+            kept = out[0] != 0
+            assert any(
+                np.array_equal(out[0][kept], batch.features[i, :, o : o + 256][kept])
                 for o in range(305 - 256 + 1)
             )
-            assert found
 
     def test_identity_when_full_width(self):
-        batch = make_batch(t=256)
-        out = random_crop(batch, streams(4, seed=1))
-        np.testing.assert_array_equal(out.features, batch.features)
+        batch = make_batch(b=1, t=256)
+        out = augment(batch, seed=1).features
+        kept = out != 0
+        np.testing.assert_array_equal(out[kept], batch.features[kept])
+        assert (~kept).sum() in (MASK_LEN * 256 * 3, 128 * MASK_LEN * 3)
 
     def test_constant_tensor_invariant(self):
-        feats = np.full((3, 8, 300, 1), 2.5, dtype=np.float32)
-        labels = np.eye(10)[[0, 1, 2]]
-        out = random_crop(LabeledBatch(feats, labels), streams(3, seed=2))
-        assert np.all(out.features == 2.5)
+        batch = LabeledBatch(np.full((3, 16, 300, 1), 2.5, dtype=np.float32), np.eye(10)[[0, 1, 2]])
+        for i in range(batch.size):
+            assert set(np.unique(alone(batch, i, seed=2).features)) == {0.0, 2.5}
 
     def test_too_wide(self):
         with pytest.raises(ShapeMismatch, match=rf"crop {CROP_WIDTH} > time axis 100"):
-            random_crop(make_batch(t=100), streams(4))
+            augment(make_batch(t=100))
 
     def test_labels_unchanged(self):
-        batch = make_batch()
-        out = random_crop(batch, streams(4, seed=3))
+        batch = make_batch(b=1)
+        out = augment(batch, seed=3)
         np.testing.assert_array_equal(out.labels, batch.labels)
 
 
 class TestSpecAugment:
+    """Batches of one sample, so that no mixup runs."""
+
     def test_exact_zero_count_freq_axis(self):
-        feats = np.ones((1, 128, 256, 3), dtype=np.float32)
-        labels = np.eye(10)[[0]]
-        # force the frequency axis by scanning seeds for a known draw
-        for seed in range(50):
-            if np.random.default_rng(seed).integers(0, 2) == 0:
-                out = spec_augment(LabeledBatch(feats, labels), [np.random.default_rng(seed)])
+        batch = LabeledBatch(np.ones((1, 128, 256, 3), dtype=np.float32), np.eye(10)[[0]])
+        # force the frequency axis by scanning indices for a known draw,
+        # which follows the crop offset's
+        for index in range(50):
+            r = np.random.default_rng([0, 0, index])
+            r.integers(0, 1)
+            if r.integers(0, 2) == 0:
+                out = augment(batch, indices=[index])
                 assert int((out.features == 0).sum()) == 10 * 256 * 3
                 return
-        pytest.fail("no seed produced a frequency mask")
+        pytest.fail("no sample index produced a frequency mask")
 
     def test_zero_run_contiguous_single_interval(self):
-        batch = make_batch(b=6, f=32, t=64, c=2)
-        batch.features[:] = 1.0
-        out = spec_augment(batch, streams(6, seed=4))
+        batch = LabeledBatch(np.ones((6, 32, 256, 2), dtype=np.float32), np.eye(10)[:6])
         for i in range(6):
-            zero_f = np.where(np.all(out.features[i] == 0, axis=(1, 2)))[0]
-            zero_t = np.where(np.all(out.features[i] == 0, axis=(0, 2)))[0]
+            out = alone(batch, i, seed=4).features[0]
+            zero_f = np.where(np.all(out == 0, axis=(1, 2)))[0]
+            zero_t = np.where(np.all(out == 0, axis=(0, 2)))[0]
             run = zero_f if zero_f.size else zero_t
             assert run.size == 10
             assert np.array_equal(run, np.arange(run[0], run[0] + 10))
@@ -120,81 +153,67 @@ class TestSpecAugment:
     def test_expected_zero_fraction(self):
         # oracle: Monte Carlo with a fixed seed; expectation
         # 0.5*(10/128) + 0.5*(10/256) = 0.05859
-        ones = np.ones((1, 128, 256, 1), dtype=np.float32)
-        labels = np.eye(10)[[0]]
-        rng = np.random.default_rng(123)
-        total = 0.0
+        batch = LabeledBatch(np.ones((1, 128, 256, 1), dtype=np.float32), np.eye(10)[[0]])
         n_draws = 10000
-        for _ in range(n_draws):
-            out = spec_augment(LabeledBatch(ones, labels), [rng])
-            total += (out.features == 0).mean()
-        frac = total / n_draws
-        assert abs(frac - 0.05859) < 0.003
+        total = sum((augment(batch, seed=123, indices=[k]).features == 0).mean()
+                    for k in range(n_draws))
+        assert abs(total / n_draws - 0.05859) < 0.003
 
     def test_mask_longer_than_axis(self):
-        with pytest.raises(ShapeMismatch, match=rf"mask {MASK_LEN} exceeds axis lengths \(8, 8\)"):
-            spec_augment(make_batch(f=8, t=8), streams(4))
+        with pytest.raises(ShapeMismatch, match=rf"mask {MASK_LEN} exceeds axis lengths \(8, 256\)"):
+            augment(make_batch(f=8))
 
 
 class TestMixup:
-    def test_lambda_one_identity(self):
-        batch = make_batch()
-
-        # drive lambdas to 1 via per-sample streams that return 1.0
-        class ConstRng:
-            def beta(self, a, b):
-                return 1.0
-
-            def uniform(self, lo, hi):
-                return 1.0
-
-        out = mixup(batch, np.random.default_rng(0), [ConstRng()] * batch.size)
-        np.testing.assert_allclose(out.features, batch.features, atol=1e-6)
-        np.testing.assert_allclose(out.labels, batch.labels, atol=1e-12)
-
-    def test_half_lambda_symmetric_pair(self):
-        x = np.ones((4, 8, 1), dtype=np.float64)
-        feats = np.stack([x, -x])
-        labels = np.tile([[0.5, 0.5]], (2, 1))
-
-        class HalfRng:
-            def beta(self, a, b):
-                return 0.5
-
-        # permutation of size 2 from this seed swaps the pair
-        rng = next(
-            np.random.default_rng(s)
-            for s in range(100)
-            if np.array_equal(np.random.default_rng(s).permutation(2), [1, 0])
-        )
-        out = mixup(LabeledBatch(feats, labels), rng, [HalfRng(), HalfRng()])
-        np.testing.assert_allclose(out.features, 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.labels, labels, atol=1e-12)
+    def test_batch_too_small(self):
+        # a batch of one is not mixed: its label row and its feature values
+        # are the sample's own
+        batch = make_batch(b=1)
+        out = augment(batch, seed=5)
+        np.testing.assert_array_equal(out.labels, batch.labels)
+        assert np.isin(out.features, np.append(batch.features, 0.0)).all()
 
     def test_one_hot_convexity(self):
-        feats = np.zeros((2, 2, 2, 1))
-        labels = np.eye(10)[[3, 7]]
-
-        class Lam03:
-            def beta(self, a, b):
-                return 0.3
-
-        rng = next(
-            np.random.default_rng(s)
-            for s in range(100)
-            if np.array_equal(np.random.default_rng(s).permutation(2), [1, 0])
-        )
-        out = mixup(LabeledBatch(feats, labels), rng, [Lam03(), Lam03()])
-        np.testing.assert_allclose(out.labels[0, 3], 0.3)
-        np.testing.assert_allclose(out.labels[0, 7], 0.7)
+        # a swapped pair: each label row puts the sample's weight lam on its
+        # own class and 1 - lam on its partner's, and its features are the
+        # same mix of the two samples as each is augmented alone
+        batch = LabeledBatch(make_batch(b=2).features, np.eye(10)[[3, 7]])
+        epoch = next(e for e in range(100)
+                     if list(np.random.default_rng([6, e]).permutation(2)) == [1, 0])
+        out = augment(batch, seed=6, epoch=epoch)
         assert on_simplex(out.labels)
-
-    def test_batch_too_small(self):
-        with pytest.raises(ShapeMismatch, match="mixup needs at least two samples"):
-            mixup(make_batch(b=1), np.random.default_rng(0), streams(1))
+        assert np.count_nonzero(out.labels[:, [0, 1, 2, 4, 5, 6, 8, 9]]) == 0
+        lams = out.labels[[0, 1], [3, 7]]
+        assert np.all((0 < lams) & (lams < 1))
+        y = [alone(batch, i, seed=6, epoch=epoch).features[0] for i in range(2)]
+        for i, lam in enumerate(lams):
+            np.testing.assert_allclose(out.features[i], lam * y[i] + (1 - lam) * y[1 - i],
+                                       rtol=1e-6, atol=1e-6)
 
 
 class TestPipelineProperties:
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    def test_rebuilt_from_the_draw_order(self, b):
+        # shuffled indices: each sample's draws follow its index, not its position
+        batch = make_batch(b=b, f=40, t=290)
+        indices = [9, 4, 7, 0, 2][:b]
+        out = augment(batch, seed=8, epoch=11, indices=indices)
+        feats, labels = rebuilt(batch, 8, 11, indices)
+        assert out.features.dtype == np.float32
+        assert np.array_equal(out.features, feats)
+        assert np.array_equal(out.labels, labels)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_input_batch_left_unchanged(self, b):
+        # callers reuse their batches across epochs
+        batch = make_batch(b=b)
+        feats, labels = batch.features.copy(), batch.labels.copy()
+        out = augment(batch, seed=7)
+        np.testing.assert_array_equal(batch.features, feats)
+        np.testing.assert_array_equal(batch.labels, labels)
+        assert not np.shares_memory(out.features, batch.features)
+        assert not np.shares_memory(out.labels, batch.labels)
+
     def test_simplex_preserved(self):
         rng = np.random.default_rng(6)
         labels = rng.dirichlet(np.ones(10), size=8)
@@ -213,18 +232,6 @@ class TestPipelineProperties:
         np.testing.assert_array_equal(a.labels, b.labels)
         c = pipe(batch, epoch=4)
         assert not np.array_equal(a.features, c.features)
-
-    def test_crop_and_mask_commute_with_permutation(self):
-        # per-sample streams consumed sequentially by crop then mask
-        batch = make_batch(b=5)
-        rngs = [np.random.default_rng([7, 0, i]) for i in range(5)]
-        direct = spec_augment(random_crop(batch, rngs), rngs)
-        perm = [3, 1, 4, 0, 2]
-        permuted = LabeledBatch(batch.features[perm], batch.labels[perm])
-        rngs_p = [np.random.default_rng([7, 0, i]) for i in perm]
-        out_p = spec_augment(random_crop(permuted, rngs_p), rngs_p)
-        np.testing.assert_array_equal(out_p.features, direct.features[perm])
-
 
     def test_output_feeds_the_network(self):
         # the crop width is the network's input width
@@ -246,11 +253,12 @@ class TestPipelineProperties:
                                                             indices, what, bad):
         # 1.5 would draw sample 1's stream through int(); the others would
         # reach np.random.default_rng and fail there with a bare numpy error
-        monkeypatch.setattr(augment, "random_crop", lambda *a: pytest.fail("drew"))
+        batch = make_batch()
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
         pipe = AugmentPipeline(AugmentConfig(rng_seed=seed))
         with pytest.raises(ConfigMismatch, match=re.escape(
                 f"{what} must be a non-negative integer, got {bad!r}")):
-            pipe(make_batch(), epoch, indices)
+            pipe(batch, epoch, indices)
 
     def test_numpy_integer_keys_accepted(self):
         batch = make_batch()

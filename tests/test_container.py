@@ -304,17 +304,21 @@ class TestCache:
     @pytest.mark.parametrize("features, device, error, message", [
         (np.zeros((2, 3), np.float32), "B", ShapeMismatch, r"expected F x T x C features"),
         (RECORDS[1][0], "é" * 128, IOFailure, r"record 1: device tag too long"),
-    ], ids=["features-2d", "tag-256-bytes"])
+        (RECORDS[1][0], None, IOFailure, r"record 1: device tag None is not a string"),
+        (RECORDS[1][0], "\ud800", IOFailure, r"record 1: device tag '\\ud800' has no UTF-8 form"),
+    ], ids=["features-2d", "tag-256-bytes", "tag-none", "tag-lone-surrogate"])
     def test_malformed_record_rejected_and_nothing_written(self, tmp_path, features, device,
                                                            error, message):
-        # a tag's length is one byte, so its UTF-8 form holds at most 255 bytes
+        # a tag's length is one byte, so its UTF-8 form holds at most 255 bytes;
+        # str() would store None as "None", and a lone surrogate has no UTF-8 form
         with pytest.raises(error, match=message):
             write_cache(tmp_path / "c.ascf", "gam", [RECORDS[0], (features, 0, device)])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
     def test_non_finite_record_rejected_and_nothing_written(self, tmp_path, value):
-        bad = RECORDS[1][0].copy()
+        # a float64 record: 1e39 is finite there, but not once cast to float32
+        bad = RECORDS[1][0].astype(np.float64)
         bad[1, 2, 0] = value
         with pytest.raises(IOFailure, match="record 1: features hold a non-finite value"):
             write_cache(tmp_path / "c.ascf", "gam", [RECORDS[0], (bad, 0, "B")])

@@ -7,6 +7,7 @@ from scipy import signal
 from asckit.audio import SEGMENT_SAMPLES, AudioClip
 from asckit.errors import ConfigMismatch, ShapeMismatch
 from asckit.frontend import (
+    FRONTENDS,
     HOP,
     LOG_FLOOR,
     N_BANDS,
@@ -401,6 +402,13 @@ class TestFrontendProperties:
             with pytest.raises(ShapeMismatch, match=rf"{SEGMENT_SAMPLES}.*{SR} Hz.*"
                                rf"{seconds * rate} samples at {rate} Hz"):
                 extract_frontend(clip, name)
+
+    @pytest.mark.parametrize("name", FRONTENDS)
+    def test_overflowing_segment_rejected(self, name):
+        # 1e160 squared is past float64's range, and cqt casts to float32
+        clip = AudioClip(samples=tone(50.0, amp=1e160), sample_rate=SR)
+        with pytest.raises(ShapeMismatch, match=f"^{name} features contain non-finite values$"):
+            extract_frontend(clip, name)
 
     def test_unknown_frontend_rejected(self):
         clip = AudioClip(samples=np.full(SEGMENT_SAMPLES, 0.1), sample_rate=SR)

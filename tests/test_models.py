@@ -9,6 +9,7 @@ import pytest
 
 from asckit import models
 from asckit import tensor as T
+from asckit.augment import AugmentConfig, AugmentPipeline, LabeledBatch
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 from byte_fuzz import entry_offset
 
@@ -80,6 +81,25 @@ class TestForward:
                                                  "got 'test'"):
             nets["red03"].forward(x, "test")
         assert calls == []
+
+    @pytest.mark.parametrize("n, mode, rng, error, message", [
+        (0, "train", np.random.default_rng(0), ShapeMismatch, "the batch holds no examples"),
+        (0, "eval", None, ShapeMismatch, "the batch holds no examples"),
+        (1, "train", None, ConfigMismatch, "train mode needs an RNG for dropout, got None"),
+    ], ids=["empty-train", "empty-eval", "train-without-rng"])
+    def test_forward_that_cannot_run_rejected_before_any_op(self, monkeypatch, n, mode, rng,
+                                                            error, message):
+        # a fault found by an op would come after the first BNs have moved
+        # their running buffers; on an empty batch, to NaN
+        net = models.build_network("red03", seed=0)
+        before = _snapshot(net)
+        calls = []
+        conv2d = T.conv2d
+        monkeypatch.setattr(T, "conv2d", lambda *a: calls.append(1) or conv2d(*a))
+        with pytest.raises(error, match=f"^forward: {message}$"):
+            net.forward(np.zeros((n,) + models.INPUT_SHAPE, np.float32), mode, rng=rng)
+        assert calls == []
+        _assert_state_equal(_snapshot(net), before)
 
     def test_eval_forward_records_no_graph(self):
         net = models.build_network("red03", seed=0)
@@ -415,6 +435,32 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             models.predict(models.build_network("red03", seed=5), x),
             models.predict(models.build_network("red03", seed=5), x))
+
+    def test_same_seeds_same_train_step(self):
+        # augment -> train forward -> cross-entropy -> backward -> SGD, twice
+        # from the same seeds on fresh networks
+        rng = np.random.default_rng(4)
+        batch = LabeledBatch(rng.normal(size=(2, 128, 305, 3)).astype(np.float32),
+                             np.eye(models.N_CLASSES)[[2, 8]])
+        losses, states = [], []
+        for _ in range(2):
+            net = models.build_network("red03", seed=5)
+            aug = AugmentPipeline(AugmentConfig(rng_seed=9))(batch, 3, [11, 4])
+            probs = net.forward(aug.features, "train", rng=np.random.default_rng(6))
+            target = T.Tensor(aug.labels.astype(np.float32))
+            loss = T.scale(T.tsum(T.mul(target, T.log(probs))), -1.0 / batch.size)
+            T.backward(loss)
+            for p in net.params():
+                p.data -= 0.01 * (p.grad + 1e-3 * p.data if p.l2_included else p.grad)
+            losses.append(loss.data.copy())
+            states.append(_snapshot(net))
+        assert losses[0].tobytes() == losses[1].tobytes()
+        assert list(states[0]) == list(states[1])
+        for k in states[0]:
+            assert states[0][k].tobytes() == states[1][k].tobytes(), k
+        # the step moved every parameter and buffer off its seed value
+        start = _snapshot(models.build_network("red03", seed=5))
+        assert all(not np.array_equal(states[0][k], start[k]) for k in start)
 
 
 class TestSaveLoad:
