@@ -81,10 +81,45 @@ def rebuilt(batch, seed, epoch, indices):
     return feats, labels
 
 
-def test_one_sample_index_per_sample_required():
-    for indices in ([0, 1, 2], [0, 1, 2, 3, 4]):
-        with pytest.raises(ShapeMismatch, match=f"^need 4 sample indices, got {len(indices)}$"):
-            augment(make_batch(), indices=indices)
+@pytest.mark.parametrize("b, indices", [
+    (4, [0, 1, 2]),  # sample 3 would get no crop offset
+    (4, [0, 1, 2, 3, 4]),  # a fifth stream would draw a mask for no sample
+    (2, [0]),  # the pair would be mixed with one weight for two samples
+], ids=["random_crop", "spec_augment", "mixup"])
+def test_one_stream_per_sample_required(monkeypatch, b, indices):
+    # every draw comes from a sample's stream, so the count is checked before
+    # any stream is made
+    batch = make_batch(b=b)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    with pytest.raises(ShapeMismatch, match=f"^need {b} sample indices, got {len(indices)}$"):
+        augment(batch, indices=indices)
+
+
+class FixedWeight:
+    """A stream whose mixup weight is `lam`; its other draws are the real stream's."""
+
+    def __init__(self, make_rng, key, lam):
+        self.rng, self.lam = make_rng(key), lam
+
+    def integers(self, low, high):
+        return self.rng.integers(low, high)
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def beta(self, a, b):
+        return self.lam
+
+
+def fix_weights(monkeypatch, lam):
+    make_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: FixedWeight(make_rng, key, lam))
+
+
+def swapping_epoch(seed):
+    """An epoch whose permutation of a pair swaps it."""
+    return next(e for e in range(100)
+                if list(np.random.default_rng([seed, e]).permutation(2)) == [1, 0])
 
 
 class TestRandomCrop:
@@ -165,6 +200,26 @@ class TestSpecAugment:
 
 
 class TestMixup:
+    def test_lambda_one_identity(self, monkeypatch):
+        # a weight of 1 keeps each sample's own crop, mask and label row
+        batch = make_batch()
+        y = np.concatenate([alone(batch, i, seed=2).features for i in range(batch.size)])
+        fix_weights(monkeypatch, 1.0)
+        out = augment(batch, seed=2)
+        np.testing.assert_array_equal(out.features, y)
+        np.testing.assert_array_equal(out.labels, batch.labels)
+
+    def test_half_lambda_symmetric_pair(self, monkeypatch):
+        # x and -x under one sample index share their crop and mask, so a
+        # swapped pair mixed half and half cancels
+        x = np.ones((16, 256, 1))
+        batch = LabeledBatch(np.stack([x, -x]), np.tile([[0.5, 0.5]], (2, 1)))
+        epoch = swapping_epoch(0)
+        fix_weights(monkeypatch, 0.5)
+        out = augment(batch, epoch=epoch, indices=[3, 3])
+        np.testing.assert_array_equal(out.features, 0.0)
+        np.testing.assert_array_equal(out.labels, batch.labels)
+
     def test_batch_too_small(self):
         # a batch of one is not mixed: its label row and its feature values
         # are the sample's own
@@ -178,8 +233,7 @@ class TestMixup:
         # own class and 1 - lam on its partner's, and its features are the
         # same mix of the two samples as each is augmented alone
         batch = LabeledBatch(make_batch(b=2).features, np.eye(10)[[3, 7]])
-        epoch = next(e for e in range(100)
-                     if list(np.random.default_rng([6, e]).permutation(2)) == [1, 0])
+        epoch = swapping_epoch(6)
         out = augment(batch, seed=6, epoch=epoch)
         assert on_simplex(out.labels)
         assert np.count_nonzero(out.labels[:, [0, 1, 2, 4, 5, 6, 8, 9]]) == 0
