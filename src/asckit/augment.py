@@ -49,10 +49,6 @@ class LabeledBatch:
         if np.any(self.labels < 0) or np.any(np.abs(self.labels.sum(axis=1) - 1) > 1e-6):
             raise ShapeMismatch("label rows must lie on the probability simplex")
 
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
 
 def _stream_key(what: str, value):
     """`value` if it is a non-negative integer, a NumPy one too."""
@@ -67,20 +63,21 @@ class AugmentPipeline:
     Sample i's stream, default_rng([seed, epoch, sample_indices[i]]), draws
     in this order: the crop offset in [0, T - CROP_WIDTH]; the masked axis,
     0 for frequency and 1 for time; the start of the masked run on that
-    axis of the crop; and the sample's mixup weight. Mixup runs only on a
-    batch of at least two samples, with partners from a permutation drawn
-    by default_rng([seed, epoch]). The seed, the epoch and every sample
-    index must be a non-negative integer: any other raises `ConfigMismatch`
-    before any draw. The input batch is never written to.
+    axis of the crop; and the sample's mixup weight. The required indices
+    are the samples' dataset indices: batch positions 0..B-1 would give
+    every batch of an epoch the same crops, masks and mixup weights. Mixup
+    runs only on a batch of at least two samples, with partners from a
+    permutation drawn by default_rng([seed, epoch]). The seed, the epoch
+    and every sample index must be a non-negative integer: any other
+    raises `ConfigMismatch` before any draw. The input is never written to.
     """
 
     def __init__(self, cfg: AugmentConfig):
         self.cfg = cfg
 
-    def __call__(self, batch: LabeledBatch, epoch: int, sample_indices=None) -> LabeledBatch:
+    def __call__(self, batch: LabeledBatch, epoch: int, sample_indices) -> LabeledBatch:
         seed, epoch = _stream_key("rng_seed", self.cfg.rng_seed), _stream_key("epoch", epoch)
-        idx = sample_indices if sample_indices is not None else range(batch.size)
-        idx = [_stream_key("sample index", i) for i in idx]
+        idx = [_stream_key("sample index", i) for i in sample_indices]
         b, f_len, t_len, c = batch.features.shape
         if CROP_WIDTH > t_len:
             raise ShapeMismatch(f"crop {CROP_WIDTH} > time axis {t_len}")

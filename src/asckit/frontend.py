@@ -211,19 +211,6 @@ def cqt(x: np.ndarray) -> np.ndarray:
     return _log_compress(np.concatenate(mags, axis=1).T)
 
 
-def erb_bandwidth(f):
-    """Equivalent rectangular bandwidth at center frequency f (Hz)."""
-    return 24.7 * (4.37 * np.asarray(f, dtype=np.float64) / 1000.0 + 1.0)
-
-
-def hz_to_erb_rate(f):
-    return 21.4 * np.log10(1.0 + 0.00437 * np.asarray(f, dtype=np.float64))
-
-
-def erb_rate_to_hz(r):
-    return (10.0 ** (np.asarray(r, dtype=np.float64) / 21.4) - 1.0) / 0.00437
-
-
 @lru_cache(maxsize=1)
 def gammatone_bank():
     """(centres in Hz, second-order sections [N_BANDS, 4, 6]) of 4th-order
@@ -240,11 +227,11 @@ def gammatone_bank():
     centre, GAM_FMAX = 16 kHz, is the Nyquist frequency of the 32 kHz
     pipeline.
     """
-    cf = erb_rate_to_hz(
-        np.linspace(hz_to_erb_rate(GAM_FMIN), hz_to_erb_rate(GAM_FMAX), N_BANDS)
-    )
+    # ERB rate 21.4 log10(1 + 0.00437 f); the ERB bandwidth's brackets fix its last bit
+    lo, hi = 21.4 * np.log10(1.0 + 0.00437 * np.array([GAM_FMIN, GAM_FMAX]))
+    cf = (10.0 ** (np.linspace(lo, hi, N_BANDS) / 21.4) - 1.0) / 0.00437
     t = 1.0 / PIPELINE_RATE
-    b = 1.019 * 2.0 * np.pi * erb_bandwidth(cf)
+    b = 1.019 * 2.0 * np.pi * (24.7 * (4.37 * cf / 1000.0 + 1.0))
     arg = 2.0 * cf * np.pi * t
     vec = np.exp(b * t)
     b0, b1, b2 = 1.0, -2.0 * np.cos(arg) / vec, np.exp(-2.0 * b * t)

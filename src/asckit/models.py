@@ -14,9 +14,9 @@ Every block ends in max-pool 2x2 -> dropout -> residual normalization.
 The pooling head reduces the backbone output to three per-channel feature
 vectors (overall average, frequency-averaged temporal max, temporal max of
 the frequency average) concatenated to a 3*C descriptor. The parameter
-counts above are exact (`count_parameters`); the conv of a conv -> BN ->
-ReLU unit has no bias. An ensemble of three red02 networks, one per
-spectrogram, has 2.1M parameters.
+counts above are exact (`count_parameters`; `test_exact_count` pins them);
+the conv of a conv -> BN -> ReLU unit has no bias. An ensemble of three
+red02 networks, one per spectrogram, has 2.1M parameters.
 
 In eval mode each conv -> BN -> ReLU unit folds its BN into the conv; in
 train mode it is one `tensor.conv_bn_relu` op. So a red02 forward runs 4
@@ -51,15 +51,6 @@ _VARIANTS = {
     "red02": ([32], [[64], [128], [256]], None),
     "red03": ([16], [[32], [64], [128]], None),
 }
-
-# reference trainable-parameter budgets (millions) for the four variants
-PARAM_BUDGETS = {
-    "baseline": 9.6e6,
-    "red01": 3.2e6,
-    "red02": 0.8e6,
-    "red03": 0.2e6,
-}
-PARAM_TOLERANCE = 0.15
 
 
 def _split_channels(total: int) -> list[int]:
@@ -177,13 +168,10 @@ def _kernel(name, shape, rng):
     return T.Parameter(rng.uniform(-limit, limit, size=shape).astype(np.float32), name=name)
 
 
-class Dense(Module):
-    def __init__(self, name, din, dout, rng):
-        self.w = _kernel(f"{name}.w", (din, dout), rng)
-        self.b = T.Parameter(np.zeros(dout, dtype=np.float32), name=f"{name}.b")
-
-    def __call__(self, x, mode, rng):
-        return T.dense(x, self.w, self.b)
+def _weights(name, shape, rng):
+    """A `_kernel` `<name>.w` and a zero bias `<name>.b`, for `T.dense` or `T.conv2d`."""
+    return [_kernel(f"{name}.w", shape, rng),
+            T.Parameter(np.zeros(shape[-1], np.float32), name=f"{name}.b")]
 
 
 class BatchNorm(Module):
@@ -259,9 +247,7 @@ class IncResUnit(Module):
             _ConvBnRelu(f"{name}.b{i}", kf, kt, cin, cout, rng)
             for i, (kf, kt) in enumerate(self.KERNELS)
         ]
-        self.proj = ([_kernel(f"{name}.proj.w", (1, 1, cin, cout), rng),
-                      T.Parameter(np.zeros(cout, np.float32), name=f"{name}.proj.b")]
-                     if cin != cout else [])
+        self.proj = _weights(f"{name}.proj", (1, 1, cin, cout), rng) if cin != cout else []
 
     def __call__(self, x, mode, rng):
         pooled = [T.avg_pool(br(x, mode, rng), kern)
@@ -300,8 +286,8 @@ class PoolingHead(Module):
 
     def __init__(self, cin, hidden, rng):
         pooled_dim = 3 * cin
-        self.hidden = Dense("head.fc1", pooled_dim, hidden, rng) if hidden else None
-        self.classifier = Dense("head.fc2", hidden or pooled_dim, N_CLASSES, rng)
+        self.hidden = _weights("head.fc1", (pooled_dim, hidden), rng) if hidden else []
+        self.classifier = _weights("head.fc2", (hidden or pooled_dim, N_CLASSES), rng)
 
     def __call__(self, x, mode, rng):
         freq_mean = T.reduce_mean(x, 1)                           # avg over F
@@ -309,9 +295,9 @@ class PoolingHead(Module):
         time_max = T.reduce_mean(T.reduce_max(x, 2), 1)           # max over T, avg F
         freq_avg = T.reduce_max(freq_mean, 1)                     # avg over F, max T
         h = T.concat([overall_avg, time_max, freq_avg], axis=1)
-        if self.hidden is not None:
-            h = T.dropout(T.relu(self.hidden(h, mode, rng)), DROPOUT_FC, mode, rng)
-        return T.softmax(self.classifier(h, mode, rng))
+        if self.hidden:
+            h = T.dropout(T.relu(T.dense(h, *self.hidden)), DROPOUT_FC, mode, rng)
+        return T.softmax(T.dense(h, *self.classifier))
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _windows(x, kernel):
     """Stride-1 'same' (frequency, time) windows of [B, F, T, C], by offset.
 
-    `kernel` is an int or a (kf, kt) pair. The input is padded only if the
-    kernel is larger than 1 x 1, since a pad copies it.
+    `kernel` is a (kf, kt) pair. The input is padded only if the kernel is
+    larger than 1 x 1, since a pad copies it.
 
     Returns `xp`, the padded input, the index of the unpadded input in `xp`,
     and one index per kernel offset (u, v), in row-major order: `xp[index]`
@@ -301,7 +301,7 @@ def _windows(x, kernel):
     window. A window op reduces over these views; its backward adds into the
     same views of a zero array shaped like `xp`, then takes the unpadded part.
     """
-    kf, kt = (kernel, kernel) if np.isscalar(kernel) else kernel
+    kf, kt = kernel
     _, f, t, _ = x.shape
     pf, pt = (kf - 1) // 2, (kt - 1) // 2
     if kf > 1 or kt > 1:
@@ -404,9 +404,9 @@ def max_pool(x: Tensor) -> Tensor:
 
 
 def avg_pool(x: Tensor, kernel) -> Tensor:
-    """Stride-1 'same' window mean over (frequency, time), each window divided
-    by its true overlap (the cells inside the unpadded input), so edges are
-    unbiased.
+    """Stride-1 'same' (kf, kt) = `kernel` window mean over (frequency, time),
+    each window divided by its true overlap (the cells inside the unpadded
+    input), so edges are unbiased.
     """
     xp, inner, offsets = _windows(x.data, kernel)
     ones, _, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel)

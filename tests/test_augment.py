@@ -47,6 +47,9 @@ class TestLabeledBatch:
 
 
 def augment(batch, seed=0, epoch=0, indices=None):
+    """The pipeline's output; `indices` defaults to the batch positions."""
+    if indices is None:
+        indices = range(len(batch.features))
     return AugmentPipeline(AugmentConfig(rng_seed=seed))(batch, epoch, indices)
 
 
@@ -127,7 +130,7 @@ class TestRandomCrop:
 
     def test_output_shape_and_offsets(self):
         batch = make_batch()
-        for i in range(batch.size):
+        for i in range(len(batch.features)):
             out = alone(batch, i).features
             assert out.shape == (1, 128, 256, 3)
             # outside the masked run, the sample is a contiguous slice of the original
@@ -146,7 +149,7 @@ class TestRandomCrop:
 
     def test_constant_tensor_invariant(self):
         batch = LabeledBatch(np.full((3, 16, 300, 1), 2.5, dtype=np.float32), np.eye(10)[[0, 1, 2]])
-        for i in range(batch.size):
+        for i in range(len(batch.features)):
             assert set(np.unique(alone(batch, i, seed=2).features)) == {0.0, 2.5}
 
     def test_too_wide(self):
@@ -203,7 +206,8 @@ class TestMixup:
     def test_lambda_one_identity(self, monkeypatch):
         # a weight of 1 keeps each sample's own crop, mask and label row
         batch = make_batch()
-        y = np.concatenate([alone(batch, i, seed=2).features for i in range(batch.size)])
+        y = np.concatenate([alone(batch, i, seed=2).features
+                            for i in range(len(batch.features))])
         fix_weights(monkeypatch, 1.0)
         out = augment(batch, seed=2)
         np.testing.assert_array_equal(out.features, y)
@@ -273,23 +277,25 @@ class TestPipelineProperties:
         labels = rng.dirichlet(np.ones(10), size=8)
         feats = rng.normal(size=(8, 128, 305, 3)).astype(np.float32)
         batch = LabeledBatch(feats, labels)
-        out = AugmentPipeline(AugmentConfig(rng_seed=9))(batch, epoch=0)
+        out = AugmentPipeline(AugmentConfig(rng_seed=9))(batch, 0, range(len(batch.features)))
         assert on_simplex(out.labels)
         assert out.features.shape == (8, 128, 256, 3)
 
     def test_bit_reproducible(self):
         batch = make_batch(b=6)
         pipe = AugmentPipeline(AugmentConfig(rng_seed=42))
-        a = pipe(batch, epoch=3)
-        b = pipe(batch, epoch=3)
+        indices = range(len(batch.features))
+        a = pipe(batch, 3, indices)
+        b = pipe(batch, 3, indices)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
-        c = pipe(batch, epoch=4)
+        c = pipe(batch, 4, indices)
         assert not np.array_equal(a.features, c.features)
 
     def test_output_feeds_the_network(self):
         # the crop width is the network's input width
-        out = AugmentPipeline(AugmentConfig(rng_seed=3))(make_batch(), epoch=0)
+        batch = make_batch()
+        out = AugmentPipeline(AugmentConfig(rng_seed=3))(batch, 0, range(len(batch.features)))
         net = models.build_network("red03")
         probs = net.forward(out.features, "train", rng=np.random.default_rng(0))
         assert probs.shape == (4, models.N_CLASSES)

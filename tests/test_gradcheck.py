@@ -131,7 +131,7 @@ class TestPooling:
         check(lambda x: T.max_pool(x), [x])
 
     # the kernels IncResUnit pools with
-    @pytest.mark.parametrize("kernel", [3, (3, 1), (1, 3)],
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 1), (1, 3)],
                              ids=["same", "same-3x1", "same-1x3"])
     def test_avg_pool(self, rng, kernel):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)

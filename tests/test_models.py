@@ -14,9 +14,7 @@ from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 from byte_fuzz import entry_offset
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
-# Parameter and buffer (name, shape) lists in model order, recorded from the
-# hand-written params()/buffers() methods that the Module walk replaced; the
-# `.conv.b` rows were dropped when the conv -> BN -> ReLU units lost their bias.
+# variant -> {"params": ..., "buffers": ...}, each a list of [name, shape] in model order
 EXPECTED = json.loads((Path(__file__).parent / "data" / "model_names.json").read_text())
 # model kind -> the variant the save/load and duplicate-name tests build
 KINDS = {"network": "red03"}
@@ -42,11 +40,15 @@ def _assert_state_equal(a, b):
 
 
 class TestBudgets:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_within_tolerance(self, nets, variant):
-        n = models.count_parameters(nets[variant])
-        budget = models.PARAM_BUDGETS[variant]
-        assert abs(n - budget) / budget <= models.PARAM_TOLERANCE
+    # the counts of the `models` docstring table; "ensemble" is its three
+    # red02 networks, one per front-end
+    COUNTS = {"baseline": 9_531_863, "red01": 2_777_111, "red02": 700_428,
+              "red03": 178_199, "ensemble": 2_101_284}
+
+    @pytest.mark.parametrize("variant", list(COUNTS))
+    def test_exact_count(self, nets, variant):
+        members = [nets["red02"]] * 3 if variant == "ensemble" else [nets[variant]]
+        assert sum(models.count_parameters(net) for net in members) == self.COUNTS[variant]
 
     def test_strict_ordering(self, nets):
         counts = [models.count_parameters(nets[v]) for v in VARIANTS]
@@ -241,16 +243,20 @@ class TestFoldedEval:
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_head_reduce_calls(self, nets, monkeypatch, mode):
-        # the frequency mean feeds two pooled features but is taken once
-        seen = {"reduce_mean": [], "reduce_max": []}
+        # the frequency mean feeds two pooled features but is taken once, and
+        # each dense layer of the head (baseline's hidden FC too) is one call
+        seen = {"reduce_mean": [], "reduce_max": [], "dense": []}
         for name, calls_made in seen.items():
             op = getattr(T, name)
             monkeypatch.setattr(T, name, lambda *a, _op=op, _seen=calls_made, **k:
                                 _seen.append(1) or _op(*a, **k))
         x = np.random.default_rng(6).normal(size=(1,) + models.INPUT_SHAPE)
-        nets["red02"].forward(x, mode, np.random.default_rng(7))
-        assert {name: len(calls) for name, calls in seen.items()} == \
-            {"reduce_mean": 3, "reduce_max": 2}
+        for variant, dense_calls in (("red02", 1), ("baseline", 2)):
+            for calls_made in seen.values():
+                calls_made.clear()
+            nets[variant].forward(x, mode, np.random.default_rng(7))
+            assert {name: len(calls) for name, calls in seen.items()} == \
+                {"reduce_mean": 3, "reduce_max": 2, "dense": dense_calls}, variant
 
 
 def _train_step(net, batch, seed):
@@ -448,7 +454,7 @@ class TestDeterminism:
             aug = AugmentPipeline(AugmentConfig(rng_seed=9))(batch, 3, [11, 4])
             probs = net.forward(aug.features, "train", rng=np.random.default_rng(6))
             target = T.Tensor(aug.labels.astype(np.float32))
-            loss = T.scale(T.tsum(T.mul(target, T.log(probs))), -1.0 / batch.size)
+            loss = T.scale(T.tsum(T.mul(target, T.log(probs))), -1.0 / len(batch.features))
             T.backward(loss)
             for p in net.params():
                 p.data -= 0.01 * (p.grad + 1e-3 * p.data if p.l2_included else p.grad)
@@ -534,7 +540,7 @@ class TestSaveLoad:
                 "stray_entry": "stray.w"}[edit]
         shape = model.state_dict()[name].shape if edit != "stray_entry" else None
         if edit == "drop_last_param":
-            other.head.classifier.b = None
+            other.head.classifier[1] = None
         elif edit == "drop_last_buffer":
             del last_bn.running_var
         elif edit == "wrong_param_shape":

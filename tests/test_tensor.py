@@ -213,12 +213,12 @@ class TestPooling:
     def test_avg_pool_2x2(self):
         # a 2x2 window pads one trailing cell: only the first window is whole
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        assert T.avg_pool(x, 2).data[0, 0, 0, 0] == 2.5
+        assert T.avg_pool(x, (2, 2)).data[0, 0, 0, 0] == 2.5
 
     def test_avg_pool_same_corner_true_divisor(self):
         # 3x3 window at a corner of all-ones input overlaps 4 real cells: 4/4 = 1
         x = T.Tensor(np.ones((1, 4, 4, 1)))
-        out = T.avg_pool(x, 3)
+        out = T.avg_pool(x, (3, 3))
         assert out.data[0, 0, 0, 0] == 1.0
         np.testing.assert_allclose(out.data, 1.0)
 
