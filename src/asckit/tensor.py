@@ -9,20 +9,23 @@ the implicit graph in reverse topological order and accumulates gradients
 into every tensor that requires them.
 
 The window ops have the two geometries the networks use. `conv2d` and
-`avg_pool` slide stride-1 'same' windows: the input is zero-padded by
-(k - 1) // 2 cells before and k // 2 after along each axis, so the output
-has the input's frequency and time size. Both share one core, `_windows`,
-which pads the input and gives, for each kernel offset (u, v), the strided
-view of that cell of every window. `max_pool` is the fixed 2 x 2 tile max
-of every block: its four views are the cells of the non-overlapping tiles,
-and a trailing odd row or column is dropped. Pooling is a running max or
-sum over the views, and every backward adds into the same views of a zero
-gradient: one GEMM per offset for `conv2d`, the window gradient for
-`avg_pool`, and for `max_pool` the gradient of each tile given to its first
-maximum in row-major order. Only the `conv2d` forward copies the windows
-out, as the columns of one GEMM (im2col). No backward closure keeps a
-padded input: the `conv2d` backward pads the input anew, and the
-`avg_pool` backward makes its zero gradient from the padded shape.
+`avg_pool` slide stride-1 'same' windows that reach (k - 1) // 2 cells
+before their centre and k // 2 after along each axis, so the output has the
+input's frequency and time size. `conv2d` pads the input with zeros
+through `_windows`, which gives, for each kernel offset (u, v), the strided
+view of that cell of every window; its forward copies the windows out as
+the columns of one GEMM (im2col), and its backward runs one GEMM per offset
+into the same views of a zero gradient, padding the input anew, so no
+closure keeps a padded input. `avg_pool` pads nothing: `_box_sum` sums each
+window along one axis with one add of each shifted slice, so a window is a
+time pass then a frequency pass, kf + kt passes in all, and each window is
+divided by the cells it covers, the product of its two 1-D counts. Its
+backward is the same box, mirrored, over the gradient divided by those
+counts. `max_pool` is the fixed 2 x 2 tile max of every block: its four
+views are the cells of the non-overlapping tiles, and a trailing odd row or
+column is dropped. Its forward is a running max over the views; its
+backward writes each tile cell once, the tile's gradient at its first
+maximum in row-major order and zero elsewhere.
 
 The conv core, `_conv_forward` and `_conv_backward`, has no bias; `conv2d`
 adds its own and sums its gradient. `conv_bn_relu` is the networks'
@@ -36,7 +39,10 @@ Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite); statistics
 (means/variances) and full reductions accumulate in float64 and are cast
 back to that dtype before they broadcast, without any full-size float64
-temporary. After `backward` only leaves (tensors made directly, and
+temporary. Batch norm's per-channel sums reduce (batch, frequency) first,
+over contiguous time x channel rows, then time; its per-channel vectors
+broadcast as [time, channel] rows (`_rows`), so numpy runs each op over the
+last two axes merged. After `backward` only leaves (tensors made directly, and
 `Parameter`s) keep their `.grad`; an op's output drops its gradient once
 its backward closure has consumed it. A backward hands each input a
 gradient of that input's shape and dtype through `Tensor.accumulate`, which
@@ -54,6 +60,7 @@ gamma, beta and the running buffers, so its backward reaches only its input.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -290,7 +297,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _windows(x, kernel):
-    """Stride-1 'same' (frequency, time) windows of [B, F, T, C], by offset.
+    """The conv's stride-1 'same' (frequency, time) windows of [B, F, T, C],
+    by offset.
 
     `kernel` is a (kf, kt) pair. The input is padded only if the kernel is
     larger than 1 x 1, since a pad copies it.
@@ -298,8 +306,8 @@ def _windows(x, kernel):
     Returns `xp`, the padded input, the index of the unpadded input in `xp`,
     and one index per kernel offset (u, v), in row-major order: `xp[index]`
     is the [B, F, T, C] strided view of the cell at offset (u, v) of every
-    window. A window op reduces over these views; its backward adds into the
-    same views of a zero array shaped like `xp`, then takes the unpadded part.
+    window. The conv backward adds into the same views of a zero array
+    shaped like `xp`, then takes the unpadded part.
     """
     kf, kt = kernel
     _, f, t, _ = x.shape
@@ -310,14 +318,6 @@ def _windows(x, kernel):
     offsets = [(slice(None), slice(u, u + f), slice(v, v + t))
                for u in range(kf) for v in range(kt)]
     return x, inner, offsets
-
-
-def _window_reduce(ufunc, xp, offsets):
-    """`ufunc` (np.add, np.maximum) over the offset views, in offset order."""
-    out = xp[offsets[0]].copy()
-    for o in offsets[1:]:
-        ufunc(out, xp[o], out=out)
-    return out
 
 
 def _conv_forward(x, w):
@@ -389,7 +389,9 @@ def max_pool(x: Tensor) -> Tensor:
         raise ShapeMismatch(f"max_pool needs at least 2 x 2 (frequency, time), got {(f, t)}")
     tiles = [(slice(None), slice(u, f - f % 2, 2), slice(v, t - t % 2, 2))
              for u in (0, 1) for v in (0, 1)]
-    y = _window_reduce(np.maximum, x.data, tiles)
+    y = x.data[tiles[0]].copy()
+    for o in tiles[1:]:
+        np.maximum(y, x.data[o], out=y)
 
     def _bw(g):
         gx = np.zeros_like(x.data)
@@ -398,29 +400,48 @@ def max_pool(x: Tensor) -> Tensor:
             hit = x.data[o] == y
             hit &= open_
             open_ ^= hit
-            gx[o] += g * hit
+            np.multiply(g, hit, out=gx[o])  # the tile views are disjoint
         x.accumulate(gx)
     return _result(y, (x,), "max_pool", _bw)
 
 
+def _box_sum(a, axis, before, after, out):
+    """Sums of `a` over the windows [i - before, i + after] along `axis`, each
+    clipped to the array, written into `out`, which must not be `a`: a copy,
+    then one add of each shifted slice."""
+    np.copyto(out, a)
+    n = a.shape[axis]
+    lead = (slice(None),) * axis
+    for d in (*range(-before, 0), *range(1, after + 1)):
+        m = max(n - abs(d), 0)  # the cells i with i + d inside the array
+        to = lead + (slice(max(-d, 0), max(-d, 0) + m),)
+        np.add(out[to], a[lead + (slice(max(d, 0), max(d, 0) + m),)], out=out[to])
+    return out
+
+
 def avg_pool(x: Tensor, kernel) -> Tensor:
     """Stride-1 'same' (kf, kt) = `kernel` window mean over (frequency, time),
-    each window divided by its true overlap (the cells inside the unpadded
-    input), so edges are unbiased.
+    each window divided by its true overlap (the cells inside the input), so
+    edges are unbiased. A window reaches (k - 1) // 2 cells before its centre
+    and k // 2 after along each axis.
     """
-    xp, inner, offsets = _windows(x.data, kernel)
-    ones, _, _ = _windows(np.ones((1,) + x.shape[1:3] + (1,), x.dtype), kernel)
-    counts = _window_reduce(np.add, ones, offsets)
-    y = _window_reduce(np.add, xp, offsets)
+    kf, kt = kernel
+    if kf < 1 or kt < 1:
+        raise ShapeMismatch(f"avg_pool kernel {kernel}: each side must be at least 1")
+    reach = [((k - 1) // 2, k // 2) for k in kernel]  # (before, after) per axis
+    cf, ct = (_box_sum(np.ones(n, x.dtype), 0, *r, np.empty(n, x.dtype))
+              for n, r in zip(x.shape[1:3], reach))
+    counts = np.multiply.outer(cf, ct)[..., None]
+    y =_box_sum(x.data, 2, *reach[1], np.empty_like(x.data))
+    y = _box_sum(y, 1, *reach[0], np.empty_like(y))
     y /= counts
-    padded = xp.shape
 
     def _bw(g):
+        # a cell gets the mean gradient of every window that reaches it: the
+        # same box mirrored, so an even side has one more cell after than before
         gn = g / counts
-        gp = np.zeros(padded, x.dtype)
-        for o in offsets:
-            gp[o] += gn
-        x.accumulate(gp[inner])
+        gt = _box_sum(gn, 1, *reach[0][::-1], np.empty_like(gn))
+        x.accumulate(_box_sum(gt, 2, *reach[1][::-1], gn))
     return _result(y, (x,), "avg_pool", _bw)
 
 
@@ -428,23 +449,45 @@ def avg_pool(x: Tensor, kernel) -> Tensor:
 # normalization
 
 
+def _rows(v, t):
+    """The per-channel vector v tiled to [t, C] rows. Against a contiguous [B,
+    F, t, C] array numpy merges the last two axes, so an op runs one T * C
+    inner loop per (b, f) where v itself would give it one of C per (b, f, t)."""
+    return np.tile(v, (t, 1))
+
+
+def _sums(a, axes):
+    """float64 sums of `a` over `axes`, in a shape that broadcasts against a.
+
+    Over every axis but the channel of [B, F, T, C] (batch norm), (B, F) are
+    reduced first, so each inner loop adds a contiguous T * C row, then T;
+    the C sums come back as `_rows`. Other axes (residual norm's (T, C),
+    already contiguous) are reduced in one call, keepdims.
+    """
+    if axes != (0, 1, 2):
+        return a.sum(axis=axes, keepdims=True, dtype=np.float64)
+    b, f, t, c = a.shape
+    rows = a.reshape(b * f, t * c).sum(axis=0, dtype=np.float64)
+    return _rows(rows.reshape(t, c).sum(axis=0), t)
+
+
 def _standardize(x, axes, eps):
     """xhat = (x - mean) / sqrt(var + eps) over `axes`, in x's dtype.
 
-    Returns the float64 mean and biased variance (keepdims), the inverse
-    deviation in x's dtype, xhat, and a spare buffer of x's shape and dtype
-    for the caller's output. The mean is a float64-accumulated sum; x is
-    centred once by the mean cast to x's dtype, and the squares of that
-    (formed in the spare buffer) accumulate in float64 less the square of the
-    cast's error, so no float64 copy of x is made.
+    Returns the float64 mean and biased variance and the inverse deviation in
+    x's dtype, all shaped as `_sums` gives them, xhat, and a spare buffer of
+    x's shape and dtype for the caller's output. The mean is a
+    float64-accumulated sum; x is centred once by the mean cast to x's dtype,
+    and the squares of that (formed in the spare buffer) accumulate in
+    float64 less the square of the cast's error, so no float64 copy of x is
+    made.
     """
-    total = x.sum(axis=axes, keepdims=True, dtype=np.float64)
-    n = x.size // total.size
-    mu = total / n
+    n = math.prod(x.shape[i] for i in axes)
+    mu = _sums(x, axes) / n
     shift = mu.astype(x.dtype)
     xhat = x - shift
     spare = np.square(xhat)
-    var = spare.sum(axis=axes, keepdims=True, dtype=np.float64) / n - np.square(mu - shift)
+    var = _sums(spare, axes) / n - np.square(mu - shift)
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     xhat *= inv
     return mu, var, inv, xhat, spare
@@ -454,15 +497,15 @@ def _standardize_grad(g, xhat, scale, axes):
     """Gradient through `scale * xhat` where xhat was standardized with the
     mean and variance over `axes` of the same input (Ioffe & Szegedy, 2015).
 
-    Returns it with the float64 sums over `axes` (keepdims) of g and of
-    g * xhat, which are also the shift and scale gradients. g * xhat is
-    formed once, and the input gradient is built in its buffer; the means
-    are cast to g's dtype before they broadcast.
+    Returns it with the float64 `_sums` over `axes` of g and of g * xhat,
+    which are also the shift and scale gradients. g * xhat is formed once,
+    and the input gradient is built in its buffer; the means are cast to g's
+    dtype before they broadcast.
     """
-    g_sum = g.sum(axis=axes, keepdims=True, dtype=np.float64)
-    n = g.size // g_sum.size
+    n = math.prod(g.shape[i] for i in axes)
+    g_sum = _sums(g, axes)
     gx = g * xhat
-    gx_sum = gx.sum(axis=axes, keepdims=True, dtype=np.float64)
+    gx_sum = _sums(gx, axes)
     dx = np.multiply(xhat, (gx_sum / n).astype(g.dtype), out=gx)
     np.subtract(g, dx, out=dx)
     dx -= (g_sum / n).astype(g.dtype)
@@ -471,33 +514,34 @@ def _standardize_grad(g, xhat, scale, axes):
 
 
 def _batch_norm_train(x, gamma: Tensor, beta: Tensor, running_mean, running_var):
-    """Train-mode batch norm of the array x over all non-channel axes.
+    """Train-mode batch norm of the [B, F, T, C] array x over (B, F, T).
 
     Updates the running buffers in place with momentum BN_MOMENTUM and
     returns gamma * xhat + beta with the function that maps its gradient to
     x's, handing gamma and beta theirs on the way; that function keeps only
     xhat and the per-channel scales.
     """
-    axes = tuple(range(x.ndim - 1))
+    axes = (0, 1, 2)
     mu, var, inv, xhat, y = _standardize(x, axes, BN_EPS)
     running_mean *= BN_MOMENTUM
-    running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
+    running_mean += (1.0 - BN_MOMENTUM) * mu[0]
     running_var *= BN_MOMENTUM
-    running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    running_var += (1.0 - BN_MOMENTUM) * var[0]
+    gamma_rows = _rows(gamma.data, x.shape[2])
+    np.multiply(xhat, gamma_rows, out=y)
+    y += _rows(beta.data, x.shape[2])
 
     def grad(g):
-        dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma.data * inv, axes)
-        gamma.accumulate(gx_sum.reshape(gamma.shape).astype(g.dtype))
-        beta.accumulate(g_sum.reshape(beta.shape).astype(g.dtype))
+        dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma_rows * inv, axes)
+        gamma.accumulate(gx_sum[0].astype(g.dtype))
+        beta.accumulate(g_sum[0].astype(g.dtype))
         return dx
     return y, grad
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
                mode: str) -> Tensor:
-    """Per-channel batch normalization over all non-channel axes, with
+    """Per-channel batch normalization of [B, F, T, C] over (B, F, T), with
     variance offset BN_EPS.
 
     Train mode normalizes with batch statistics and updates the running
@@ -509,13 +553,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     if mode == "eval":
         # the mean is subtracted in x's dtype; the error of casting it there
         # goes into the float64 per-channel bias
+        t = x.shape[2]
         scale = gamma.data * (1.0 / np.sqrt(running_var + BN_EPS))
         shift = running_mean.astype(x.dtype)
-        y = np.subtract(x.data, shift)
-        y *= scale.astype(x.dtype)
-        y += (beta.data + (shift - running_mean) * scale).astype(x.dtype)
-        return _result(y, (x,), "batch_norm",
-                       lambda g: x.accumulate(g * scale.astype(g.dtype)))
+        bias = (beta.data + (shift - running_mean) * scale).astype(x.dtype)
+        scale = _rows(scale.astype(x.dtype), t)
+        y = np.subtract(x.data, _rows(shift, t))
+        y *= scale
+        y += _rows(bias, t)
+        return _result(y, (x,), "batch_norm", lambda g: x.accumulate(g * scale))
     y, grad = _batch_norm_train(x.data, gamma, beta, running_mean, running_var)
     return _result(y, (x, gamma, beta), "batch_norm", lambda g: x.accumulate(grad(g)))
 

@@ -130,9 +130,11 @@ class TestPooling:
         x = T.Tensor(well_spaced(rng, (2, 6, 6, 3)), requires_grad=True)
         check(lambda x: T.max_pool(x), [x])
 
-    # the kernels IncResUnit pools with
-    @pytest.mark.parametrize("kernel", [(3, 3), (3, 1), (1, 3)],
-                             ids=["same", "same-3x1", "same-1x3"])
+    # the kernels IncResUnit pools with, then even sides, whose windows reach
+    # one cell further after their centre than before
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 1), (1, 3), (2, 2), (4, 1), (2, 3)],
+                             ids=["same", "same-3x1", "same-1x3", "same-2x2", "same-4x1",
+                                  "same-2x3"])
     def test_avg_pool(self, rng, kernel):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
         check(lambda x: T.avg_pool(x, kernel), [x])

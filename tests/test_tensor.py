@@ -88,15 +88,17 @@ class TestBatchNorm:
         np.testing.assert_allclose(rm, m * 0.0 + (1 - m) * 10.0)
         np.testing.assert_allclose(rv, m * 1.0 + (1 - m) * 0.0)
 
-    def test_running_var_float32_large_offset(self):
+    # the 3 input channels, a red02 inception branch (11) and block (64)
+    @pytest.mark.parametrize("c", [3, 11, 64])
+    def test_running_var_float32_large_offset(self, c):
         # oracle: np.var in float64 of the same float32 values; the offset is
         # 1e5 standard deviations, so centring in float32 must not bias it.
         # From zero buffers the update is (1 - momentum) * batch statistic.
         rng = np.random.default_rng(17)
-        x = (1e3 + 1e-2 * rng.normal(size=(4, 16, 16, 3))).astype(np.float32)
-        rm, rv = np.zeros(3), np.zeros(3)
-        T.batch_norm(T.Tensor(x), T.Tensor(np.ones(3, np.float32)),
-                     T.Tensor(np.zeros(3, np.float32)), rm, rv, "train")
+        x = (1e3 + 1e-2 * rng.normal(size=(4, 16, 16, c))).astype(np.float32)
+        rm, rv = np.zeros(c), np.zeros(c)
+        T.batch_norm(T.Tensor(x), T.Tensor(np.ones(c, np.float32)),
+                     T.Tensor(np.zeros(c, np.float32)), rm, rv, "train")
         want = x.astype(np.float64).var(axis=(0, 1, 2))
         np.testing.assert_allclose(rv / (1.0 - T.BN_MOMENTUM), want, rtol=1e-6)
         np.testing.assert_allclose(rm / (1.0 - T.BN_MOMENTUM),
@@ -222,6 +224,26 @@ class TestPooling:
         assert out.data[0, 0, 0, 0] == 1.0
         np.testing.assert_allclose(out.data, 1.0)
 
+    @pytest.mark.parametrize("kernel", [(0, 3), (-1, 1)], ids=["0x3", "-1x1"])
+    def test_avg_pool_kernel_side_under_1_rejected(self, kernel):
+        with pytest.raises(ShapeMismatch, match=rf"kernel \({kernel[0]}, {kernel[1]}\)"):
+            T.avg_pool(T.Tensor(np.ones((1, 4, 4, 1))), kernel)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (1, 3, 2, 2),
+                                       (2, 6, 7, 3)],
+                             ids=["f1", "t1", "f2-t2", "f3-t2", "f6-t7"])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3), (4, 1), (2, 3)],
+                             ids=lambda k: f"{k[0]}x{k[1]}")
+    def test_avg_pool_matches_the_window_loop(self, kernel, shape):
+        rng = np.random.default_rng(20)
+        x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+        g = rng.normal(size=shape)
+        out = T.avg_pool(x, kernel)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        want_out, want_grad = _avg_pool_loop(x.data, kernel, g)
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(x.grad, want_grad, rtol=1e-12, atol=1e-15)
+
     def test_max_pool_drops_trailing_remainder(self):
         # 5x7 in 2x2 tiles: 2x3 tiles, the last row and column in none
         x = np.arange(35.0).reshape(1, 5, 7, 1)
@@ -237,6 +259,25 @@ class TestPooling:
     def test_max_pool_input_under_2x2_rejected(self, f, t):
         with pytest.raises(ShapeMismatch, match=rf"at least 2 x 2 .*got \({f}, {t}\)"):
             T.max_pool(T.Tensor(np.zeros((1, f, t, 1))))
+
+
+def _avg_pool_loop(x, kernel, g):
+    """The 'same' window mean of x and its input gradient for the output
+    gradient g, by a loop over the windows of x zero-padded by (k - 1) // 2
+    before and k // 2 after along each axis, in float64; each window is
+    divided by the cells of x it covers."""
+    kf, kt = kernel
+    _, f, t, _ = x.shape
+    pad = ((0, 0), ((kf - 1) // 2, kf // 2), ((kt - 1) // 2, kt // 2), (0, 0))
+    xp = np.pad(x, pad)
+    inside = np.pad(np.ones((f, t)), pad[1:3])
+    out, gp = np.zeros(x.shape), np.zeros(xp.shape)
+    for i in range(f):
+        for j in range(t):
+            cells = inside[i:i + kf, j:j + kt].sum()
+            out[:, i, j] = xp[:, i:i + kf, j:j + kt].sum(axis=(1, 2)) / cells
+            gp[:, i:i + kf, j:j + kt] += g[:, i, j][:, None, None] / cells
+    return out, gp[:, pad[1][0]:pad[1][0] + f, pad[2][0]:pad[2][0] + t]
 
 
 def _max_pool_grad(x, g):
