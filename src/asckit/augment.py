@@ -14,12 +14,11 @@ the result; only mixup's permutation comes from a (seed, epoch) stream.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatch, ShapeMismatch
+from .errors import ShapeMismatch, check_integer
 from .models import INPUT_SHAPE
 
 CROP_WIDTH = INPUT_SHAPE[1]
@@ -50,13 +49,6 @@ class LabeledBatch:
             raise ShapeMismatch("label rows must lie on the probability simplex")
 
 
-def _stream_key(what: str, value):
-    """`value` if it is a non-negative integer, a NumPy one too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ConfigMismatch(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
 class AugmentPipeline:
     """Crop, mask and mix a batch in one pass.
 
@@ -76,8 +68,8 @@ class AugmentPipeline:
         self.cfg = cfg
 
     def __call__(self, batch: LabeledBatch, epoch: int, sample_indices) -> LabeledBatch:
-        seed, epoch = _stream_key("rng_seed", self.cfg.rng_seed), _stream_key("epoch", epoch)
-        idx = [_stream_key("sample index", i) for i in sample_indices]
+        seed, epoch = check_integer("rng_seed", self.cfg.rng_seed), check_integer("epoch", epoch)
+        idx = [check_integer("sample index", i) for i in sample_indices]
         b, f_len, t_len, c = batch.features.shape
         if CROP_WIDTH > t_len:
             raise ShapeMismatch(f"crop {CROP_WIDTH} > time axis {t_len}")

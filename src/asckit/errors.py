@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit: one class per kind of fault."""
+"""Exception types shared across the toolkit: one class per kind of fault,
+and the integer check that raises `ConfigMismatch`."""
+
+import numbers
 
 
 class AscKitError(Exception):
@@ -28,6 +31,15 @@ class ShapeMismatch(AscKitError):
 class ConfigMismatch(AscKitError):
     """A setting or name is invalid: an unknown variant, front-end, mode or
     pooling kind, a duplicate parameter name, a dropout rate outside
-    [0, 1), a train-mode dropout or forward with no RNG, a batch size below
-    1, or an augmentation seed, epoch or sample index that is not a
-    non-negative integer."""
+    [0, 1), a train-mode dropout or forward with no RNG, a predict batch
+    size that is not an integer of at least 1, or a network seed or
+    augmentation seed, epoch or sample index that is not a non-negative
+    integer (see `check_integer`)."""
+
+
+def check_integer(what: str, value, least: int = 0):
+    """`value` if it is an integer of at least `least`, a NumPy one too but
+    not a bool; otherwise raise ConfigMismatch."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigMismatch(f"{what} must be an integer of at least {least}, got {value!r}")
+    return value

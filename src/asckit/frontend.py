@@ -111,13 +111,11 @@ def mel_bank():
         np.linspace(hz_to_mel(0.0), hz_to_mel(PIPELINE_RATE / 2), N_BANDS + 2)
     )
     bin_hz = np.arange(WINDOW // 2 + 1) * PIPELINE_RATE / WINDOW
-    weights = np.zeros((N_BANDS, bin_hz.size))
-    for b in range(N_BANDS):
-        lower, center, upper = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
-        up = (bin_hz - lower) / (center - lower)
-        down = (upper - bin_hz) / (upper - center)
-        tri = np.maximum(0.0, np.minimum(up, down))
-        weights[b] = tri * (2.0 / (upper - lower))
+    # band b's lower, centre and upper edges, as [N_BANDS, 1] columns
+    lower, center, upper = (edges_hz[i : i + N_BANDS, None] for i in range(3))
+    up = (bin_hz - lower) / (center - lower)
+    down = (upper - bin_hz) / (upper - center)
+    weights = np.maximum(0.0, np.minimum(up, down)) * (2.0 / (upper - lower))
     return _read_only(edges_hz[1:-1], weights)
 
 

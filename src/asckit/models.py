@@ -35,7 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .container import Reader, atomic_write
-from .errors import ConfigMismatch, IOFailure, ShapeMismatch
+from .errors import ConfigMismatch, IOFailure, ShapeMismatch, check_integer
 
 N_CLASSES = 10
 INPUT_SHAPE = (128, 256, 3)
@@ -343,7 +343,7 @@ def build_network(variant: str, seed: int = 0) -> Network:
     if variant not in _VARIANTS:
         raise ConfigMismatch(f"unknown variant {variant!r}; choose from {sorted(_VARIANTS)}")
     inception, incres, hidden = _VARIANTS[variant]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed))
     blocks = [Block(_units(InceptionUnit, "inception", INPUT_SHAPE[2], inception, rng))]
     cin = inception[-1]
     for b, widths in enumerate(incres):
@@ -395,8 +395,7 @@ def predict(model, features, batch_size: int = 32) -> np.ndarray:
     each conv -> BN -> ReLU unit runs as one conv with its BN folded in (see
     `_ConvBnRelu`), from the parameters and buffers as they are at the call.
     """
-    if batch_size < 1:
-        raise ConfigMismatch(f"batch_size must be at least 1, got {batch_size}")
+    check_integer("batch_size", batch_size, least=1)
     features = np.asarray(features, dtype=np.float32)
     _check_input(features.shape)
     outputs = [np.empty((0, N_CLASSES))]

@@ -11,13 +11,15 @@ into every tensor that requires them.
 The window ops have the two geometries the networks use. `conv2d` and
 `avg_pool` slide stride-1 'same' windows that reach (k - 1) // 2 cells
 before their centre and k // 2 after along each axis, so the output has the
-input's frequency and time size. `conv2d` pads the input with zeros
-through `_windows`, which gives, for each kernel offset (u, v), the strided
-view of that cell of every window; its forward copies the windows out as
-the columns of one GEMM (im2col), and its backward runs one GEMM per offset
-into the same views of a zero gradient, padding the input anew, so no
-closure keeps a padded input. `avg_pool` pads nothing: `_box_sum` sums each
-window along one axis with one add of each shifted slice, so a window is a
+input's frequency and time size; `_span` gives, along one axis, the cells
+whose neighbour d cells away lies inside it. `conv2d`'s forward copies the
+windows of its zero-padded input, a `sliding_window_view` (`_windows`), out
+as the columns of one GEMM (im2col). Its backward runs one GEMM per kernel
+offset for each gradient: the kernel's reads that offset's view of the
+windows, padded anew so no closure keeps a padded input, and the input's
+adds the `_span`-clipped part of its GEMM into a zero array of the input's
+shape, padding nothing. Nor does `avg_pool`: `_box_sum` sums each window
+along one axis with one add of each `_span`-shifted slice, so a window is a
 time pass then a frequency pass, kf + kt passes in all, and each window is
 divided by the cells it covers, the product of its two 1-D counts. Its
 backward is the same box, mirrored, over the gradient divided by those
@@ -296,28 +298,21 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(x.data @ w.data + b.data, (x, w, b), "dense", _bw)
 
 
+def _span(n, d):
+    """The slices (to, frm) of an axis of n cells: the cells i whose i + d is
+    inside the axis, and those i + d; both are empty when |d| >= n."""
+    m = max(n - abs(d), 0)
+    return slice(max(-d, 0), max(-d, 0) + m), slice(max(d, 0), max(d, 0) + m)
+
+
 def _windows(x, kernel):
-    """The conv's stride-1 'same' (frequency, time) windows of [B, F, T, C],
-    by offset.
-
-    `kernel` is a (kf, kt) pair. The input is padded only if the kernel is
-    larger than 1 x 1, since a pad copies it.
-
-    Returns `xp`, the padded input, the index of the unpadded input in `xp`,
-    and one index per kernel offset (u, v), in row-major order: `xp[index]`
-    is the [B, F, T, C] strided view of the cell at offset (u, v) of every
-    window. The conv backward adds into the same views of a zero array
-    shaped like `xp`, then takes the unpadded part.
-    """
+    """The [B, F, T, C, kf, kt] view of the conv's stride-1 'same' (frequency,
+    time) windows of [B, F, T, C], for the (kf, kt) `kernel`; x is padded
+    only if the kernel is larger than 1 x 1, since a pad copies it."""
     kf, kt = kernel
-    _, f, t, _ = x.shape
-    pf, pt = (kf - 1) // 2, (kt - 1) // 2
     if kf > 1 or kt > 1:
-        x = np.pad(x, ((0, 0), (pf, kf // 2), (pt, kt // 2), (0, 0)))
-    inner = (slice(None), slice(pf, pf + f), slice(pt, pt + t))
-    offsets = [(slice(None), slice(u, u + f), slice(v, v + t))
-               for u in range(kf) for v in range(kt)]
-    return x, inner, offsets
+        x = np.pad(x, ((0, 0), ((kf - 1) // 2, kf // 2), ((kt - 1) // 2, kt // 2), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(x, kernel, axis=(1, 2))
 
 
 def _conv_forward(x, w):
@@ -326,32 +321,34 @@ def _conv_forward(x, w):
     if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
     kf, kt, cin, cout = w.shape
-    xp, _, _ = _windows(x, (kf, kt))
     # im2col: one copy of the windows as rows, columns ordered (u, v, cin)
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(1, 2))
-    view = view.transpose(0, 1, 2, 4, 5, 3)
+    view = _windows(x, (kf, kt)).transpose(0, 1, 2, 4, 5, 3)
     y = view.reshape(-1, kf * kt * cin) @ w.reshape(-1, cout)
     return y.reshape(x.shape[:3] + (cout,))
 
 
 def _conv_backward(g, x: Tensor, w: Tensor):
     """Hand x and w their gradients from the output gradient g of
-    `_conv_forward(x.data, w.data)`: one GEMM per kernel offset for each.
-    The padded input is made anew from x.data, so no closure has to keep it."""
+    `_conv_forward(x.data, w.data)`: one GEMM per kernel offset (u, v) for
+    each. w's reads the windows' view at (u, v), padded anew from x.data.
+    x's pads nothing: output cell (i, j) reads input cell (i + u - pf,
+    j + v - pt), so the `_span`-clipped GEMM is added into those cells of a
+    zero array that x then owns."""
     kf, kt, cin, cout = w.shape
-    xp, inner, offsets = _windows(x.data, (kf, kt))
-    w3 = w.data.reshape(kf * kt, cin, cout)
+    pf, pt = (kf - 1) // 2, (kt - 1) // 2
     g2 = g.reshape(-1, cout)
     if w.requires_grad:
-        gw = np.empty_like(w3)
-        for o, gw_o in zip(offsets, gw):
-            np.matmul(xp[o].reshape(-1, cin).T, g2, out=gw_o)
-        w.accumulate(gw.reshape(w.shape))
+        windows = _windows(x.data, (kf, kt))
+        gw = np.empty_like(w.data)
+        for u, v in np.ndindex(kf, kt):
+            np.matmul(windows[..., u, v].reshape(-1, cin).T, g2, out=gw[u, v])
+        w.accumulate(gw)
     if x.requires_grad:
-        gp = np.zeros_like(xp)
-        for o, w_o in zip(offsets, w3):
-            gp[o] += (g2 @ w_o.T).reshape(g.shape[:3] + (cin,))
-        x.accumulate(gp[inner])
+        gx = np.zeros_like(x.data)
+        for u, v in np.ndindex(kf, kt):
+            (to_f, frm_f), (to_t, frm_t) = _span(x.shape[1], u - pf), _span(x.shape[2], v - pt)
+            gx[:, frm_f, frm_t] += (g2 @ w.data[u, v].T).reshape(x.shape)[:, to_f, to_t]
+        x.accumulate(gx)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -410,12 +407,10 @@ def _box_sum(a, axis, before, after, out):
     clipped to the array, written into `out`, which must not be `a`: a copy,
     then one add of each shifted slice."""
     np.copyto(out, a)
-    n = a.shape[axis]
     lead = (slice(None),) * axis
     for d in (*range(-before, 0), *range(1, after + 1)):
-        m = max(n - abs(d), 0)  # the cells i with i + d inside the array
-        to = lead + (slice(max(-d, 0), max(-d, 0) + m),)
-        np.add(out[to], a[lead + (slice(max(d, 0), max(d, 0) + m),)], out=out[to])
+        to, frm = (lead + (s,) for s in _span(a.shape[axis], d))
+        np.add(out[to], a[frm], out=out[to])
     return out
 
 

@@ -317,7 +317,7 @@ class TestPipelineProperties:
         monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
         pipe = AugmentPipeline(AugmentConfig(rng_seed=seed))
         with pytest.raises(ConfigMismatch, match=re.escape(
-                f"{what} must be a non-negative integer, got {bad!r}")):
+                f"{what} must be an integer of at least 0, got {bad!r}")):
             pipe(batch, epoch, indices)
 
     def test_numpy_integer_keys_accepted(self):

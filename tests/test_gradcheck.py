@@ -109,11 +109,15 @@ class TestDenseConv:
         b = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
         check(lambda x, w, b: T.dense(x, w, b), [x, w, b])
 
-    # the kernels of the network's convs; 4x1 is test_conv2d_asymmetric_kernel
-    @pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (3, 1), (1, 3)],
-                             ids=["3x3", "1x1", "3x1", "1x3"])
-    def test_conv2d(self, rng, kernel):
-        x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
+    # the kernels of the network's convs; 4x1 is test_conv2d_asymmetric_kernel.
+    # The last input is narrower than its kernel along time, so the offsets
+    # off centre there read no input cell
+    @pytest.mark.parametrize("kernel, shape", [((3, 3), (2, 6, 7, 3)), ((1, 1), (2, 6, 7, 3)),
+                                               ((3, 1), (2, 6, 7, 3)), ((1, 3), (2, 6, 7, 3)),
+                                               ((3, 3), (2, 2, 1, 3))],
+                             ids=["3x3", "1x1", "3x1", "1x3", "3x3-input-2x1"])
+    def test_conv2d(self, rng, kernel, shape):
+        x = T.Tensor(rng.normal(size=shape), requires_grad=True)
         w = T.Tensor(rng.normal(size=kernel + (3, 4)) * 0.5, requires_grad=True)
         b = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
         check(lambda x, w, b: T.conv2d(x, w, b), [x, w, b])

@@ -121,6 +121,14 @@ class TestForward:
         for variant in VARIANTS:
             assert repr(variant) in str(info.value)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        # -1 and 1.5 would fail in np.random.default_rng with numpy's own
+        # errors, and True would seed as 1
+        with pytest.raises(ConfigMismatch, match=re.escape(
+                f"seed must be an integer of at least 0, got {seed!r}")):
+            models.build_network("red03", seed=seed)
+
 
 class TestPredict:
     def test_zero_rows(self, nets):
@@ -152,14 +160,16 @@ class TestPredict:
         _perturb_bns(net, seed=6)
         x = np.random.default_rng(7).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
         alone = models.predict(net, x, batch_size=1)
-        for batch_size in (2, 5):
+        for batch_size in (np.int64(2), 5):
             np.testing.assert_allclose(models.predict(net, x, batch_size=batch_size), alone,
                                        rtol=0, atol=1e-5)
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    # and sizes that are not integers: 2.5 would fail in range() with a
+    # TypeError, and True would run as 1
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
     def test_batch_size_below_one_rejected(self, nets, batch_size):
         x = np.zeros((1,) + models.INPUT_SHAPE)
-        with pytest.raises(ConfigMismatch, match=f"got {batch_size}"):
+        with pytest.raises(ConfigMismatch, match=f"integer of at least 1, got {batch_size}"):
             models.predict(nets["red03"], x, batch_size=batch_size)
 
 
@@ -429,7 +439,7 @@ class TestNames:
 class TestDeterminism:
     def test_same_seed_same_weights(self):
         _assert_state_equal(models.build_network("red03", seed=5).state_dict(),
-                            models.build_network("red03", seed=5).state_dict())
+                            models.build_network("red03", seed=np.uint8(5)).state_dict())
 
     def test_different_seed_different_weights(self):
         a = models.build_network("red03", seed=5).params()

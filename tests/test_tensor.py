@@ -36,14 +36,23 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, x.data, rtol=1e-12)
 
     def test_matches_naive_loop(self):
+        # the inputs after the first are smaller than some kernels along an
+        # axis, so some offsets read no cell of the input there
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 5, 6, 3))
-        b = rng.normal(size=4)
-        for kernel in [(3, 3), (4, 1), (1, 3), (1, 1)]:
-            w = rng.normal(size=kernel + (3, 4))
-            out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
-            np.testing.assert_allclose(out, _naive_conv_same(x, w, b), rtol=1e-6,
-                                       err_msg=f"kernel {kernel}")
+        for shape in [(2, 5, 6, 3), (2, 1, 1, 3), (2, 2, 1, 3), (1, 1, 5, 2), (1, 3, 2, 2)]:
+            x = rng.normal(size=shape)
+            b = rng.normal(size=4)
+            for kernel in [(3, 3), (4, 1), (1, 3), (1, 1)]:
+                w = rng.normal(size=kernel + (shape[3], 4))
+                out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
+                np.testing.assert_allclose(out, _naive_conv_same(x, w, b), rtol=1e-6,
+                                           err_msg=f"input {shape}, kernel {kernel}")
+
+    def test_input_gradient_owns_its_memory(self):
+        x = T.Tensor(np.random.default_rng(2).normal(size=(1, 4, 4, 2)), requires_grad=True)
+        w = T.Tensor(np.ones((3, 3, 2, 3)), requires_grad=True)
+        T.backward(T.tsum(T.conv2d(x, w, T.Tensor(np.zeros(3)))))
+        assert x.grad.shape == x.shape and x.grad.flags.c_contiguous and x.grad.base is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -232,7 +241,9 @@ class TestPooling:
     @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (1, 3, 2, 2),
                                        (2, 6, 7, 3)],
                              ids=["f1", "t1", "f2-t2", "f3-t2", "f6-t7"])
-    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3), (4, 1), (2, 3)],
+    # 7x1 reaches 3 cells each way, more than a side of 2 holds
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3), (4, 1), (2, 3),
+                                        (7, 1)],
                              ids=lambda k: f"{k[0]}x{k[1]}")
     def test_avg_pool_matches_the_window_loop(self, kernel, shape):
         rng = np.random.default_rng(20)
