@@ -22,8 +22,11 @@ In eval mode each conv -> BN -> ReLU unit folds its BN into the conv; in
 train mode it is one `tensor.conv_bn_relu` op. So a red02 forward runs 4
 `batch_norm` passes in either mode (the BN after each inception concat and
 each block's BN on its pooled sums), and a train forward also runs 12
-fused units. An eval forward runs under `tensor.no_grad`: it records no
-graph, so nothing trains in eval mode and no graph outlives the call.
+fused units. Each of its 3 inception-residual units pools and sums its
+three branches in one `tensor.avg_pool` and adds its shortcut with one
+`tensor.add`, so a forward makes 3 of each. An eval forward runs under
+`tensor.no_grad`: it records no graph, so nothing trains in eval mode and
+no graph outlives the call.
 """
 
 from __future__ import annotations
@@ -238,7 +241,8 @@ class IncResUnit(Module):
     """Branches conv(Kx1), conv(KxK), conv(1xK) -> stride-1 average pooling
     with the same kernels -> summed, plus the residual path: the input, or
     its 1x1 conv projection `<name>.proj` (kernel and bias) when the width
-    changes."""
+    changes. The pooled sum is one `T.avg_pool` op, so the graph keeps one
+    array for it, and the residual path is one `T.add`."""
 
     KERNELS = ((INCRES_K, 1), (INCRES_K, INCRES_K), (1, INCRES_K))
 
@@ -250,11 +254,8 @@ class IncResUnit(Module):
         self.proj = _weights(f"{name}.proj", (1, 1, cin, cout), rng) if cin != cout else []
 
     def __call__(self, x, mode, rng):
-        pooled = [T.avg_pool(br(x, mode, rng), kern)
-                  for br, kern in zip(self.branches, self.KERNELS)]
-        merged = T.add(T.add(pooled[0], pooled[1]), pooled[2])
-        shortcut = T.conv2d(x, *self.proj) if self.proj else x
-        return T.add(merged, shortcut)
+        pooled = T.avg_pool([br(x, mode, rng) for br in self.branches], self.KERNELS)
+        return T.add(pooled, T.conv2d(x, *self.proj) if self.proj else x)
 
 
 class Block(Module):

@@ -18,16 +18,20 @@ as the columns of one GEMM (im2col). Its backward runs one GEMM per kernel
 offset for each gradient: the kernel's reads that offset's view of the
 windows, padded anew so no closure keeps a padded input, and the input's
 adds the `_span`-clipped part of its GEMM into a zero array of the input's
-shape, padding nothing. Nor does `avg_pool`: `_box_sum` sums each window
-along one axis with one add of each `_span`-shifted slice, so a window is a
-time pass then a frequency pass, kf + kt passes in all, and each window is
-divided by the cells it covers, the product of its two 1-D counts. Its
-backward is the same box, mirrored, over the gradient divided by those
-counts. `max_pool` is the fixed 2 x 2 tile max of every block: its four
-views are the cells of the non-overlapping tiles, and a trailing odd row or
-column is dropped. Its forward is a running max over the views; its
-backward writes each tile cell once, the tile's gradient at its first
-maximum in row-major order and zero elsewhere.
+shape, padding nothing. Nor does `avg_pool`, which sums the window means of
+a list of inputs, each with its own kernel, into one output: `_box_sum`
+sums each window along one axis with one add of each `_span`-shifted slice,
+and a window is divided by the cells it covers, the product of its two 1-D
+counts. So each input's time pass is divided by the time counts, the
+inputs with the same frequency side are summed, and that sum gets one
+frequency pass divided by the frequency counts; a side of 1 makes no pass.
+Its backward is the same boxes, mirrored, over the gradient divided by
+those counts, and an input with a time side of 1 takes its group's
+frequency pass itself. `max_pool` is the fixed 2 x 2 tile max of every
+block: its four views are the cells of the non-overlapping tiles, and a
+trailing odd row or column is dropped. Its forward is a running max over
+the views; its backward writes each tile cell once, the tile's gradient at
+its first maximum in row-major order and zero elsewhere.
 
 The conv core, `_conv_forward` and `_conv_backward`, has no bias; `conv2d`
 adds its own and sums its gradient. `conv_bn_relu` is the networks'
@@ -51,7 +55,10 @@ gradient of that input's shape and dtype through `Tensor.accumulate`, which
 keeps a first gradient as is and adds later ones into it: the closure must
 not write to that array or give it to another input afterwards. So `add`
 gives one input a copy of its gradient and the other the gradient itself,
-and `reshape` and `concat` hand over non-overlapping views of theirs.
+and `reshape` and `concat` hand over non-overlapping views of theirs. The
+gradient `g` a closure is handed is its output's own, which `backward`
+drops once the closure has run, so the closure may write into it, as
+`conv_bn_relu` and `avg_pool` do, or hand it to an input.
 
 The normalization settings are the module constants `BN_EPS`,
 `BN_MOMENTUM`, `RN_LAMBDA` and `RN_EPS`; no caller sets them. Eval-mode
@@ -381,6 +388,8 @@ def max_pool(x: Tensor) -> Tensor:
     odd row or column is dropped and gets zero gradient. Each tile's gradient
     goes to its first maximum in row-major order.
     """
+    if x.data.ndim != 4:
+        raise ShapeMismatch(f"max_pool expects B x F x T x C, got {x.shape}")
     _, f, t, _ = x.shape
     if f < 2 or t < 2:
         raise ShapeMismatch(f"max_pool needs at least 2 x 2 (frequency, time), got {(f, t)}")
@@ -391,7 +400,8 @@ def max_pool(x: Tensor) -> Tensor:
         np.maximum(y, x.data[o], out=y)
 
     def _bw(g):
-        gx = np.zeros_like(x.data)
+        # the tile views write every cell unless a trailing row or column is dropped
+        gx = (np.empty_like if f % 2 == t % 2 == 0 else np.zeros_like)(x.data)
         open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
         for o in tiles:
             hit = x.data[o] == y
@@ -414,30 +424,80 @@ def _box_sum(a, axis, before, after, out):
     return out
 
 
-def avg_pool(x: Tensor, kernel) -> Tensor:
-    """Stride-1 'same' (kf, kt) = `kernel` window mean over (frequency, time),
-    each window divided by its true overlap (the cells inside the input), so
-    edges are unbiased. A window reaches (k - 1) // 2 cells before its centre
-    and k // 2 after along each axis.
+def avg_pool(xs, kernels) -> Tensor:
+    """The sum over the [B, F, T, C] tensors `xs` of each one's stride-1
+    'same' window mean over (frequency, time), for its (kf, kt) kernel in
+    `kernels`. A window reaches (k - 1) // 2 cells before its centre and
+    k // 2 after along each axis, and is divided by its true overlap (the
+    cells inside the input), so edges are unbiased.
+
+    That overlap is the product of the window's two 1-D counts. So each
+    input's time pass is divided by the time counts, the inputs of one kf
+    are summed, and that sum gets one frequency pass divided by the
+    frequency counts; a side of 1 makes no pass, and one output buffer takes
+    every group. The backward hands each input the mirrored box of g as an
+    array that input owns.
     """
-    kf, kt = kernel
-    if kf < 1 or kt < 1:
-        raise ShapeMismatch(f"avg_pool kernel {kernel}: each side must be at least 1")
-    reach = [((k - 1) // 2, k // 2) for k in kernel]  # (before, after) per axis
-    cf, ct = (_box_sum(np.ones(n, x.dtype), 0, *r, np.empty(n, x.dtype))
-              for n, r in zip(x.shape[1:3], reach))
-    counts = np.multiply.outer(cf, ct)[..., None]
-    y =_box_sum(x.data, 2, *reach[1], np.empty_like(x.data))
-    y = _box_sum(y, 1, *reach[0], np.empty_like(y))
-    y /= counts
+    xs, kernels = list(xs), [tuple(k) for k in kernels]
+    if not xs or len(kernels) != len(xs):
+        raise ShapeMismatch(f"avg_pool: {len(xs)} inputs and {len(kernels)} kernels")
+    shapes = sorted({(x.shape, x.dtype.name) for x in xs})
+    if len(shapes) > 1 or len(shapes[0][0]) != 4:
+        raise ShapeMismatch(f"avg_pool needs B x F x T x C inputs of one shape and dtype, "
+                            f"got {shapes}")
+    if min(min(k) for k in kernels) < 1:
+        raise ShapeMismatch(f"avg_pool kernels {kernels}: each side must be at least 1")
+    shape, dtype = xs[0].shape, xs[0].dtype
+    _, f, t, c = shape
+
+    def reach(k):  # (before, after) cells of a window of side k
+        return (k - 1) // 2, k // 2
+
+    def counts(n, k):  # the cells of an axis of n that each window covers
+        return _box_sum(np.ones(n, dtype), 0, *reach(k), np.empty(n, dtype))
+
+    # the counts broadcast as [F, 1, 1] and as [T, C] rows, over which numpy
+    # runs one inner loop (see `_rows`)
+    cf = {kf: counts(f, kf)[:, None, None] for kf, _ in kernels if kf > 1}
+    ct = {kt: np.repeat(counts(t, kt), c).reshape(t, c) for _, kt in kernels if kt > 1}
+    # the inputs grouped by kf, the group with no frequency pass last and,
+    # within a group, the inputs with no time pass last
+    groups = {}
+    for x, (kf, kt) in sorted(zip(xs, kernels), key=lambda m: (m[1][0] == 1, m[1][1] == 1)):
+        groups.setdefault(kf, []).append((x, kt))
+
+    y = None
+    for kf, members in groups.items():
+        # the group's sum of time means; `first`'s own array only when no
+        # input of the group has a time pass
+        first, s = members[0][0].data, None
+        for x, kt in members:
+            v = x.data
+            if kt > 1:
+                v = _box_sum(v, 2, *reach(kt), np.empty_like(v))
+                v /= ct[kt]
+            s = v if s is None else np.add(s, v, out=None if s is first else s)
+        if kf > 1:
+            s = _box_sum(s, 1, *reach(kf), np.empty_like(s))
+            s /= cf[kf]
+        if y is None:
+            y = s.copy() if s is first else s
+        else:
+            y += s
 
     def _bw(g):
-        # a cell gets the mean gradient of every window that reaches it: the
-        # same box mirrored, so an even side has one more cell after than before
-        gn = g / counts
-        gt = _box_sum(gn, 1, *reach[0][::-1], np.empty_like(gn))
-        x.accumulate(_box_sum(gt, 2, *reach[1][::-1], gn))
-    return _result(y, (x,), "avg_pool", _bw)
+        # g is this output's own gradient: the group with no frequency pass
+        # reads it last, so that group's last input may take or divide it
+        for kf, members in groups.items():
+            h = g if kf == 1 else _box_sum(g / cf[kf], 1, *reach(kf)[::-1], np.empty_like(g))
+            for i, (x, kt) in enumerate(members):
+                last = i == len(members) - 1
+                if kt == 1:
+                    x.accumulate(h if last else h.copy())
+                else:
+                    h_t = np.divide(h, ct[kt], out=h if last else None)
+                    x.accumulate(_box_sum(h_t, 2, *reach(kt)[::-1], np.empty_like(h_t)))
+    return _result(y, tuple(xs), "avg_pool", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +568,15 @@ def _standardize_grad(g, xhat, scale, axes):
     return dx, g_sum, gx_sum
 
 
+def _check_channels(op, shape, gamma, beta, running_mean, running_var):
+    """Raise ShapeMismatch unless `shape` is [B, F, T, C] and gamma, beta and
+    the running buffers each hold C values, before any buffer is written."""
+    vectors = (gamma.shape, beta.shape, np.shape(running_mean), np.shape(running_var))
+    if len(shape) != 4 or any(v != shape[3:] for v in vectors):
+        raise ShapeMismatch(f"{op}: input {shape}, gamma, beta and running mean and "
+                            f"variance {vectors}")
+
+
 def _batch_norm_train(x, gamma: Tensor, beta: Tensor, running_mean, running_var):
     """Train-mode batch norm of the [B, F, T, C] array x over (B, F, T).
 
@@ -545,6 +614,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     + beta, whose coefficients are constants: only x gets a gradient.
     """
     check_mode("batch_norm", mode)
+    _check_channels("batch_norm", x.shape, gamma, beta, running_mean, running_var)
     if mode == "eval":
         # the mean is subtracted in x's dtype; the error of casting it there
         # goes into the float64 per-channel bias
@@ -571,11 +641,12 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     conv output, xhat, the BN output and the ReLU output: the ReLU is taken
     in place, and its backward needs only the output's sign.
     """
-    y, bn_grad = _batch_norm_train(_conv_forward(x.data, w.data), gamma, beta,
-                                   running_mean, running_var)
+    y = _conv_forward(x.data, w.data)
+    _check_channels("conv_bn_relu", y.shape, gamma, beta, running_mean, running_var)
+    y, bn_grad = _batch_norm_train(y, gamma, beta, running_mean, running_var)
     np.maximum(y, 0, out=y)
     return _result(y, (x, w, gamma, beta), "conv_bn_relu",
-                   lambda g: _conv_backward(bn_grad(g * (y > 0)), x, w))
+                   lambda g: _conv_backward(bn_grad(np.multiply(g, y > 0, out=g)), x, w))
 
 
 def residual_norm(x: Tensor) -> Tensor:

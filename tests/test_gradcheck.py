@@ -8,6 +8,7 @@ against central differences (h = 1e-4) evaluated fully in float64.
 import numpy as np
 import pytest
 
+from asckit import models
 from asckit import tensor as T
 
 H = 1e-4
@@ -141,7 +142,12 @@ class TestPooling:
                                   "same-2x3"])
     def test_avg_pool(self, rng, kernel):
         x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
-        check(lambda x: T.avg_pool(x, kernel), [x])
+        check(lambda x: T.avg_pool([x], [kernel]), [x])
+
+    def test_avg_pool_sum(self, rng):
+        # IncResUnit's three branches pooled and summed in one op
+        xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True) for _ in range(3)]
+        check(lambda *xs: T.avg_pool(xs, models.IncResUnit.KERNELS), xs)
 
     def test_reduce_max(self, rng):
         x = T.Tensor(well_spaced(rng, (3, 5, 4, 2)), requires_grad=True)

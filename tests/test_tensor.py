@@ -6,6 +6,10 @@ from asckit import tensor as T
 from asckit.errors import ConfigMismatch, ShapeMismatch
 
 
+def _t(*shape):
+    return T.Tensor(np.zeros(shape))
+
+
 def _naive_conv_same(x, w, b):
     """Sextuple-loop cross-correlation over x zero-padded by (k - 1) // 2
     before and k // 2 after along each axis."""
@@ -127,6 +131,15 @@ class TestBatchNorm:
         assert out.dtype == np.float32
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_channel_mismatch_rejected_before_the_buffers_move(self, mode):
+        x = T.Tensor(np.ones((2, 4, 3, 6)))
+        rm, rv = np.full(3, 0.25), np.full(3, 2.0)
+        before = rm.tobytes() + rv.tobytes()
+        with pytest.raises(ShapeMismatch, match=r"batch_norm: input \(2, 4, 3, 6\)"):
+            T.batch_norm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), rm, rv, mode)
+        assert rm.tobytes() + rv.tobytes() == before
+
     @pytest.mark.parametrize("mode", ["Train", "evaluate"])
     def test_unknown_mode_rejected(self, mode):
         x = T.Tensor(np.ones((2, 2, 2, 1)))
@@ -159,6 +172,15 @@ class TestConvBnRelu:
         assert (got[0] == 0).any() and (got[0] > 0).any()
         for name, a, b in zip(["out", "x", "w", "gamma", "beta", "mean", "var"], got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_channel_mismatch_rejected_before_the_buffers_move(self):
+        # a 6-output kernel in front of 3-channel BN parameters and buffers
+        rm, rv = np.full(3, 0.25), np.full(3, 2.0)
+        before = rm.tobytes() + rv.tobytes()
+        with pytest.raises(ShapeMismatch, match=r"conv_bn_relu: input \(2, 5, 6, 6\)"):
+            T.conv_bn_relu(T.Tensor(np.ones((2, 5, 6, 2))), T.Tensor(np.ones((3, 3, 2, 6))),
+                           T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), rm, rv)
+        assert rm.tobytes() + rv.tobytes() == before
 
 
 class TestActivations:
@@ -224,19 +246,29 @@ class TestPooling:
     def test_avg_pool_2x2(self):
         # a 2x2 window pads one trailing cell: only the first window is whole
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        assert T.avg_pool(x, (2, 2)).data[0, 0, 0, 0] == 2.5
+        assert T.avg_pool([x], [(2, 2)]).data[0, 0, 0, 0] == 2.5
 
     def test_avg_pool_same_corner_true_divisor(self):
         # 3x3 window at a corner of all-ones input overlaps 4 real cells: 4/4 = 1
         x = T.Tensor(np.ones((1, 4, 4, 1)))
-        out = T.avg_pool(x, (3, 3))
+        out = T.avg_pool([x], [(3, 3)])
         assert out.data[0, 0, 0, 0] == 1.0
         np.testing.assert_allclose(out.data, 1.0)
 
     @pytest.mark.parametrize("kernel", [(0, 3), (-1, 1)], ids=["0x3", "-1x1"])
     def test_avg_pool_kernel_side_under_1_rejected(self, kernel):
-        with pytest.raises(ShapeMismatch, match=rf"kernel \({kernel[0]}, {kernel[1]}\)"):
-            T.avg_pool(T.Tensor(np.ones((1, 4, 4, 1))), kernel)
+        with pytest.raises(ShapeMismatch, match=rf"kernels \[\({kernel[0]}, {kernel[1]}\)\]"):
+            T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))], [kernel])
+
+    @pytest.mark.parametrize("xs, kernels, message", [
+        ([], [], "0 inputs and 0 kernels"),
+        ([_t(1, 4, 4, 1)] * 2, [(3, 3)], "2 inputs and 1 kernels"),
+        ([_t(1, 4, 4, 1), _t(1, 4, 5, 1)], [(3, 3)] * 2, "one shape and dtype"),
+        ([_t(1, 4, 4)], [(3, 3)], "B x F x T x C"),
+    ], ids=["empty", "kernel-count", "shapes", "rank"])
+    def test_avg_pool_inputs_rejected(self, xs, kernels, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            T.avg_pool(xs, kernels)
 
     @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (1, 3, 2, 2),
                                        (2, 6, 7, 3)],
@@ -246,14 +278,27 @@ class TestPooling:
                                         (7, 1)],
                              ids=lambda k: f"{k[0]}x{k[1]}")
     def test_avg_pool_matches_the_window_loop(self, kernel, shape):
+        self._check_pooled_sum([kernel], shape)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (2, 6, 7, 3)],
+                             ids=["f1", "t1", "f2-t2", "f6-t7"])
+    @pytest.mark.parametrize("kernels", [models.IncResUnit.KERNELS, ((3, 3), (3, 1), (1, 1))],
+                             ids=["incres", "3x3-3x1-1x1"])
+    def test_avg_pool_sum_matches_the_window_loops(self, kernels, shape):
+        self._check_pooled_sum(kernels, shape)
+
+    @staticmethod
+    def _check_pooled_sum(kernels, shape):
+        # the output and each input's gradient against the sum of per-input loops
         rng = np.random.default_rng(20)
-        x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+        xs = [T.Tensor(rng.normal(size=shape), requires_grad=True) for _ in kernels]
         g = rng.normal(size=shape)
-        out = T.avg_pool(x, kernel)
+        out = T.avg_pool(xs, kernels)
         T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-        want_out, want_grad = _avg_pool_loop(x.data, kernel, g)
-        np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(x.grad, want_grad, rtol=1e-12, atol=1e-15)
+        want = [_avg_pool_loop(x.data, k, g) for x, k in zip(xs, kernels)]
+        np.testing.assert_allclose(out.data, sum(w[0] for w in want), rtol=1e-12, atol=1e-15)
+        for x, (_, want_grad) in zip(xs, want):
+            np.testing.assert_allclose(x.grad, want_grad, rtol=1e-12, atol=1e-15)
 
     def test_max_pool_drops_trailing_remainder(self):
         # 5x7 in 2x2 tiles: 2x3 tiles, the last row and column in none
@@ -265,6 +310,25 @@ class TestPooling:
         T.backward(T.tsum(out))
         assert xt.grad[0, 4, :, 0].sum() == 0 and xt.grad[0, :, 6, 0].sum() == 0
         assert xt.grad.sum() == 6
+
+    # the even shape's tile views cover every cell, so its gradient starts empty
+    @pytest.mark.parametrize("f, t", [(6, 8), (5, 7)], ids=["even", "odd"])
+    def test_max_pool_gradient_fills_every_cell(self, f, t, monkeypatch):
+        # ties included: each tile's gradient goes to its first maximum in
+        # row-major order, every other cell gets zero; an unwritten cell shows
+        # as NaN
+        empty_like = np.empty_like
+        monkeypatch.setattr(np, "empty_like",
+                            lambda a, *args, **kw: empty_like(a, *args, **kw) * np.nan)
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 3, size=(f, t)).astype(float)
+        g = rng.normal(size=(f // 2, t // 2))
+        want = np.zeros((f, t))
+        for i, j in np.ndindex(g.shape):
+            tile = x[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            u, v = np.unravel_index(np.argmax(tile), (2, 2))
+            want[2 * i + u, 2 * j + v] = g[i, j]
+        np.testing.assert_array_equal(_max_pool_grad(x, g), want)
 
     @pytest.mark.parametrize("f, t", [(1, 4), (4, 1)])
     def test_max_pool_input_under_2x2_rejected(self, f, t):
@@ -476,10 +540,6 @@ class TestBackward:
         np.testing.assert_array_equal(a, b)
 
 
-def _t(*shape):
-    return T.Tensor(np.zeros(shape))
-
-
 class TestShapeChecks:
     @pytest.mark.parametrize("make, message", [
         (lambda: T.add(_t(2, 3), _t(3, 2)), r"add: \(2, 3\) vs \(3, 2\)"),
@@ -490,8 +550,9 @@ class TestShapeChecks:
         (lambda: T.conv2d(_t(1, 4, 4, 2), _t(3, 3, 2, 5), _t(4)), r"conv bias: \(4,\)"),
         (lambda: T.residual_norm(_t(2, 3, 4)), "residual_norm expects B x F x T x C"),
         (lambda: T.global_pool(_t(2, 3, 4), "max_time"), "global_pool expects 4-D input"),
+        (lambda: T.max_pool(_t(4, 4, 2)), r"max_pool expects B x F x T x C, got \(4, 4, 2\)"),
     ], ids=["add", "mul", "dense-inner", "dense-rank", "dense-bias", "conv2d-bias",
-            "residual_norm-rank", "global_pool-rank"])
+            "residual_norm-rank", "global_pool-rank", "max_pool-rank"])
     def test_rejected(self, make, message):
         with pytest.raises(ShapeMismatch, match=message):
             make()
@@ -518,7 +579,9 @@ FLOAT32_OPS = {
         _f32(r, 2, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3), _f32(r, 3), np.zeros(3),
         np.ones(3)),
     "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2)),
-    "avg_pool_same": lambda r: T.avg_pool(_f32(r, 1, 4, 6, 2), (1, 3)),
+    "avg_pool_same": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2)], [(1, 3)]),
+    "avg_pool_sum": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2) for _ in range(3)],
+                                         models.IncResUnit.KERNELS),
     "batch_norm_train": lambda r: T.batch_norm(
         _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
     # eval-mode gamma and beta are constants: they get no gradient
