@@ -18,7 +18,8 @@ class IOFailure(AscKitError):
 
 
 class ShapeMismatch(AscKitError):
-    """The data given does not fit: operands of incompatible shapes; a label
+    """The data given does not fit: operands of incompatible shapes, or other
+    than the 3 that `tensor.avg_pool` pools, or a window side under 1; a label
     row off the simplex; a clip that is empty, not mono, non-finite or at a
     rate that is not a whole number, or one to resample below
     `audio.MIN_RATE`, to segment not at 32 kHz or shorter than a segment, or

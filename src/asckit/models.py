@@ -241,8 +241,9 @@ class IncResUnit(Module):
     """Branches conv(Kx1), conv(KxK), conv(1xK) -> stride-1 average pooling
     with the same kernels -> summed, plus the residual path: the input, or
     its 1x1 conv projection `<name>.proj` (kernel and bias) when the width
-    changes. The pooled sum is one `T.avg_pool` op, so the graph keeps one
-    array for it, and the residual path is one `T.add`."""
+    changes. The pooled sum is one `T.avg_pool(branches, INCRES_K)` op, which
+    pools its three inputs with these kernels in this order, so the graph
+    keeps one array for it; the residual path is one `T.add`."""
 
     KERNELS = ((INCRES_K, 1), (INCRES_K, INCRES_K), (1, INCRES_K))
 
@@ -254,7 +255,7 @@ class IncResUnit(Module):
         self.proj = _weights(f"{name}.proj", (1, 1, cin, cout), rng) if cin != cout else []
 
     def __call__(self, x, mode, rng):
-        pooled = T.avg_pool([br(x, mode, rng) for br in self.branches], self.KERNELS)
+        pooled = T.avg_pool([br(x, mode, rng) for br in self.branches], INCRES_K)
         return T.add(pooled, T.conv2d(x, *self.proj) if self.proj else x)
 
 

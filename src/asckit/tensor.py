@@ -18,16 +18,13 @@ as the columns of one GEMM (im2col). Its backward runs one GEMM per kernel
 offset for each gradient: the kernel's reads that offset's view of the
 windows, padded anew so no closure keeps a padded input, and the input's
 adds the `_span`-clipped part of its GEMM into a zero array of the input's
-shape, padding nothing. Nor does `avg_pool`, which sums the window means of
-a list of inputs, each with its own kernel, into one output: `_box_sum`
-sums each window along one axis with one add of each `_span`-shifted slice,
-and a window is divided by the cells it covers, the product of its two 1-D
-counts. So each input's time pass is divided by the time counts, the
-inputs with the same frequency side are summed, and that sum gets one
-frequency pass divided by the frequency counts; a side of 1 makes no pass.
-Its backward is the same boxes, mirrored, over the gradient divided by
-those counts, and an input with a time side of 1 takes its group's
-frequency pass itself. `max_pool` is the fixed 2 x 2 tile max of every
+shape, padding nothing. Nor does `avg_pool`, the inception-residual unit's
+fixed pooled sum of three inputs over (k, 1), (k, k) and (1, k) windows:
+`_box_sum` sums each window along one axis with one add of each
+`_span`-shifted slice, and a window is divided by the cells it covers, the
+product of its two 1-D counts. So the first two inputs share one frequency
+pass, and the backward runs the same boxes, mirrored, over the gradient
+divided by those counts. `max_pool` is the fixed 2 x 2 tile max of every
 block: its four views are the cells of the non-overlapping tiles, and a
 trailing odd row or column is dropped. Its forward is a running max over
 the views; its backward writes each tile cell once, the tile's gradient at
@@ -58,7 +55,8 @@ gives one input a copy of its gradient and the other the gradient itself,
 and `reshape` and `concat` hand over non-overlapping views of theirs. The
 gradient `g` a closure is handed is its output's own, which `backward`
 drops once the closure has run, so the closure may write into it, as
-`conv_bn_relu` and `avg_pool` do, or hand it to an input.
+`relu`, `dropout`, `conv_bn_relu`, `avg_pool` and `residual_norm` do, or
+hand it to an input.
 
 The normalization settings are the module constants `BN_EPS`,
 `BN_MOMENTUM`, `RN_LAMBDA` and `RN_EPS`; no caller sets them. Eval-mode
@@ -253,7 +251,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     return _result(np.maximum(x.data, 0), (x,), "relu",
-                   lambda g: x.accumulate(g * (x.data > 0)))
+                   lambda g: x.accumulate(np.multiply(g, x.data > 0, out=g)))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -285,7 +283,8 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
         raise ConfigMismatch(f"train-mode dropout at rate {p} needs an RNG, got None")
     keep = (rng.random(x.shape) >= p) / np.asarray(1.0 - p, dtype=x.dtype)
     keep = keep.astype(x.dtype, copy=False)  # copies only if the division promoted
-    return _result(x.data * keep, (x,), "dropout", lambda g: x.accumulate(g * keep))
+    return _result(x.data * keep, (x,), "dropout",
+                   lambda g: x.accumulate(np.multiply(g, keep, out=g)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,80 +423,49 @@ def _box_sum(a, axis, before, after, out):
     return out
 
 
-def avg_pool(xs, kernels) -> Tensor:
-    """The sum over the [B, F, T, C] tensors `xs` of each one's stride-1
-    'same' window mean over (frequency, time), for its (kf, kt) kernel in
-    `kernels`. A window reaches (k - 1) // 2 cells before its centre and
-    k // 2 after along each axis, and is divided by its true overlap (the
-    cells inside the input), so edges are unbiased.
-
-    That overlap is the product of the window's two 1-D counts. So each
-    input's time pass is divided by the time counts, the inputs of one kf
-    are summed, and that sum gets one frequency pass divided by the
-    frequency counts; a side of 1 makes no pass, and one output buffer takes
-    every group. The backward hands each input the mirrored box of g as an
-    array that input owns.
+def avg_pool(xs, k) -> Tensor:
+    """The sum of the stride-1 'same' window means of the three [B, F, T, C]
+    inputs `xs`, of one shape and dtype, over (k, 1), (k, k) and (1, k)
+    (frequency, time) cells in that order: the inception-residual unit's
+    pooled branches. Each window is divided by the cells of the input it
+    covers, the product of its 1-D counts cf and ct, so with boxF and boxT
+    the window sums along one axis, y = boxF(x0 + boxT(x1) / ct) / cf +
+    boxT(x2) / ct. The backward mirrors it; each input gets its own array.
     """
-    xs, kernels = list(xs), [tuple(k) for k in kernels]
-    if not xs or len(kernels) != len(xs):
-        raise ShapeMismatch(f"avg_pool: {len(xs)} inputs and {len(kernels)} kernels")
-    shapes = sorted({(x.shape, x.dtype.name) for x in xs})
-    if len(shapes) > 1 or len(shapes[0][0]) != 4:
-        raise ShapeMismatch(f"avg_pool needs B x F x T x C inputs of one shape and dtype, "
-                            f"got {shapes}")
-    if min(min(k) for k in kernels) < 1:
-        raise ShapeMismatch(f"avg_pool kernels {kernels}: each side must be at least 1")
-    shape, dtype = xs[0].shape, xs[0].dtype
-    _, f, t, c = shape
+    xs = list(xs)
+    if len(xs) != 3 or len(xs[0].shape) != 4 or any(
+            (x.shape, x.dtype) != (xs[0].shape, xs[0].dtype) for x in xs):
+        raise ShapeMismatch("avg_pool needs 3 B x F x T x C inputs of one shape and dtype, "
+                            f"got {[(x.shape, x.dtype.name) for x in xs]}")
+    if k < 1:
+        raise ShapeMismatch(f"avg_pool kernel side {k}: must be at least 1")
+    x0, x1, x2 = xs
+    _, f, t, c = x0.shape
+    reach, back = ((k - 1) // 2, k // 2), (k // 2, (k - 1) // 2)
 
-    def reach(k):  # (before, after) cells of a window of side k
-        return (k - 1) // 2, k // 2
-
-    def counts(n, k):  # the cells of an axis of n that each window covers
-        return _box_sum(np.ones(n, dtype), 0, *reach(k), np.empty(n, dtype))
+    def box(a, axis, ends):
+        return _box_sum(a, axis, *ends, np.empty_like(a))
 
     # the counts broadcast as [F, 1, 1] and as [T, C] rows, over which numpy
     # runs one inner loop (see `_rows`)
-    cf = {kf: counts(f, kf)[:, None, None] for kf, _ in kernels if kf > 1}
-    ct = {kt: np.repeat(counts(t, kt), c).reshape(t, c) for _, kt in kernels if kt > 1}
-    # the inputs grouped by kf, the group with no frequency pass last and,
-    # within a group, the inputs with no time pass last
-    groups = {}
-    for x, (kf, kt) in sorted(zip(xs, kernels), key=lambda m: (m[1][0] == 1, m[1][1] == 1)):
-        groups.setdefault(kf, []).append((x, kt))
-
-    y = None
-    for kf, members in groups.items():
-        # the group's sum of time means; `first`'s own array only when no
-        # input of the group has a time pass
-        first, s = members[0][0].data, None
-        for x, kt in members:
-            v = x.data
-            if kt > 1:
-                v = _box_sum(v, 2, *reach(kt), np.empty_like(v))
-                v /= ct[kt]
-            s = v if s is None else np.add(s, v, out=None if s is first else s)
-        if kf > 1:
-            s = _box_sum(s, 1, *reach(kf), np.empty_like(s))
-            s /= cf[kf]
-        if y is None:
-            y = s.copy() if s is first else s
-        else:
-            y += s
+    cf = box(np.ones(f, x0.dtype), 0, reach)[:, None, None]
+    ct = np.repeat(box(np.ones(t, x0.dtype), 0, reach), c).reshape(t, c)
+    s = box(x1.data, 2, reach)
+    s /= ct
+    s += x0.data
+    y = box(s, 1, reach)
+    y /= cf
+    s = _box_sum(x2.data, 2, *reach, s)
+    s /= ct
+    y += s
 
     def _bw(g):
-        # g is this output's own gradient: the group with no frequency pass
-        # reads it last, so that group's last input may take or divide it
-        for kf, members in groups.items():
-            h = g if kf == 1 else _box_sum(g / cf[kf], 1, *reach(kf)[::-1], np.empty_like(g))
-            for i, (x, kt) in enumerate(members):
-                last = i == len(members) - 1
-                if kt == 1:
-                    x.accumulate(h if last else h.copy())
-                else:
-                    h_t = np.divide(h, ct[kt], out=h if last else None)
-                    x.accumulate(_box_sum(h_t, 2, *reach(kt)[::-1], np.empty_like(h_t)))
-    return _result(y, tuple(xs), "avg_pool", _bw)
+        h = box(g / cf, 1, back)
+        x1.accumulate(box(h / ct, 2, back))
+        x0.accumulate(h)
+        g /= ct  # g is this output's own gradient
+        x2.accumulate(box(g, 2, back))
+    return _result(y, (x0, x1, x2), "avg_pool", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +633,8 @@ def residual_norm(x: Tensor) -> Tensor:
 
     def _bw(g):
         dx, _, _ = _standardize_grad(g, xhat, inv, axes)
-        dx += RN_LAMBDA * g
+        g *= RN_LAMBDA
+        dx += g
         x.accumulate(dx)
     return _result(y, (x,), "residual_norm", _bw)
 

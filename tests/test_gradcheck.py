@@ -135,19 +135,24 @@ class TestPooling:
         x = T.Tensor(well_spaced(rng, (2, 6, 6, 3)), requires_grad=True)
         check(lambda x: T.max_pool(x), [x])
 
-    # the kernels IncResUnit pools with, then even sides, whose windows reach
-    # one cell further after their centre than before
-    @pytest.mark.parametrize("kernel", [(3, 3), (3, 1), (1, 3), (2, 2), (4, 1), (2, 3)],
-                             ids=["same", "same-3x1", "same-1x3", "same-2x2", "same-4x1",
-                                  "same-2x3"])
+    # each input alone, the others constant: the kernels IncResUnit pools with,
+    # then even sides, whose windows reach one cell further after their centre
+    # than before
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 1), (1, 3), (2, 2), (4, 1)],
+                             ids=["same", "same-3x1", "same-1x3", "same-2x2", "same-4x1"])
     def test_avg_pool(self, rng, kernel):
-        x = T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True)
-        check(lambda x: T.avg_pool([x], [kernel]), [x])
+        k = max(kernel)
+        xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3))) for _ in range(3)]
+        i = [(k, 1), (k, k), (1, k)].index(kernel)
+        xs[i].requires_grad = True
+        check(lambda x: T.avg_pool(xs, k), [xs[i]])
 
     def test_avg_pool_sum(self, rng):
-        # IncResUnit's three branches pooled and summed in one op
-        xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True) for _ in range(3)]
-        check(lambda *xs: T.avg_pool(xs, models.IncResUnit.KERNELS), xs)
+        # IncResUnit's three branches pooled and summed in one op, at an even
+        # side and at the unit's
+        for k in (2, models.INCRES_K):
+            xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True) for _ in range(3)]
+            check(lambda *xs: T.avg_pool(xs, k), xs)
 
     def test_reduce_max(self, rng):
         x = T.Tensor(well_spaced(rng, (3, 5, 4, 2)), requires_grad=True)

@@ -12,6 +12,7 @@ from asckit import tensor as T
 from asckit.augment import AugmentConfig, AugmentPipeline, LabeledBatch
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 from byte_fuzz import entry_offset
+from test_tensor import _avg_pool_loop
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # variant -> {"params": ..., "buffers": ...}, each a list of [name, shape] in model order
@@ -113,6 +114,22 @@ class TestForward:
         assert x.grad is None and all(p.grad is None for p in net.params())
         # grad recording is back on after the call
         assert T.relu(x)._parents == (x,)
+
+    @pytest.mark.parametrize("cin", [3, 4], ids=["projection", "identity"])
+    def test_incres_unit_pools_each_branch_with_its_kernel(self, cin):
+        # `T.avg_pool` pools its inputs with (K, 1), (K, K) and (1, K) by
+        # position, so each branch must sit where its kernel is
+        rng = np.random.default_rng(17)
+        unit = models.IncResUnit("u", cin, 4, rng)
+        x = T.Tensor(rng.normal(size=(2, 6, 7, cin)))
+        g = np.zeros((2, 6, 7, 4))
+        with T.no_grad():
+            want = T.conv2d(x, *unit.proj).data if unit.proj else x.data
+            for br, kernel in zip(unit.branches, unit.KERNELS):
+                assert br.w.shape[:2] == kernel
+                want = want + _avg_pool_loop(br(x, "eval", None).data, kernel, g)[0]
+            got = unit(x, "eval", None).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigMismatch, match=r"unknown variant 'red04'; choose from ") as info:
@@ -326,15 +343,6 @@ def _retained():
         tracemalloc.stop()
 
 
-def _pooled_chain(self, x, mode, rng):
-    """The unit as three one-input `avg_pool`s, two adds for their sum and a
-    third for the shortcut."""
-    pooled = [T.avg_pool([br(x, mode, rng)], [kernel])
-              for br, kernel in zip(self.branches, self.KERNELS)]
-    shortcut = T.conv2d(x, *self.proj) if self.proj else x
-    return T.add(T.add(T.add(pooled[0], pooled[1]), pooled[2]), shortcut)
-
-
 class TestTrainBackward:
     def test_fused_units_match_the_chain(self, monkeypatch):
         got = _train_step(models.build_network("red03", seed=0), batch=2, seed=11)
@@ -377,12 +385,17 @@ class TestTrainBackward:
         # the fused graph keeps about 72 MB here and the chain about 102 MB
         assert fused <= 0.8 * chain, (fused, chain)
 
-    def test_pooled_sum_graph_retains_less(self, monkeypatch):
-        pooled = _retained()
-        monkeypatch.setattr(models.IncResUnit, "__call__", _pooled_chain)
-        chain = _retained()
-        # the pooled sums keep about 72 MB here and the chain about 86 MB
-        assert pooled <= 0.9 * chain, (pooled, chain)
+    def test_pooled_sum_graph_retains_less(self):
+        # each pooled sum's backward keeps its three inputs and no other
+        # full-size array: neither its output nor a pass over an input
+        net = models.build_network("red03", seed=0)
+        x = np.random.default_rng(12).normal(size=(1,) + models.INPUT_SHAPE)
+        out = net.forward(x, "train", np.random.default_rng(13))
+        pools = [node for node in _graph(out) if node.op == "avg_pool"]
+        assert len(pools) == 3
+        for node in pools:
+            full = [a for a in _closure_arrays(node._backward) if a.size >= node.data.size]
+            assert sorted(map(id, full)) == sorted(id(p.data) for p in node._parents)
 
     def test_gradients_own_their_memory(self, monkeypatch):
         def grads():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,56 +248,67 @@ class TestPooling:
     def test_avg_pool_2x2(self):
         # a 2x2 window pads one trailing cell: only the first window is whole
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        assert T.avg_pool([x], [(2, 2)]).data[0, 0, 0, 0] == 2.5
+        assert T.avg_pool([_t(1, 2, 2, 1), x, _t(1, 2, 2, 1)], 2).data[0, 0, 0, 0] == 2.5
 
     def test_avg_pool_same_corner_true_divisor(self):
-        # 3x3 window at a corner of all-ones input overlaps 4 real cells: 4/4 = 1
-        x = T.Tensor(np.ones((1, 4, 4, 1)))
-        out = T.avg_pool([x], [(3, 3)])
-        assert out.data[0, 0, 0, 0] == 1.0
-        np.testing.assert_allclose(out.data, 1.0)
+        # at a corner of all-ones inputs a 3x3 window overlaps 4 real cells
+        # and a 3x1 or 1x3 window 2: each mean is 1
+        out = T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))] * 3, 3)
+        assert out.data[0, 0, 0, 0] == 3.0
+        np.testing.assert_allclose(out.data, 3.0)
 
-    @pytest.mark.parametrize("kernel", [(0, 3), (-1, 1)], ids=["0x3", "-1x1"])
-    def test_avg_pool_kernel_side_under_1_rejected(self, kernel):
-        with pytest.raises(ShapeMismatch, match=rf"kernels \[\({kernel[0]}, {kernel[1]}\)\]"):
-            T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))], [kernel])
+    @pytest.mark.parametrize("k", [0, -1], ids=str)
+    def test_avg_pool_kernel_side_under_1_rejected(self, k):
+        with pytest.raises(ShapeMismatch, match=rf"kernel side {k}: must be at least 1"):
+            T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))] * 3, k)
 
-    @pytest.mark.parametrize("xs, kernels, message", [
-        ([], [], "0 inputs and 0 kernels"),
-        ([_t(1, 4, 4, 1)] * 2, [(3, 3)], "2 inputs and 1 kernels"),
-        ([_t(1, 4, 4, 1), _t(1, 4, 5, 1)], [(3, 3)] * 2, "one shape and dtype"),
-        ([_t(1, 4, 4)], [(3, 3)], "B x F x T x C"),
-    ], ids=["empty", "kernel-count", "shapes", "rank"])
-    def test_avg_pool_inputs_rejected(self, xs, kernels, message):
+    @pytest.mark.parametrize("xs, message", [
+        ([], r"got \[\]"),
+        ([_t(1, 4, 4, 1)] * 2, "needs 3"),
+        ([_t(1, 4, 4, 1)] * 4, "needs 3"),
+        ([_t(1, 4, 4, 1)] * 2 + [_t(1, 4, 5, 1)], "one shape and dtype"),
+        ([_t(1, 4, 4)] * 3, "B x F x T x C"),
+    ], ids=["empty", "two", "four", "shapes", "rank"])
+    def test_avg_pool_inputs_rejected(self, xs, message):
         with pytest.raises(ShapeMismatch, match=message):
-            T.avg_pool(xs, kernels)
+            T.avg_pool(xs, 3)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (1, 3, 2, 2),
-                                       (2, 6, 7, 3)],
-                             ids=["f1", "t1", "f2-t2", "f3-t2", "f6-t7"])
+    EDGE_SHAPES = pytest.mark.parametrize(
+        "shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (1, 3, 2, 2), (2, 6, 7, 3)],
+        ids=["f1", "t1", "f2-t2", "f3-t2", "f6-t7"])
+
+    @EDGE_SHAPES
     # 7x1 reaches 3 cells each way, more than a side of 2 holds
-    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3), (4, 1), (2, 3),
-                                        (7, 1)],
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3), (4, 1), (7, 1)],
                              ids=lambda k: f"{k[0]}x{k[1]}")
     def test_avg_pool_matches_the_window_loop(self, kernel, shape):
-        self._check_pooled_sum([kernel], shape)
-
-    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (2, 6, 7, 3)],
-                             ids=["f1", "t1", "f2-t2", "f6-t7"])
-    @pytest.mark.parametrize("kernels", [models.IncResUnit.KERNELS, ((3, 3), (3, 1), (1, 1))],
-                             ids=["incres", "3x3-3x1-1x1"])
-    def test_avg_pool_sum_matches_the_window_loops(self, kernels, shape):
-        self._check_pooled_sum(kernels, shape)
-
-    @staticmethod
-    def _check_pooled_sum(kernels, shape):
-        # the output and each input's gradient against the sum of per-input loops
+        # each input alone, the other two zero, is pooled with its own kernel:
+        # the first with (k, 1), the second with (k, k), the third with (1, k)
+        k = max(kernel)
+        i = [(k, 1), (k, k), (1, k)].index(kernel)
         rng = np.random.default_rng(20)
-        xs = [T.Tensor(rng.normal(size=shape), requires_grad=True) for _ in kernels]
+        xs = [T.Tensor(np.zeros(shape), requires_grad=True) for _ in range(3)]
+        xs[i].data[...] = rng.normal(size=shape)
         g = rng.normal(size=shape)
-        out = T.avg_pool(xs, kernels)
+        out = T.avg_pool(xs, k)
         T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-        want = [_avg_pool_loop(x.data, k, g) for x, k in zip(xs, kernels)]
+        want, want_grad = _avg_pool_loop(xs[i].data, kernel, g)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(xs[i].grad, want_grad, rtol=1e-12, atol=1e-15)
+
+    @EDGE_SHAPES
+    @pytest.mark.parametrize("k", [1, 2, models.INCRES_K, 4, 7],
+                             ids=lambda k: "incres" if k == models.INCRES_K else f"k{k}")
+    def test_avg_pool_sum_matches_the_window_loops(self, k, shape):
+        # the output and each input's gradient against the sum of the loops
+        # over (k, 1), (k, k) and (1, k)
+        rng = np.random.default_rng(20)
+        xs = [T.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+        g = rng.normal(size=shape)
+        out = T.avg_pool(xs, k)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        kernels = [(k, 1), (k, k), (1, k)]
+        want = [_avg_pool_loop(x.data, kernel, g) for x, kernel in zip(xs, kernels)]
         np.testing.assert_allclose(out.data, sum(w[0] for w in want), rtol=1e-12, atol=1e-15)
         for x, (_, want_grad) in zip(xs, want):
             np.testing.assert_allclose(x.grad, want_grad, rtol=1e-12, atol=1e-15)
@@ -515,6 +528,27 @@ class TestBackward:
             for q in arrays[i + 1:]:
                 assert not np.shares_memory(p, q)
 
+    # relu's mask of x > 0 takes a byte a cell and residual_norm's input
+    # gradient an array of its own; the rest is written into g, besides
+    # numpy's cast buffers of a fixed size
+    @pytest.mark.parametrize("make, extra", [
+        (lambda x, rng: T.relu(x), 0.25),
+        (lambda x, rng: T.dropout(x, 0.5, "train", rng), 0.0),
+        (lambda x, rng: T.residual_norm(x), 1.0),
+    ], ids=["relu", "dropout", "residual_norm"])
+    def test_backward_writes_into_the_gradient_it_owns(self, make, extra):
+        rng = np.random.default_rng(23)
+        x = T.Tensor(rng.normal(size=(4, 32, 64, 32)).astype(np.float32), requires_grad=True)
+        out = make(x, rng)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (extra + 0.25) * g.nbytes, (peak, g.nbytes)
+
     def test_zero_grads_starts_the_next_step_afresh(self):
         w = T.Parameter(np.array([1.0, 2.0]), name="w")
         x = T.Tensor(np.array([3.0, -1.0]))
@@ -579,9 +613,9 @@ FLOAT32_OPS = {
         _f32(r, 2, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3), _f32(r, 3), np.zeros(3),
         np.ones(3)),
     "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2)),
-    "avg_pool_same": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2)], [(1, 3)]),
+    "avg_pool_same": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2) for _ in range(3)], 2),
     "avg_pool_sum": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2) for _ in range(3)],
-                                         models.IncResUnit.KERNELS),
+                                         models.INCRES_K),
     "batch_norm_train": lambda r: T.batch_norm(
         _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
     # eval-mode gamma and beta are constants: they get no gradient
