@@ -27,12 +27,21 @@ three branches in one `tensor.avg_pool` and adds its shortcut with one
 `tensor.add`, so a forward makes 3 of each. An eval forward runs under
 `tensor.no_grad`: it records no graph, so nothing trains in eval mode and
 no graph outlives the call.
+
+`predict` splits each batch into one part per CPU the process may use and
+runs the parts' eval forwards at once, on the calling thread and a thread
+pool of its own, so one call keeps every CPU busy with BLAS at one thread.
+The `no_grad` flag is per thread, and no eval forward writes to the
+network, so the parts share it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -390,18 +399,47 @@ def network_summary(model: Network) -> list:
     return rows
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps
+    one (`os.sched_getaffinity`, Linux), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict(model, features, batch_size: int = 32) -> np.ndarray:
-    """Deterministic eval-mode class probabilities for [N, F, T, C] features.
+    """Eval-mode class probabilities for [N, F, T, C] features.
 
     The eval forwards record no autograd graph (see `Network.forward`), and
     each conv -> BN -> ReLU unit runs as one conv with its BN folded in (see
     `_ConvBnRelu`), from the parameters and buffers as they are at the call.
+
+    Each batch of `batch_size` rows is split by `np.array_split` into one
+    contiguous part per CPU the process may run on (`_cpus`), or one per
+    row when it has fewer rows. The parts' forwards run at once: the first
+    on the calling thread, the others on a thread pool that lives only for
+    this call. Their outputs are joined in row order. Eval BN uses its
+    running buffers and residual norm works per sample, so a row's
+    probabilities do not depend on the other rows. They are repeatable for
+    one host, CPU count and `batch_size`; another CPU count or `batch_size`
+    gives the GEMMs other row counts and may change the last float32 bits.
+    numpy and BLAS release the GIL in the forward's large array ops, so the
+    threads overlap; BLAS is expected to run one thread per call, since the
+    parts take every CPU.
     """
     check_integer("batch_size", batch_size, least=1)
     features = np.asarray(features, dtype=np.float32)
     _check_input(features.shape)
+    cpus = _cpus()
+    forward = functools.partial(model.forward, mode="eval")
     outputs = [np.empty((0, N_CLASSES))]
-    for lo in range(0, features.shape[0], batch_size):
-        out = model.forward(features[lo : lo + batch_size], mode="eval")
-        outputs.append(out.data.astype(np.float64))
+    # the calling thread runs one part itself: with a pool thread for every
+    # part, red02 predict's peak RSS at batch 4 on 2 CPUs rose by 3-11%
+    with ThreadPoolExecutor(max_workers=max(cpus - 1, 1)) as pool:
+        for lo in range(0, features.shape[0], batch_size):
+            batch = features[lo : lo + batch_size]
+            first, *rest = np.array_split(batch, min(cpus, batch.shape[0]))
+            others = pool.map(forward, rest)
+            for out in [forward(first), *others]:
+                outputs.append(out.data.astype(np.float64))
     return np.concatenate(outputs, axis=0)

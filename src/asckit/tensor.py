@@ -4,7 +4,9 @@ Supports exactly the operations the classification networks need, on
 [batch, frequency, time, channel] layouts. Every op builds a backward
 closure and returns its output through `_result`, which records the op's
 inputs and that closure on the output only when grad is enabled and some
-input requires grad; under `no_grad` ops record nothing. `backward` walks
+input requires grad; under `no_grad` ops record nothing. Whether grad is
+enabled is kept per thread, so a `no_grad` block in one thread leaves grad
+on in every other, and threads may run eval forwards at once. `backward` walks
 the implicit graph in reverse topological order and accumulates gradients
 into every tensor that requires them.
 
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -130,26 +133,30 @@ class Parameter(Tensor):
         return self.data.ndim > 1
 
 
-_grad_enabled = True
+class _GradState(threading.local):
+    enabled = True
+
+
+_grad = _GradState()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Within this block ops record no graph: every output they make has no
-    parents, no backward closure and requires no grad."""
-    global _grad_enabled
-    before, _grad_enabled = _grad_enabled, False
+    parents, no backward closure and requires no grad. It holds for the
+    calling thread only; ops that other threads run meanwhile still record."""
+    before, _grad.enabled = _grad.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = before
+        _grad.enabled = before
 
 
 def _result(data, parents, op, backward):
     """The output of `op`. It records `parents` and the closure `backward(g)`,
     which hands each parent its gradient, only when grad is enabled and some
     parent requires grad; otherwise it is a plain tensor with no parents."""
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+    if not (_grad.enabled and any(p.requires_grad for p in parents)):
         return Tensor(data, op=op)
     out = Tensor(data, requires_grad=True, parents=parents, op=op)
     out._backward = backward

@@ -1,6 +1,8 @@
 import json
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -147,28 +149,78 @@ class TestForward:
             models.build_network("red03", seed=seed)
 
 
+def _parts(x, batch_size, cpus):
+    """The parts `predict` splits `x` into, in row order: each batch of
+    `batch_size` rows cut into min(cpus, rows) contiguous parts."""
+    batches = [x[lo : lo + batch_size] for lo in range(0, len(x), batch_size)]
+    return [part for b in batches for part in np.array_split(b, min(cpus, len(b)))]
+
+
 class TestPredict:
-    def test_zero_rows(self, nets):
+    def test_zero_rows(self, nets, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nets["red03"], "forward", lambda *a, **k: calls.append(a))
         out = models.predict(nets["red03"], np.zeros((0,) + models.INPUT_SHAPE))
         assert out.shape == (0, models.N_CLASSES)
         assert out.dtype == np.float64
+        assert calls == []
 
     def test_zero_rows_of_the_wrong_shape_rejected(self, nets):
         with pytest.raises(ShapeMismatch, match="got"):
             models.predict(nets["red03"], np.zeros((0, 128, 255, 3)))
 
     def test_no_graph_kept(self, monkeypatch):
+        # one forward per part, each on the calling thread or a pool thread
+        # that is gone when predict returns; the outputs arrive in the order
+        # the threads finish, so each is put back at its part's first row
         net = models.build_network("red03", seed=0)
-        x = np.random.default_rng(3).normal(size=(3,) + models.INPUT_SHAPE).astype(np.float32)
+        x = np.random.default_rng(3).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
         outs = []
         forward = net.forward
-        monkeypatch.setattr(net, "forward", lambda *a, **k: outs.append(forward(*a, **k)) or outs[-1])
-        probs = models.predict(net, x, batch_size=2)
-        assert len(outs) == 2
-        for out in outs:
+        monkeypatch.setattr(net, "forward",
+                            lambda part, **k: outs.append((part, forward(part, **k))) or outs[-1][1])
+        threads = threading.active_count()
+        probs = models.predict(net, x, batch_size=3)
+        assert threading.active_count() == threads
+        parts = _parts(x, 3, models._cpus())
+        assert len(outs) == len(parts)
+        for _, out in outs:
             assert out._parents == () and out._backward is None and not out.requires_grad
-        expected = np.concatenate([out.data for out in outs]).astype(np.float64)
-        assert probs.tobytes() == expected.tobytes()
+        first_row = {next(i for i, row in enumerate(x) if np.array_equal(row, part[0])): out
+                     for part, out in outs}
+        assert sorted(first_row) == list(np.cumsum([0] + [len(p) for p in parts[:-1]]))
+        expected = np.concatenate([first_row[i].data for i in sorted(first_row)])
+        assert probs.tobytes() == expected.astype(np.float64).tobytes()
+
+    # each CPU count splits a batch of 4 rows and one of 1 row; 2, 3 and 4
+    # CPUs are more than the second has rows, and 3 and 4 are more threads
+    # than a 2-CPU host has CPUs
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_matches_serial_forwards_over_the_same_parts(self, nets, monkeypatch, cpus):
+        monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        x = np.random.default_rng(8).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
+        net = nets["red03"]
+        want = [net.forward(part, "eval").data for part in _parts(x, 4, cpus)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = models.predict(net, x, batch_size=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == np.concatenate(want).astype(np.float64).tobytes()
+
+    # without an affinity set (macOS, Windows) predict splits over every CPU
+    # of the machine, or runs one part when their count is unknown
+    @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+    def test_splits_over_all_cpus_without_affinity(self, nets, monkeypatch, cpu_count, cpus):
+        monkeypatch.delattr(models.os, "sched_getaffinity")
+        monkeypatch.setattr(models.os, "cpu_count", lambda: cpu_count)
+        assert models._cpus() == cpus
+        x = np.random.default_rng(9).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
+        net = nets["red03"]
+        want = [net.forward(part, "eval").data for part in _parts(x, 4, cpus)]
+        got = models.predict(net, x, batch_size=4)
+        assert got.tobytes() == np.concatenate(want).astype(np.float64).tobytes()
 
     def test_rows_do_not_depend_on_the_batch(self):
         # eval BN uses its running statistics and residual norm works per
@@ -310,22 +362,25 @@ def _graph(out):
     return list(seen.values())
 
 
-def _closure_arrays(fn, seen=None):
-    """The arrays a closure reaches through its cells, nested closures and
-    tensors included."""
-    seen = set() if seen is None else seen
-    arrays = []
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
+def _closure_arrays(fn):
+    """The arrays a closure reaches through its cells, each once: through
+    tensors, nested closures, lists, tuples and dict values included."""
+    seen, arrays, stack = set(), [], [fn]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, T.Tensor):
+            value = value.data
         if id(value) in seen:
             continue
         seen.add(id(value))
-        if isinstance(value, T.Tensor):
-            value = value.data
         if isinstance(value, np.ndarray):
             arrays.append(value)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
         elif callable(value) and hasattr(value, "__closure__"):
-            arrays.extend(_closure_arrays(value, seen))
+            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
     return arrays
 
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -662,3 +663,69 @@ class TestNoGraph:
         out = FLOAT32_OPS[op](np.random.default_rng(15))
         assert out._parents == () and out._backward is None and not out.requires_grad
 
+
+    def test_no_grad_holds_only_in_its_thread(self):
+        # while another thread sits inside no_grad, ops here still record
+        x = T.Tensor(np.ones((1, 2), dtype=np.float32))
+        w = T.Parameter(np.ones((2, 3), dtype=np.float32), name="w")
+        b = T.Parameter(np.zeros(3, dtype=np.float32), name="b")
+        entered, release, inside = threading.Event(), threading.Event(), []
+
+        def hold():
+            with T.no_grad():
+                entered.set()
+                release.wait(60)
+                inside.append(T.dense(x, w, b))
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(60)
+            out = T.dense(x, w, b)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert out.requires_grad and out._parents == (x, w, b)
+        assert not inside[0].requires_grad and inside[0]._parents == ()
+
+    def test_concurrent_eval_forwards_keep_no_graph(self):
+        # the thread that enters no_grad first also leaves it first, while
+        # the other is still inside, before its head's dense layer runs
+        net = models.build_network("red03", seed=0)
+        x = np.random.default_rng(17).normal(size=(1,) + models.INPUT_SHAPE).astype(np.float32)
+        block0, head = net.blocks[0], net.head
+        started, first_done = threading.Event(), threading.Event()
+        at_head = threading.Barrier(2, timeout=60)
+        outs = {}
+
+        def first_block(h, mode, rng):
+            started.set()
+            return block0(h, mode, rng)
+
+        def paced_head(h, mode, rng):
+            at_head.wait()
+            if threading.current_thread().name == "second":
+                first_done.wait(60)
+            return head(h, mode, rng)
+
+        def run(name):
+            outs[name] = net.forward(x, "eval")
+            if name == "first":
+                first_done.set()
+
+        net.blocks[0], net.head = first_block, paced_head
+        threads = [threading.Thread(target=run, args=(n,), name=n) for n in ("first", "second")]
+        threads[0].start()
+        assert started.wait(60)
+        threads[1].start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert sorted(outs) == ["first", "second"]
+        for out in outs.values():
+            assert out._parents == () and out._backward is None and not out.requires_grad
+        assert outs["first"].data.tobytes() == outs["second"].data.tobytes()
+        # and this thread still records
+        w = net.params()[0]
+        assert T.relu(w)._parents == (w,)
