@@ -41,7 +41,8 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise ShapeMismatch("clip contains non-finite samples")
         rate = self.sample_rate
-        if not (isinstance(rate, numbers.Real) and float(rate).is_integer() and rate > 0):
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real)
+                                          and float(rate).is_integer() and rate > 0):
             raise ShapeMismatch(f"sample rate must be a positive whole number, got {rate!r}")
         self.sample_rate = int(rate)
 

@@ -21,7 +21,7 @@ class ShapeMismatch(AscKitError):
     """The data given does not fit: operands of incompatible shapes, or other
     than the 3 that `tensor.avg_pool` pools, or a window side under 1; a label
     row off the simplex; a clip that is empty, not mono, non-finite or at a
-    rate that is not a whole number, or one to resample below
+    rate that is a bool or not a whole number, or one to resample below
     `audio.MIN_RATE`, to segment not at 32 kHz or shorter than a segment, or
     to extract features from not one 10 s / 32 kHz segment; features that
     overflow; a batch too small for a crop or mask, or given a number of
@@ -30,12 +30,11 @@ class ShapeMismatch(AscKitError):
 
 
 class ConfigMismatch(AscKitError):
-    """A setting or name is invalid: an unknown variant, front-end, mode or
-    pooling kind, a duplicate parameter name, a dropout rate outside
-    [0, 1), a train-mode dropout or forward with no RNG, a predict batch
-    size that is not an integer of at least 1, or a network seed or
-    augmentation seed, epoch or sample index that is not a non-negative
-    integer (see `check_integer`)."""
+    """A setting or name is invalid: an unknown variant, front-end or mode,
+    a duplicate parameter name, a dropout rate outside [0, 1), a train-mode
+    dropout or forward with no RNG, a predict batch size that is not an
+    integer of at least 1, or a network seed or augmentation seed, epoch or
+    sample index that is not a non-negative integer (see `check_integer`)."""
 
 
 def check_integer(what: str, value, least: int = 0):

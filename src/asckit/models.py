@@ -11,12 +11,12 @@ class probabilities. Channel plans:
     red03      16          32      64      128      none          178,199
 
 Every block ends in max-pool 2x2 -> dropout -> residual normalization.
-The pooling head reduces the backbone output to three per-channel feature
-vectors (overall average, frequency-averaged temporal max, temporal max of
-the frequency average) concatenated to a 3*C descriptor. The parameter
-counts above are exact (`count_parameters`; `test_exact_count` pins them);
-the conv of a conv -> BN -> ReLU unit has no bias. An ensemble of three
-red02 networks, one per spectrogram, has 2.1M parameters.
+The pooling head's `tensor.global_pool` reduces the backbone output to
+three per-channel feature vectors (overall average, frequency-averaged
+temporal max, temporal max of the frequency average), a 3*C descriptor.
+The parameter counts above are exact (`count_parameters`; `test_exact_count`
+pins them); the conv of a conv -> BN -> ReLU unit has no bias. An ensemble
+of three red02 networks, one per spectrogram, has 2.1M parameters.
 
 In eval mode each conv -> BN -> ReLU unit folds its BN into the conv; in
 train mode it is one `tensor.conv_bn_relu` op. So a red02 forward runs 4
@@ -293,7 +293,7 @@ def _units(unit_cls, name, cin, widths, rng):
 
 
 class PoolingHead(Module):
-    """Three per-channel pooled features -> optional hidden FC -> classifier."""
+    """`T.global_pool`'s 3*C descriptor -> optional hidden FC -> classifier."""
 
     def __init__(self, cin, hidden, rng):
         pooled_dim = 3 * cin
@@ -301,11 +301,7 @@ class PoolingHead(Module):
         self.classifier = _weights("head.fc2", (hidden or pooled_dim, N_CLASSES), rng)
 
     def __call__(self, x, mode, rng):
-        freq_mean = T.reduce_mean(x, 1)                           # avg over F
-        overall_avg = T.reduce_mean(freq_mean, 1)                 # then over T
-        time_max = T.reduce_mean(T.reduce_max(x, 2), 1)           # max over T, avg F
-        freq_avg = T.reduce_max(freq_mean, 1)                     # avg over F, max T
-        h = T.concat([overall_avg, time_max, freq_avg], axis=1)
+        h = T.global_pool(x)
         if self.hidden:
             h = T.dropout(T.relu(T.dense(h, *self.hidden)), DROPOUT_FC, mode, rng)
         return T.softmax(T.dense(h, *self.classifier))

@@ -245,7 +245,11 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    shapes = [t.shape for t in tensors]
+    if not all(-len(s) <= axis < len(s) for s in shapes) or len(
+            {tuple(np.delete(s, axis)) for s in shapes}) != 1:
+        raise ShapeMismatch(f"concat: shapes {shapes} do not join along axis {axis}")
+    offsets = np.cumsum([0] + [s[axis] for s in shapes])
 
     def _bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -668,16 +672,15 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     return _result(np.squeeze(out_data, axis=axis), (x,), "reduce_max", _bw)
 
 
-def global_pool(x: Tensor, kind: str) -> Tensor:
-    """Fully reduce one named axis of a [B, F, T, C] tensor, flatten the rest."""
+def global_pool(x: Tensor) -> Tensor:
+    """The pooling head's [B, 3C] descriptor of [B, F, T, C]: per channel the
+    mean over frequency and time, the frequency mean of the temporal max and
+    the temporal max of the frequency mean, in that order; it takes the
+    frequency mean once."""
     if x.data.ndim != 4:
         raise ShapeMismatch(f"global_pool expects 4-D input, got {x.shape}")
-    if kind == "avg_channel":
-        red = reduce_mean(x, 3)
-    elif kind == "max_time":
-        red = reduce_max(x, 2)
-    elif kind == "avg_freq":
-        red = reduce_mean(x, 1)
-    else:
-        raise ConfigMismatch(f"unknown global_pool kind {kind!r}")
-    return reshape(red, (x.shape[0], -1))
+    freq_mean = reduce_mean(x, 1)
+    overall_avg = reduce_mean(freq_mean, 1)
+    time_max = reduce_mean(reduce_max(x, 2), 1)
+    freq_avg = reduce_max(freq_mean, 1)
+    return concat([overall_avg, time_max, freq_avg], axis=1)

@@ -308,6 +308,11 @@ class TestResample:
         with pytest.raises(ShapeMismatch, match=f"got {rate!r}"):
             AudioClip(samples=np.ones(100), sample_rate=rate)
 
+    def test_bool_rate_rejected(self):
+        # a bool is a numbers.Real, so True would pass as a whole 1 Hz rate
+        with pytest.raises(ShapeMismatch, match="got True$"):
+            AudioClip(samples=np.ones(100), sample_rate=True)
+
     @pytest.mark.parametrize("rate", [1, MIN_RATE - 1])
     def test_rate_below_floor_rejected_before_any_filter(self, rate):
         # a 1 Hz clip would be upsampled 32000-fold

@@ -162,10 +162,17 @@ class TestPooling:
         x = T.Tensor(rng.normal(size=(3, 5, 4, 2)), requires_grad=True)
         check(lambda x: T.reduce_mean(x, 1), [x])
 
-    @pytest.mark.parametrize("kind", ["avg_channel", "max_time", "avg_freq"])
-    def test_global_pool(self, rng, kind):
+    # The descriptor's three C-wide parts in order: the per-channel mean over
+    # frequency and time, the frequency mean of the temporal max and the
+    # temporal max of the frequency mean. Each is checked with the others'
+    # outputs weighted by zero.
+    @pytest.mark.parametrize("part", ["avg_channel", "max_time", "avg_freq"])
+    def test_global_pool(self, rng, part):
         x = T.Tensor(well_spaced(rng, (2, 4, 5, 3)), requires_grad=True)
-        check(lambda x: T.global_pool(x, kind), [x])
+        i = ["avg_channel", "max_time", "avg_freq"].index(part)
+        mask = np.zeros((2, 9))
+        mask[:, 3 * i:3 * (i + 1)] = 1.0
+        check(lambda x: T.mul(T.global_pool(x), T.Tensor(mask)), [x])
 
 
 class TestNorms:
@@ -219,14 +226,14 @@ class TestComposite:
         # conv -> relu -> max_pool -> residual_norm -> global pool -> dense
         x = T.Tensor(rng.normal(size=(2, 8, 8, 2)), requires_grad=True)
         w1 = T.Tensor(rng.normal(size=(3, 3, 2, 4)) * 0.4, requires_grad=True)
-        w2 = T.Tensor(rng.normal(size=(16, 3)) * 0.4, requires_grad=True)
+        w2 = T.Tensor(rng.normal(size=(12, 3)) * 0.4, requires_grad=True)
         b1, b2 = T.Tensor(np.zeros(4)), T.Tensor(np.zeros(3))
 
         def net(x, w1, w2):
             h = T.relu(T.conv2d(x, w1, b1))
             h = T.max_pool(h)
             h = T.residual_norm(h)
-            h = T.global_pool(h, "avg_channel")
+            h = T.global_pool(h)
             return T.softmax(T.dense(h, w2, b2))
 
         check(net, [x, w1, w2], tol=1e-4)

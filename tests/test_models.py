@@ -19,17 +19,11 @@ from test_tensor import _avg_pool_loop
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # variant -> {"params": ..., "buffers": ...}, each a list of [name, shape] in model order
 EXPECTED = json.loads((Path(__file__).parent / "data" / "model_names.json").read_text())
-# model kind -> the variant the save/load and duplicate-name tests build
-KINDS = {"network": "red03"}
 
 
 @pytest.fixture(scope="module")
 def nets():
     return {v: models.build_network(v, seed=0) for v in VARIANTS}
-
-
-def _build(kind, seed):
-    return models.build_network(KINDS[kind], seed=seed)
 
 
 def _snapshot(model):
@@ -322,9 +316,10 @@ class TestFoldedEval:
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_head_reduce_calls(self, nets, monkeypatch, mode):
-        # the frequency mean feeds two pooled features but is taken once, and
-        # each dense layer of the head (baseline's hidden FC too) is one call
-        seen = {"reduce_mean": [], "reduce_max": [], "dense": []}
+        # the head pools in one global_pool call, whose frequency mean feeds
+        # two pooled features but is taken once, and each dense layer of the
+        # head (baseline's hidden FC too) is one call
+        seen = {"global_pool": [], "reduce_mean": [], "reduce_max": [], "dense": []}
         for name, calls_made in seen.items():
             op = getattr(T, name)
             monkeypatch.setattr(T, name, lambda *a, _op=op, _seen=calls_made, **k:
@@ -335,7 +330,8 @@ class TestFoldedEval:
                 calls_made.clear()
             nets[variant].forward(x, mode, np.random.default_rng(7))
             assert {name: len(calls) for name, calls in seen.items()} == \
-                {"reduce_mean": 3, "reduce_max": 2, "dense": dense_calls}, variant
+                {"global_pool": 1, "reduce_mean": 3, "reduce_max": 2,
+                 "dense": dense_calls}, variant
 
 
 def _train_step(net, batch, seed):
@@ -486,9 +482,8 @@ class TestNames:
         assert [[k, list(v.shape)] for k, v in net.buffers().items()] == expected["buffers"]
         assert list(net.state_dict()) == [n for n, _ in expected["params"] + expected["buffers"]]
 
-    @pytest.mark.parametrize("kind", list(KINDS))
-    def test_duplicate_name_rejected(self, tmp_path, kind):
-        model = _build(kind, seed=0)
+    def test_duplicate_name_rejected(self, tmp_path):
+        model = models.build_network("red03", seed=0)
         first, second = model.params()[:2]
         second.name = first.name
         with pytest.raises(ConfigMismatch, match="duplicate"):
@@ -566,14 +561,13 @@ class TestDeterminism:
 
 
 class TestSaveLoad:
-    @pytest.mark.parametrize("kind", list(KINDS))
-    def test_roundtrip(self, tmp_path, kind):
-        src = _build(kind, seed=3)
+    def test_roundtrip(self, tmp_path):
+        src = models.build_network("red03", seed=3)
         rng = np.random.default_rng(1)
         for buf in src.buffers().values():
             buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
         src.save(tmp_path / "a.ascw")
-        dst = _build(kind, seed=4)
+        dst = models.build_network("red03", seed=4)
         dst.load(tmp_path / "a.ascw")
         _assert_state_equal(dst.state_dict(), src.state_dict())
         assert all(p.data.dtype == np.float32 for p in dst.params())
@@ -615,17 +609,13 @@ class TestSaveLoad:
             model.load(path)
         _assert_state_equal(model.state_dict(), before)
 
-    @pytest.mark.parametrize("kind, edit", [
-        ("network", "drop_last_param"),
-        ("network", "drop_last_buffer"),
-        ("network", "wrong_param_shape"),
-        ("network", "wrong_buffer_shape"),
-        ("network", "stray_entry"),
-    ])
-    def test_bad_file_rejected_and_model_unchanged(self, tmp_path, kind, edit):
+    @pytest.mark.parametrize("edit", ["drop_last_param", "drop_last_buffer",
+                                      "wrong_param_shape", "wrong_buffer_shape",
+                                      "stray_entry"])
+    def test_bad_file_rejected_and_model_unchanged(self, tmp_path, edit):
         # the file is another model's, with one entry too few, too many or reshaped
-        model = _build(kind, seed=3)
-        other = _build(kind, seed=9)
+        model = models.build_network("red03", seed=3)
+        other = models.build_network("red03", seed=9)
         for buf in other.buffers().values():
             buf += 0.5
         first, last_bn = other.params()[0], other.blocks[-1].bn

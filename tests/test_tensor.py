@@ -424,26 +424,19 @@ class TestDenseAndShape:
         out = T.dense(T.Tensor(x), T.Tensor(np.eye(4)), T.Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, x, rtol=1e-12)
 
-    def test_global_avg_freq_constant(self):
-        x = T.Tensor(np.full((2, 5, 6, 3), 7.0))
-        out = T.global_pool(x, "avg_freq")
-        assert out.shape == (2, 18)
-        np.testing.assert_allclose(out.data, 7.0)
-
     def test_concat_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((2, 5)))
         assert T.concat([a, b], axis=1).shape == (2, 8)
 
-    def test_global_pool_kinds_shapes(self):
-        x = T.Tensor(np.zeros((2, 8, 16, 512)))
-        assert T.global_pool(x, "avg_channel").shape == (2, 8 * 16)
-        assert T.global_pool(x, "max_time").shape == (2, 8 * 512)
-        assert T.global_pool(x, "avg_freq").shape == (2, 16 * 512)
-
-    def test_global_pool_unknown_kind(self):
-        with pytest.raises(ConfigMismatch, match="^unknown global_pool kind 'max_freq'$"):
-            T.global_pool(T.Tensor(np.zeros((2, 3, 4, 5))), "max_freq")
+    def test_global_pool_reference(self):
+        # oracle: the three per-channel descriptors in float64, in their order
+        x = np.random.default_rng(11).normal(size=(2, 8, 16, 5))
+        out = T.global_pool(T.Tensor(x))
+        assert out.shape == (2, 3 * 5) and out.dtype == np.float64
+        want = np.concatenate([x.mean(axis=(1, 2)), x.max(axis=2).mean(axis=1),
+                               x.mean(axis=1).max(axis=1)], axis=1)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
 
 
 class TestBackward:
@@ -570,7 +563,7 @@ class TestBackward:
             w = T.Tensor(rng.normal(size=(3, 3, 3, 4)))
             h = T.relu(T.conv2d(x, w, T.Tensor(rng.normal(size=4))))
             h = T.dropout(h, 0.5, "train", np.random.default_rng(5))
-            return T.global_pool(h, "avg_channel").data
+            return T.global_pool(h).data
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
 
@@ -584,10 +577,16 @@ class TestShapeChecks:
         (lambda: T.dense(_t(2, 3), _t(3, 5), _t(1, 5)), r"dense bias: \(1, 5\)"),
         (lambda: T.conv2d(_t(1, 4, 4, 2), _t(3, 3, 2, 5), _t(4)), r"conv bias: \(4,\)"),
         (lambda: T.residual_norm(_t(2, 3, 4)), "residual_norm expects B x F x T x C"),
-        (lambda: T.global_pool(_t(2, 3, 4), "max_time"), "global_pool expects 4-D input"),
+        (lambda: T.global_pool(_t(2, 3, 4)), "global_pool expects 4-D input"),
         (lambda: T.max_pool(_t(4, 4, 2)), r"max_pool expects B x F x T x C, got \(4, 4, 2\)"),
+        (lambda: T.concat([_t(2, 3), _t(3, 3)], axis=1),
+         r"^concat: shapes \[\(2, 3\), \(3, 3\)\] do not join along axis 1$"),
+        (lambda: T.concat([], axis=0), r"^concat: shapes \[\] do not join along axis 0$"),
+        (lambda: T.concat([_t(2, 3), _t(2, 1)], axis=2),
+         r"^concat: shapes \[\(2, 3\), \(2, 1\)\] do not join along axis 2$"),
     ], ids=["add", "mul", "dense-inner", "dense-rank", "dense-bias", "conv2d-bias",
-            "residual_norm-rank", "global_pool-rank", "max_pool-rank"])
+            "residual_norm-rank", "global_pool-rank", "max_pool-rank", "concat-other-axis",
+            "concat-empty", "concat-axis-range"])
     def test_rejected(self, make, message):
         with pytest.raises(ShapeMismatch, match=message):
             make()
@@ -626,7 +625,7 @@ FLOAT32_OPS = {
     "residual_norm": lambda r: T.residual_norm(_f32(r, 2, 3, 4, 2)),
     "reduce_mean": lambda r: T.reduce_mean(_f32(r, 2, 3, 4), 1),
     "reduce_max": lambda r: T.reduce_max(_f32(r, 2, 3, 4), 1),
-    "global_pool": lambda r: T.global_pool(_f32(r, 2, 3, 4, 2), "max_time"),
+    "global_pool": lambda r: T.global_pool(_f32(r, 2, 3, 4, 2)),
 }
 
 
