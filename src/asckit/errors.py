@@ -18,14 +18,15 @@ class IOFailure(AscKitError):
 
 
 class ShapeMismatch(AscKitError):
-    """The data given does not fit: operands of incompatible shapes, or other
-    than the 3 that `tensor.avg_pool` pools, or a window side under 1; a label
-    row off the simplex; a clip that is empty, not mono, non-finite or at a
-    rate that is a bool or not a whole number, or one to resample below
-    `audio.MIN_RATE`, to segment not at 32 kHz or shorter than a segment, or
-    to extract features from not one 10 s / 32 kHz segment; features that
-    overflow; a batch too small for a crop or mask, or given a number of
-    sample indices other than its size; or a forward batch with no
+    """The data given does not fit: operands of incompatible shapes or of
+    different dtypes, or other than the 3 that `tensor.avg_pool` pools; a
+    `tensor.max_pool` side that is odd or under 2; a reduce axis out of
+    range; a label row off the simplex; a clip that is empty, not mono,
+    non-finite or at a rate that is a bool or not a whole number, or one to
+    resample below `audio.MIN_RATE`, to segment not at 32 kHz or shorter than
+    a segment, or to extract features from not one 10 s / 32 kHz segment;
+    features that overflow; a batch too small for a crop or mask, or given a
+    number of sample indices other than its size; or a forward batch with no
     examples."""
 
 

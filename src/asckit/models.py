@@ -51,7 +51,6 @@ from .errors import ConfigMismatch, IOFailure, ShapeMismatch, check_integer
 
 N_CLASSES = 10
 INPUT_SHAPE = (128, 256, 3)
-INCRES_K = 3
 DROPOUT_FC = 0.2
 DROPOUT_BLOCK = 0.1
 
@@ -114,7 +113,8 @@ class Module:
         file: "ASCW", version u16 (2), count u32, then per entry a u16-length
         name (UTF-8), rank u8, dtype code u8 (1 float64 for float64 arrays, else
         0 float32), dims u32 each and the payload, little-endian. A non-finite
-        value raises `IOFailure` naming the entry; a file at `path` is kept."""
+        value or a name with no UTF-8 form raises `IOFailure` naming the
+        entry; a file at `path` is kept."""
         state = self.state_dict()
         with atomic_write(path) as fh:
             fh.write(_WEIGHT_MAGIC + struct.pack("<HI", _WEIGHT_VERSION, len(state)))
@@ -123,7 +123,10 @@ class Module:
                 value = np.asarray(value, dtype=_WEIGHT_DTYPES[code])
                 if not np.isfinite(value).all():
                     raise IOFailure(f"{path}: {name} holds a non-finite value")
-                encoded = name.encode("utf-8")
+                try:
+                    encoded = name.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise IOFailure(f"{path}: entry name {name!r} has no UTF-8 form") from None
                 if len(encoded) > 0xFFFF:
                     raise IOFailure(f"{path}: entry name over 65535 bytes: {name[:40]!r}...")
                 fh.write(struct.pack(f"<H{len(encoded)}sBB{value.ndim}I", len(encoded),
@@ -242,7 +245,7 @@ class InceptionUnit(Module):
         self.bn = BatchNorm(f"{name}.bn", cout)
 
     def __call__(self, x, mode, rng):
-        merged = T.concat([br(x, mode, rng) for br in self.branches], axis=3)
+        merged = T.concat([br(x, mode, rng) for br in self.branches])
         return self.bn(merged, mode, rng)
 
 
@@ -250,11 +253,11 @@ class IncResUnit(Module):
     """Branches conv(Kx1), conv(KxK), conv(1xK) -> stride-1 average pooling
     with the same kernels -> summed, plus the residual path: the input, or
     its 1x1 conv projection `<name>.proj` (kernel and bias) when the width
-    changes. The pooled sum is one `T.avg_pool(branches, INCRES_K)` op, which
-    pools its three inputs with these kernels in this order, so the graph
-    keeps one array for it; the residual path is one `T.add`."""
+    changes; K is `T.INCRES_K`. The pooled sum is one `T.avg_pool(branches)`
+    op, which pools its three inputs with these kernels in this order, so the
+    graph keeps one array for it; the residual path is one `T.add`."""
 
-    KERNELS = ((INCRES_K, 1), (INCRES_K, INCRES_K), (1, INCRES_K))
+    KERNELS = ((T.INCRES_K, 1), (T.INCRES_K, T.INCRES_K), (1, T.INCRES_K))
 
     def __init__(self, name, cin, cout, rng):
         self.branches = [
@@ -264,7 +267,7 @@ class IncResUnit(Module):
         self.proj = _weights(f"{name}.proj", (1, 1, cin, cout), rng) if cin != cout else []
 
     def __call__(self, x, mode, rng):
-        pooled = T.avg_pool([br(x, mode, rng) for br in self.branches], INCRES_K)
+        pooled = T.avg_pool([br(x, mode, rng) for br in self.branches])
         return T.add(pooled, T.conv2d(x, *self.proj) if self.proj else x)
 
 

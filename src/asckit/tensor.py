@@ -10,27 +10,27 @@ on in every other, and threads may run eval forwards at once. `backward` walks
 the implicit graph in reverse topological order and accumulates gradients
 into every tensor that requires them.
 
-The window ops have the two geometries the networks use. `conv2d` and
-`avg_pool` slide stride-1 'same' windows that reach (k - 1) // 2 cells
-before their centre and k // 2 after along each axis, so the output has the
-input's frequency and time size; `_span` gives, along one axis, the cells
-whose neighbour d cells away lies inside it. `conv2d`'s forward copies the
-windows of its zero-padded input, a `sliding_window_view` (`_windows`), out
-as the columns of one GEMM (im2col). Its backward runs one GEMM per kernel
-offset for each gradient: the kernel's reads that offset's view of the
-windows, padded anew so no closure keeps a padded input, and the input's
-adds the `_span`-clipped part of its GEMM into a zero array of the input's
-shape, padding nothing. Nor does `avg_pool`, the inception-residual unit's
-fixed pooled sum of three inputs over (k, 1), (k, k) and (1, k) windows:
-`_box_sum` sums each window along one axis with one add of each
-`_span`-shifted slice, and a window is divided by the cells it covers, the
-product of its two 1-D counts. So the first two inputs share one frequency
-pass, and the backward runs the same boxes, mirrored, over the gradient
-divided by those counts. `max_pool` is the fixed 2 x 2 tile max of every
-block: its four views are the cells of the non-overlapping tiles, and a
-trailing odd row or column is dropped. Its forward is a running max over
-the views; its backward writes each tile cell once, the tile's gradient at
-its first maximum in row-major order and zero elsewhere.
+The window ops have the geometries the networks give them. `conv2d` slides
+stride-1 'same' windows that reach (k - 1) // 2 cells before their centre
+and k // 2 after along each axis, so the output has the input's frequency
+and time size; `_span` gives, along one axis, the cells whose neighbour d
+cells away lies inside it. `conv2d`'s forward copies the windows of its
+zero-padded input, a `sliding_window_view` (`_windows`), out as the columns
+of one GEMM (im2col). Its backward runs one GEMM per kernel offset for each
+gradient: the kernel's reads that offset's view of the windows, padded anew
+so no closure keeps a padded input, and the input's adds the
+`_span`-clipped part of its GEMM into a zero array of the input's shape,
+padding nothing. Nor does `avg_pool`, the inception-residual unit's fixed
+pooled sum of three inputs over (K, 1), (K, K) and (1, K) windows centred
+on their cell, K = `INCRES_K` being odd: `_box_sum` sums each window along
+one axis with one add of each `_span`-shifted slice, and a window is
+divided by the cells it covers, the product of its two 1-D counts. So the
+first two inputs share one frequency pass, and the backward runs the same
+boxes over the gradient divided by those counts. `max_pool` is the fixed
+2 x 2 tile max of every block, on even sides only: its four views are the
+cells of the non-overlapping tiles, which cover the input. Its forward is a
+running max over the views; its backward writes each tile cell once, the
+tile's gradient at its first maximum in row-major order and zero elsewhere.
 
 The conv core, `_conv_forward` and `_conv_backward`, has no bias; `conv2d`
 adds its own and sums its gradient. `conv_bn_relu` is the networks'
@@ -41,7 +41,8 @@ bit-identical to the three-op chain with a zero bias, but its graph keeps
 only the conv input, the standardized conv output and its own output.
 
 Every op stores its output, and every gradient, in its input's dtype
-(float32 in training, float64 in the gradient test-suite); statistics
+(float32 in training, float64 in the gradient test-suite), and an op with
+several inputs rejects inputs of different dtypes; statistics
 (means/variances) and full reductions accumulate in float64 and are cast
 back to that dtype before they broadcast, without any full-size float64
 temporary. Batch norm's per-channel sums reduce (batch, frequency) first,
@@ -60,8 +61,8 @@ drops once the closure has run, so the closure may write into it, as
 `relu`, `dropout`, `conv_bn_relu`, `avg_pool` and `residual_norm` do, or
 hand it to an input.
 
-The normalization settings are the module constants `BN_EPS`,
-`BN_MOMENTUM`, `RN_LAMBDA` and `RN_EPS`; no caller sets them. Eval-mode
+The network settings are the module constants `BN_EPS`, `BN_MOMENTUM`,
+`RN_LAMBDA`, `RN_EPS` and `INCRES_K`; no caller sets them. Eval-mode
 `batch_norm` is a per-channel affine map with constant coefficients from
 gamma, beta and the running buffers, so its backward reaches only its input.
 """
@@ -76,11 +77,12 @@ import numpy as np
 
 from .errors import ConfigMismatch, ShapeMismatch
 
-# normalization settings of the paper's networks
+# settings of the paper's networks
 BN_EPS = 1e-3  # batch norm variance offset
 BN_MOMENTUM = 0.99  # batch norm running-statistics momentum
 RN_LAMBDA = 0.4  # weight of the identity shortcut in residual norm
 RN_EPS = 1e-5  # residual norm variance offset
+INCRES_K = 3  # odd side of the inception-residual unit's conv and pool windows
 
 
 class Tensor:
@@ -203,7 +205,15 @@ def zero_grads(params) -> None:
 # elementwise and shape ops
 
 
+def _check_dtypes(op, *arrays):
+    """Raise ShapeMismatch unless the tensors or arrays share one dtype."""
+    if len({a.dtype for a in arrays}) > 1:
+        raise ShapeMismatch(f"{op}: inputs of different dtypes "
+                            f"{', '.join(a.dtype.name for a in arrays)}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_dtypes("add", a, b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
 
@@ -214,6 +224,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_dtypes("mul", a, b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
 
@@ -243,20 +254,19 @@ def reshape(x: Tensor, shape) -> Tensor:
                    lambda g: x.accumulate(g.reshape(x.shape)))
 
 
-def concat(tensors, axis: int) -> Tensor:
+def concat(tensors) -> Tensor:
+    """The tensors, alike but in their last axis, joined along it."""
     tensors = list(tensors)
-    shapes = [t.shape for t in tensors]
-    if not all(-len(s) <= axis < len(s) for s in shapes) or len(
-            {tuple(np.delete(s, axis)) for s in shapes}) != 1:
-        raise ShapeMismatch(f"concat: shapes {shapes} do not join along axis {axis}")
-    offsets = np.cumsum([0] + [s[axis] for s in shapes])
+    if len({(t.shape[:-1], t.dtype) for t in tensors}) != 1 or min(
+            t.data.ndim for t in tensors) == 0:
+        raise ShapeMismatch(f"concat: inputs {[(t.shape, t.dtype.name) for t in tensors]} "
+                            "do not join along the last axis")
+    offsets = np.cumsum([0] + [t.shape[-1] for t in tensors])
 
     def _bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            t.accumulate(g[tuple(idx)])
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+            t.accumulate(g[..., lo:hi])
+    return _result(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors),
                    "concat", _bw)
 
 
@@ -303,6 +313,7 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    _check_dtypes("dense", x, w, b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"dense: {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
@@ -335,6 +346,7 @@ def _windows(x, kernel):
 def _conv_forward(x, w):
     """The bias-free stride-1 'same' conv of the arrays x and w: one GEMM
     over the [B*F*T, kf*kt*cin] window columns (im2col)."""
+    _check_dtypes("conv2d", x, w)
     if x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"conv2d: input {x.shape}, kernel {w.shape}")
     kf, kt, cin, cout = w.shape
@@ -394,24 +406,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def max_pool(x: Tensor) -> Tensor:
-    """Max over the non-overlapping 2 x 2 (frequency, time) tiles; a trailing
-    odd row or column is dropped and gets zero gradient. Each tile's gradient
-    goes to its first maximum in row-major order.
+    """Max over the non-overlapping 2 x 2 (frequency, time) tiles, which
+    cover the input: both sides must be even. Each tile's gradient goes to
+    its first maximum in row-major order.
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"max_pool expects B x F x T x C, got {x.shape}")
     _, f, t, _ = x.shape
-    if f < 2 or t < 2:
-        raise ShapeMismatch(f"max_pool needs at least 2 x 2 (frequency, time), got {(f, t)}")
-    tiles = [(slice(None), slice(u, f - f % 2, 2), slice(v, t - t % 2, 2))
-             for u in (0, 1) for v in (0, 1)]
+    if f < 2 or t < 2 or f % 2 or t % 2:
+        raise ShapeMismatch(f"max_pool needs at least 2 x 2 (frequency, time), even, got {(f, t)}")
+    tiles = [(slice(None), slice(u, None, 2), slice(v, None, 2)) for u in (0, 1) for v in (0, 1)]
     y = x.data[tiles[0]].copy()
     for o in tiles[1:]:
         np.maximum(y, x.data[o], out=y)
 
     def _bw(g):
-        # the tile views write every cell unless a trailing row or column is dropped
-        gx = (np.empty_like if f % 2 == t % 2 == 0 else np.zeros_like)(x.data)
+        gx = np.empty_like(x.data)  # the tile views write every cell
         open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
         for o in tiles:
             hit = x.data[o] == y
@@ -422,60 +432,59 @@ def max_pool(x: Tensor) -> Tensor:
     return _result(y, (x,), "max_pool", _bw)
 
 
-def _box_sum(a, axis, before, after, out):
-    """Sums of `a` over the windows [i - before, i + after] along `axis`, each
-    clipped to the array, written into `out`, which must not be `a`: a copy,
-    then one add of each shifted slice."""
+def _box_sum(a, axis, out):
+    """Sums of `a` over the windows of INCRES_K cells centred on each cell
+    along `axis`, each clipped to the array, written into `out`, which must
+    not be `a`: a copy, then one add of each shifted slice."""
     np.copyto(out, a)
     lead = (slice(None),) * axis
-    for d in (*range(-before, 0), *range(1, after + 1)):
+    r = INCRES_K // 2
+    for d in (*range(-r, 0), *range(1, r + 1)):
         to, frm = (lead + (s,) for s in _span(a.shape[axis], d))
         np.add(out[to], a[frm], out=out[to])
     return out
 
 
-def avg_pool(xs, k) -> Tensor:
-    """The sum of the stride-1 'same' window means of the three [B, F, T, C]
-    inputs `xs`, of one shape and dtype, over (k, 1), (k, k) and (1, k)
-    (frequency, time) cells in that order: the inception-residual unit's
-    pooled branches. Each window is divided by the cells of the input it
-    covers, the product of its 1-D counts cf and ct, so with boxF and boxT
-    the window sums along one axis, y = boxF(x0 + boxT(x1) / ct) / cf +
-    boxT(x2) / ct. The backward mirrors it; each input gets its own array.
+def avg_pool(xs) -> Tensor:
+    """The sum of the stride-1 window means of the three [B, F, T, C] inputs
+    `xs`, of one shape and dtype, over (K, 1), (K, K) and (1, K) (frequency,
+    time) cells in that order, K = INCRES_K: the inception-residual unit's
+    pooled branches. Each window, centred on its cell as K is odd, is
+    divided by the cells of the input it covers, the product of its 1-D
+    counts cf and ct, so with boxF and boxT the window sums along one axis,
+    y = boxF(x0 + boxT(x1) / ct) / cf + boxT(x2) / ct. The backward runs the
+    same boxes; each input gets its own array.
     """
     xs = list(xs)
     if len(xs) != 3 or len(xs[0].shape) != 4 or any(
             (x.shape, x.dtype) != (xs[0].shape, xs[0].dtype) for x in xs):
         raise ShapeMismatch("avg_pool needs 3 B x F x T x C inputs of one shape and dtype, "
                             f"got {[(x.shape, x.dtype.name) for x in xs]}")
-    if k < 1:
-        raise ShapeMismatch(f"avg_pool kernel side {k}: must be at least 1")
     x0, x1, x2 = xs
     _, f, t, c = x0.shape
-    reach, back = ((k - 1) // 2, k // 2), (k // 2, (k - 1) // 2)
 
-    def box(a, axis, ends):
-        return _box_sum(a, axis, *ends, np.empty_like(a))
+    def box(a, axis):
+        return _box_sum(a, axis, np.empty_like(a))
 
     # the counts broadcast as [F, 1, 1] and as [T, C] rows, over which numpy
     # runs one inner loop (see `_rows`)
-    cf = box(np.ones(f, x0.dtype), 0, reach)[:, None, None]
-    ct = np.repeat(box(np.ones(t, x0.dtype), 0, reach), c).reshape(t, c)
-    s = box(x1.data, 2, reach)
+    cf = box(np.ones(f, x0.dtype), 0)[:, None, None]
+    ct = np.repeat(box(np.ones(t, x0.dtype), 0), c).reshape(t, c)
+    s = box(x1.data, 2)
     s /= ct
     s += x0.data
-    y = box(s, 1, reach)
+    y = box(s, 1)
     y /= cf
-    s = _box_sum(x2.data, 2, *reach, s)
+    s = _box_sum(x2.data, 2, s)
     s /= ct
     y += s
 
     def _bw(g):
-        h = box(g / cf, 1, back)
-        x1.accumulate(box(h / ct, 2, back))
+        h = box(g / cf, 1)
+        x1.accumulate(box(h / ct, 2))
         x0.accumulate(h)
         g /= ct  # g is this output's own gradient
-        x2.accumulate(box(g, 2, back))
+        x2.accumulate(box(g, 2))
     return _result(y, (x0, x1, x2), "avg_pool", _bw)
 
 
@@ -654,7 +663,13 @@ def residual_norm(x: Tensor) -> Tensor:
 # axis reductions and global pooling
 
 
+def _check_axis(op, x, axis):
+    if not -x.data.ndim <= axis < x.data.ndim:
+        raise ShapeMismatch(f"{op}: axis {axis} is out of range for shape {x.shape}")
+
+
 def reduce_mean(x: Tensor, axis: int) -> Tensor:
+    _check_axis("reduce_mean", x, axis)
     n = x.shape[axis]
     return _result(x.data.mean(axis=axis, dtype=np.float64).astype(x.dtype), (x,),
                    "reduce_mean",
@@ -662,6 +677,7 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
 
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
+    _check_axis("reduce_max", x, axis)
     idx = x.data.argmax(axis=axis)
     out_data = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
 
@@ -683,4 +699,4 @@ def global_pool(x: Tensor) -> Tensor:
     overall_avg = reduce_mean(freq_mean, 1)
     time_max = reduce_mean(reduce_max(x, 2), 1)
     freq_avg = reduce_max(freq_mean, 1)
-    return concat([overall_avg, time_max, freq_avg], axis=1)
+    return concat([overall_avg, time_max, freq_avg])

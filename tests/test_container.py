@@ -170,6 +170,15 @@ class TestWeights:
         assert path.read_bytes() == raw
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_name_without_utf8_form_not_saved(self, tmp_path):
+        # a lone surrogate is a str that UTF-8 cannot encode
+        path = tmp_path / "w.ascw"
+        model = Holder([T.Parameter(np.ones(2, np.float32), "a\ud800")])
+        with pytest.raises(IOFailure, match=f"^{re.escape(str(path))}: entry name "
+                                            r"'a\\ud800' has no UTF-8 form$"):
+            model.save(path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCache:
     def test_roundtrip(self, tmp_path):

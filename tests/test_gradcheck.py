@@ -8,7 +8,6 @@ against central differences (h = 1e-4) evaluated fully in float64.
 import numpy as np
 import pytest
 
-from asckit import models
 from asckit import tensor as T
 
 H = 1e-4
@@ -135,24 +134,17 @@ class TestPooling:
         x = T.Tensor(well_spaced(rng, (2, 6, 6, 3)), requires_grad=True)
         check(lambda x: T.max_pool(x), [x])
 
-    # each input alone, the others constant: the kernels IncResUnit pools with,
-    # then even sides, whose windows reach one cell further after their centre
-    # than before
-    @pytest.mark.parametrize("kernel", [(3, 3), (3, 1), (1, 3), (2, 2), (4, 1)],
-                             ids=["same", "same-3x1", "same-1x3", "same-2x2", "same-4x1"])
-    def test_avg_pool(self, rng, kernel):
-        k = max(kernel)
+    # each input alone, the others constant, with the kernel IncResUnit pools it with
+    @pytest.mark.parametrize("i", [1, 0, 2], ids=["same", "same-3x1", "same-1x3"])
+    def test_avg_pool(self, rng, i):
         xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3))) for _ in range(3)]
-        i = [(k, 1), (k, k), (1, k)].index(kernel)
         xs[i].requires_grad = True
-        check(lambda x: T.avg_pool(xs, k), [xs[i]])
+        check(lambda x: T.avg_pool(xs), [xs[i]])
 
     def test_avg_pool_sum(self, rng):
-        # IncResUnit's three branches pooled and summed in one op, at an even
-        # side and at the unit's
-        for k in (2, models.INCRES_K):
-            xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True) for _ in range(3)]
-            check(lambda *xs: T.avg_pool(xs, k), xs)
+        # IncResUnit's three branches pooled and summed in one op
+        xs = [T.Tensor(rng.normal(size=(2, 6, 7, 3)), requires_grad=True) for _ in range(3)]
+        check(lambda *xs: T.avg_pool(xs), xs)
 
     def test_reduce_max(self, rng):
         x = T.Tensor(well_spaced(rng, (3, 5, 4, 2)), requires_grad=True)
@@ -220,7 +212,7 @@ class TestComposite:
     def test_concat(self, rng):
         a = T.Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-        check(lambda a, b: T.concat([a, b], axis=3), [a, b])
+        check(lambda a, b: T.concat([a, b]), [a, b])
 
     def test_small_network_chain(self, rng):
         # conv -> relu -> max_pool -> residual_norm -> global pool -> dense

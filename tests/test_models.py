@@ -117,6 +117,8 @@ class TestForward:
         # position, so each branch must sit where its kernel is
         rng = np.random.default_rng(17)
         unit = models.IncResUnit("u", cin, 4, rng)
+        for p in unit.params():  # float64, as the window loops are
+            p.data = p.data.astype(np.float64)
         x = T.Tensor(rng.normal(size=(2, 6, 7, cin)))
         g = np.zeros((2, 6, 7, 4))
         with T.no_grad():

@@ -9,8 +9,16 @@ from asckit import tensor as T
 from asckit.errors import ConfigMismatch, ShapeMismatch
 
 
+# the windows `avg_pool` pools its three inputs over, in their order
+POOL_KERNELS = [(T.INCRES_K, 1), (T.INCRES_K, T.INCRES_K), (1, T.INCRES_K)]
+
+
 def _t(*shape):
     return T.Tensor(np.zeros(shape))
+
+
+def _f(*shape):
+    return T.Tensor(np.zeros(shape, np.float32))
 
 
 def _naive_conv_same(x, w, b):
@@ -185,6 +193,14 @@ class TestConvBnRelu:
                            T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), rm, rv)
         assert rm.tobytes() + rv.tobytes() == before
 
+    def test_mixed_dtypes_rejected_before_the_buffers_move(self):
+        rm, rv = np.full(3, 0.25), np.full(3, 2.0)
+        before = rm.tobytes() + rv.tobytes()
+        with pytest.raises(ShapeMismatch,
+                           match="^conv2d: inputs of different dtypes float32, float64$"):
+            T.conv_bn_relu(_f(2, 5, 6, 2), T.Tensor(np.ones((3, 3, 2, 3))), _f(3), _f(3), rm, rv)
+        assert rm.tobytes() + rv.tobytes() == before
+
 
 class TestActivations:
     def test_softmax_uniform(self):
@@ -246,22 +262,12 @@ class TestPooling:
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
         assert T.max_pool(x).data[0, 0, 0, 0] == 4.0
 
-    def test_avg_pool_2x2(self):
-        # a 2x2 window pads one trailing cell: only the first window is whole
-        x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-        assert T.avg_pool([_t(1, 2, 2, 1), x, _t(1, 2, 2, 1)], 2).data[0, 0, 0, 0] == 2.5
-
     def test_avg_pool_same_corner_true_divisor(self):
         # at a corner of all-ones inputs a 3x3 window overlaps 4 real cells
         # and a 3x1 or 1x3 window 2: each mean is 1
-        out = T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))] * 3, 3)
+        out = T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))] * 3)
         assert out.data[0, 0, 0, 0] == 3.0
         np.testing.assert_allclose(out.data, 3.0)
-
-    @pytest.mark.parametrize("k", [0, -1], ids=str)
-    def test_avg_pool_kernel_side_under_1_rejected(self, k):
-        with pytest.raises(ShapeMismatch, match=rf"kernel side {k}: must be at least 1"):
-            T.avg_pool([T.Tensor(np.ones((1, 4, 4, 1)))] * 3, k)
 
     @pytest.mark.parametrize("xs, message", [
         ([], r"got \[\]"),
@@ -272,72 +278,53 @@ class TestPooling:
     ], ids=["empty", "two", "four", "shapes", "rank"])
     def test_avg_pool_inputs_rejected(self, xs, message):
         with pytest.raises(ShapeMismatch, match=message):
-            T.avg_pool(xs, 3)
+            T.avg_pool(xs)
 
     EDGE_SHAPES = pytest.mark.parametrize(
         "shape", [(2, 1, 5, 3), (2, 5, 1, 3), (2, 2, 2, 2), (1, 3, 2, 2), (2, 6, 7, 3)],
         ids=["f1", "t1", "f2-t2", "f3-t2", "f6-t7"])
 
     @EDGE_SHAPES
-    # 7x1 reaches 3 cells each way, more than a side of 2 holds
-    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3), (4, 1), (7, 1)],
-                             ids=lambda k: f"{k[0]}x{k[1]}")
+    @pytest.mark.parametrize("kernel", POOL_KERNELS, ids=lambda k: f"{k[0]}x{k[1]}")
     def test_avg_pool_matches_the_window_loop(self, kernel, shape):
         # each input alone, the other two zero, is pooled with its own kernel:
-        # the first with (k, 1), the second with (k, k), the third with (1, k)
-        k = max(kernel)
-        i = [(k, 1), (k, k), (1, k)].index(kernel)
+        # the first with (K, 1), the second with (K, K), the third with (1, K)
+        i = POOL_KERNELS.index(kernel)
         rng = np.random.default_rng(20)
         xs = [T.Tensor(np.zeros(shape), requires_grad=True) for _ in range(3)]
         xs[i].data[...] = rng.normal(size=shape)
         g = rng.normal(size=shape)
-        out = T.avg_pool(xs, k)
+        out = T.avg_pool(xs)
         T.backward(T.tsum(T.mul(out, T.Tensor(g))))
         want, want_grad = _avg_pool_loop(xs[i].data, kernel, g)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(xs[i].grad, want_grad, rtol=1e-12, atol=1e-15)
 
     @EDGE_SHAPES
-    @pytest.mark.parametrize("k", [1, 2, models.INCRES_K, 4, 7],
-                             ids=lambda k: "incres" if k == models.INCRES_K else f"k{k}")
-    def test_avg_pool_sum_matches_the_window_loops(self, k, shape):
+    def test_avg_pool_sum_matches_the_window_loops(self, shape):
         # the output and each input's gradient against the sum of the loops
-        # over (k, 1), (k, k) and (1, k)
+        # over (K, 1), (K, K) and (1, K)
         rng = np.random.default_rng(20)
         xs = [T.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
         g = rng.normal(size=shape)
-        out = T.avg_pool(xs, k)
+        out = T.avg_pool(xs)
         T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-        kernels = [(k, 1), (k, k), (1, k)]
-        want = [_avg_pool_loop(x.data, kernel, g) for x, kernel in zip(xs, kernels)]
+        want = [_avg_pool_loop(x.data, kernel, g) for x, kernel in zip(xs, POOL_KERNELS)]
         np.testing.assert_allclose(out.data, sum(w[0] for w in want), rtol=1e-12, atol=1e-15)
         for x, (_, want_grad) in zip(xs, want):
             np.testing.assert_allclose(x.grad, want_grad, rtol=1e-12, atol=1e-15)
 
-    def test_max_pool_drops_trailing_remainder(self):
-        # 5x7 in 2x2 tiles: 2x3 tiles, the last row and column in none
-        x = np.arange(35.0).reshape(1, 5, 7, 1)
-        x[0, 4, :, 0] = x[0, :, 6, 0] = 100.0
-        xt = T.Tensor(x, requires_grad=True)
-        out = T.max_pool(xt)
-        np.testing.assert_array_equal(out.data[0, :, :, 0], [[8, 10, 12], [22, 24, 26]])
-        T.backward(T.tsum(out))
-        assert xt.grad[0, 4, :, 0].sum() == 0 and xt.grad[0, :, 6, 0].sum() == 0
-        assert xt.grad.sum() == 6
-
-    # the even shape's tile views cover every cell, so its gradient starts empty
-    @pytest.mark.parametrize("f, t", [(6, 8), (5, 7)], ids=["even", "odd"])
-    def test_max_pool_gradient_fills_every_cell(self, f, t, monkeypatch):
+    def test_max_pool_gradient_fills_every_cell(self, monkeypatch):
         # ties included: each tile's gradient goes to its first maximum in
-        # row-major order, every other cell gets zero; an unwritten cell shows
-        # as NaN
+        # row-major order, every other cell gets zero; the gradient starts
+        # empty, so an unwritten cell shows as NaN
         empty_like = np.empty_like
         monkeypatch.setattr(np, "empty_like",
                             lambda a, *args, **kw: empty_like(a, *args, **kw) * np.nan)
         rng = np.random.default_rng(21)
-        x = rng.integers(0, 3, size=(f, t)).astype(float)
-        g = rng.normal(size=(f // 2, t // 2))
-        want = np.zeros((f, t))
+        x = rng.integers(0, 3, size=(6, 8)).astype(float)
+        g = rng.normal(size=(3, 4))
+        want = np.zeros((6, 8))
         for i, j in np.ndindex(g.shape):
             tile = x[2 * i:2 * i + 2, 2 * j:2 * j + 2]
             u, v = np.unravel_index(np.argmax(tile), (2, 2))
@@ -347,6 +334,11 @@ class TestPooling:
     @pytest.mark.parametrize("f, t", [(1, 4), (4, 1)])
     def test_max_pool_input_under_2x2_rejected(self, f, t):
         with pytest.raises(ShapeMismatch, match=rf"at least 2 x 2 .*got \({f}, {t}\)"):
+            T.max_pool(T.Tensor(np.zeros((1, f, t, 1))))
+
+    @pytest.mark.parametrize("f, t", [(5, 4), (4, 7), (3, 3)])
+    def test_max_pool_odd_side_rejected(self, f, t):
+        with pytest.raises(ShapeMismatch, match=rf"\(frequency, time\), even, got \({f}, {t}\)"):
             T.max_pool(T.Tensor(np.zeros((1, f, t, 1))))
 
 
@@ -427,7 +419,7 @@ class TestDenseAndShape:
     def test_concat_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((2, 5)))
-        assert T.concat([a, b], axis=1).shape == (2, 8)
+        assert T.concat([a, b]).shape == (2, 8)
 
     def test_global_pool_reference(self):
         # oracle: the three per-channel descriptors in float64, in their order
@@ -507,7 +499,7 @@ class TestBackward:
         a, x, y, z = (T.Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4))
         b = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         r = [T.Tensor(rng.normal(size=s)) for s in [(2, 5), (2, 6), (3, 2), (2, 3)]]
-        outs = [T.concat([a, b], axis=1), T.concat([x, x], axis=1), T.reshape(y, (3, 2)),
+        outs = [T.concat([a, b]), T.concat([x, x]), T.reshape(y, (3, 2)),
                 T.add(z, z)]
         losses = [T.tsum(T.mul(o, w)) for o, w in zip(outs, r)]
         T.backward(T.add(T.add(losses[0], losses[1]), T.add(losses[2], losses[3])))
@@ -579,14 +571,30 @@ class TestShapeChecks:
         (lambda: T.residual_norm(_t(2, 3, 4)), "residual_norm expects B x F x T x C"),
         (lambda: T.global_pool(_t(2, 3, 4)), "global_pool expects 4-D input"),
         (lambda: T.max_pool(_t(4, 4, 2)), r"max_pool expects B x F x T x C, got \(4, 4, 2\)"),
-        (lambda: T.concat([_t(2, 3), _t(3, 3)], axis=1),
-         r"^concat: shapes \[\(2, 3\), \(3, 3\)\] do not join along axis 1$"),
-        (lambda: T.concat([], axis=0), r"^concat: shapes \[\] do not join along axis 0$"),
-        (lambda: T.concat([_t(2, 3), _t(2, 1)], axis=2),
-         r"^concat: shapes \[\(2, 3\), \(2, 1\)\] do not join along axis 2$"),
+        (lambda: T.concat([_t(2, 3), _t(3, 3)]), r"^concat: inputs \[\(\(2, 3\), 'float64'\), "
+         r"\(\(3, 3\), 'float64'\)\] do not join along the last axis$"),
+        (lambda: T.concat([]), r"^concat: inputs \[\] do not join along the last axis$"),
+        (lambda: T.concat([T.Tensor(np.zeros(()))] * 2), r"^concat: inputs \[\(\(\), "),
+        # inputs of different dtypes
+        (lambda: T.add(_t(2, 3), _f(2, 3)), "^add: inputs of different dtypes float64, float32$"),
+        (lambda: T.mul(_f(2, 3), _t(2, 3)), "^mul: inputs of different dtypes float32, float64$"),
+        (lambda: T.concat([_f(2, 3), _t(2, 1)]),
+         r"^concat: inputs \[\(\(2, 3\), 'float32'\), \(\(2, 1\), 'float64'\)\] do not join"),
+        (lambda: T.dense(_f(2, 3), _t(3, 5), _f(5)),
+         "^dense: inputs of different dtypes float32, float64, float32$"),
+        (lambda: T.dense(_f(2, 3), _f(3, 5), _t(5)),
+         "^dense: inputs of different dtypes float32, float32, float64$"),
+        (lambda: T.conv2d(_t(1, 4, 4, 2), _f(3, 3, 2, 5), _t(5)),
+         "^conv2d: inputs of different dtypes float64, float32$"),
+        (lambda: T.reduce_mean(_t(2, 3), 5), r"^reduce_mean: axis 5 is out of range for shape "
+         r"\(2, 3\)$"),
+        (lambda: T.reduce_max(_t(2, 3), -3), r"^reduce_max: axis -3 is out of range for shape "
+         r"\(2, 3\)$"),
     ], ids=["add", "mul", "dense-inner", "dense-rank", "dense-bias", "conv2d-bias",
             "residual_norm-rank", "global_pool-rank", "max_pool-rank", "concat-other-axis",
-            "concat-empty", "concat-axis-range"])
+            "concat-empty", "concat-rank-0", "add-dtypes", "mul-dtypes", "concat-dtypes",
+            "dense-w-dtype", "dense-b-dtype", "conv2d-dtypes", "reduce_mean-axis",
+            "reduce_max-axis"])
     def test_rejected(self, make, message):
         with pytest.raises(ShapeMismatch, match=message):
             make()
@@ -603,7 +611,7 @@ FLOAT32_OPS = {
     "log": lambda r: T.log(T.softmax(_f32(r, 2, 3))),
     "tsum": lambda r: T.tsum(_f32(r, 2, 3)),
     "reshape": lambda r: T.reshape(_f32(r, 2, 3), (3, 2)),
-    "concat": lambda r: T.concat([_f32(r, 2, 3), _f32(r, 2, 1)], axis=1),
+    "concat": lambda r: T.concat([_f32(r, 2, 3), _f32(r, 2, 1)]),
     "relu": lambda r: T.relu(_f32(r, 2, 3)),
     "softmax": lambda r: T.softmax(_f32(r, 2, 3)),
     "dropout": lambda r: T.dropout(_f32(r, 4, 4), 0.5, "train", r),
@@ -613,9 +621,7 @@ FLOAT32_OPS = {
         _f32(r, 2, 5, 6, 2), _f32(r, 3, 1, 2, 3), _f32(r, 3), _f32(r, 3), np.zeros(3),
         np.ones(3)),
     "max_pool": lambda r: T.max_pool(_f32(r, 1, 4, 6, 2)),
-    "avg_pool_same": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2) for _ in range(3)], 2),
-    "avg_pool_sum": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2) for _ in range(3)],
-                                         models.INCRES_K),
+    "avg_pool_sum": lambda r: T.avg_pool([_f32(r, 1, 4, 6, 2) for _ in range(3)]),
     "batch_norm_train": lambda r: T.batch_norm(
         _f32(r, 2, 3, 4, 2), _f32(r, 2), _f32(r, 2), np.zeros(2), np.ones(2), "train"),
     # eval-mode gamma and beta are constants: they get no gradient
