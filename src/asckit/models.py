@@ -28,10 +28,16 @@ three branches in one `tensor.avg_pool` and adds its shortcut with one
 `tensor.no_grad`: it records no graph, so nothing trains in eval mode and
 no graph outlives the call.
 
-`predict` splits each batch into one part per CPU the process may use and
-runs the parts' eval forwards at once, on the calling thread and a thread
-pool of its own, so one call keeps every CPU busy with BLAS at one thread.
-The `no_grad` flag is per thread, and no eval forward writes to the
+A train forward runs each unit's branches at once (`tensor.concurrently`),
+and `tensor.backward` runs their closures at once too. The branches write
+only their own BN buffers, and they must not draw from the dropout RNG,
+which the block draws from after them, so the bits do not depend on the
+order the threads run in. Eval forwards run their branches one after
+another: train-mode BN needs the whole batch, so a train forward can split
+only at the branches, while `predict` splits each batch into one part per
+CPU the process may use and runs the parts' eval forwards at once. Either
+way one call keeps every CPU busy, with BLAS expected at one thread per
+call. The `no_grad` flag is per thread, and no eval forward writes to the
 network, so the parts share it.
 """
 
@@ -39,9 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -231,6 +235,15 @@ class _ConvBnRelu(Module):
         return T.relu(T.conv2d(x, w, b))
 
 
+def _run_branches(branches, x, mode, rng):
+    """The branches' outputs for x, in order: at once in train mode
+    (`T.concurrently`), one after another in eval mode. No branch draws
+    from `rng`, so the order they run in changes no bit."""
+    if mode == "eval":
+        return [br(x, mode, rng) for br in branches]
+    return T.concurrently([functools.partial(br, x, mode, rng) for br in branches])
+
+
 class InceptionUnit(Module):
     """Three parallel conv branches (3x3, 1x1, 4x1) concatenated, then BN."""
 
@@ -245,7 +258,7 @@ class InceptionUnit(Module):
         self.bn = BatchNorm(f"{name}.bn", cout)
 
     def __call__(self, x, mode, rng):
-        merged = T.concat([br(x, mode, rng) for br in self.branches])
+        merged = T.concat(_run_branches(self.branches, x, mode, rng))
         return self.bn(merged, mode, rng)
 
 
@@ -267,7 +280,7 @@ class IncResUnit(Module):
         self.proj = _weights(f"{name}.proj", (1, 1, cin, cout), rng) if cin != cout else []
 
     def __call__(self, x, mode, rng):
-        pooled = T.avg_pool([br(x, mode, rng) for br in self.branches])
+        pooled = T.avg_pool(_run_branches(self.branches, x, mode, rng))
         return T.add(pooled, T.conv2d(x, *self.proj) if self.proj else x)
 
 
@@ -398,14 +411,6 @@ def network_summary(model: Network) -> list:
     return rows
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS keeps
-    one (`os.sched_getaffinity`, Linux), else every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def predict(model, features, batch_size: int = 32) -> np.ndarray:
     """Eval-mode class probabilities for [N, F, T, C] features.
 
@@ -414,14 +419,16 @@ def predict(model, features, batch_size: int = 32) -> np.ndarray:
     `_ConvBnRelu`), from the parameters and buffers as they are at the call.
 
     Each batch of `batch_size` rows is split by `np.array_split` into one
-    contiguous part per CPU the process may run on (`_cpus`), or one per
-    row when it has fewer rows. The parts' forwards run at once: the first
-    on the calling thread, the others on a thread pool that lives only for
-    this call. Their outputs are joined in row order. Eval BN uses its
-    running buffers and residual norm works per sample, so a row's
-    probabilities do not depend on the other rows. They are repeatable for
-    one host, CPU count and `batch_size`; another CPU count or `batch_size`
-    gives the GEMMs other row counts and may change the last float32 bits.
+    contiguous part per CPU the process may run on (`T._cpus`), or one per
+    row when it has fewer rows. The parts' forwards run at once through
+    `T.concurrently`, on the calling thread and a pool of one thread fewer
+    than the parts: with a pool thread for every part, red02 predict's peak
+    RSS at batch 4 on 2 CPUs rose by 3-11%. Their outputs are joined in row
+    order. Eval BN uses its running buffers and residual norm works per
+    sample, so a row's probabilities do not depend on the other rows. They
+    are repeatable for one host, CPU count and `batch_size`; another CPU
+    count or `batch_size` gives the GEMMs other row counts and may change
+    the last float32 bits.
     numpy and BLAS release the GIL in the forward's large array ops, so the
     threads overlap; BLAS is expected to run one thread per call, since the
     parts take every CPU.
@@ -429,16 +436,12 @@ def predict(model, features, batch_size: int = 32) -> np.ndarray:
     check_integer("batch_size", batch_size, least=1)
     features = np.asarray(features, dtype=np.float32)
     _check_input(features.shape)
-    cpus = _cpus()
+    cpus = T._cpus()
     forward = functools.partial(model.forward, mode="eval")
     outputs = [np.empty((0, N_CLASSES))]
-    # the calling thread runs one part itself: with a pool thread for every
-    # part, red02 predict's peak RSS at batch 4 on 2 CPUs rose by 3-11%
-    with ThreadPoolExecutor(max_workers=max(cpus - 1, 1)) as pool:
-        for lo in range(0, features.shape[0], batch_size):
-            batch = features[lo : lo + batch_size]
-            first, *rest = np.array_split(batch, min(cpus, batch.shape[0]))
-            others = pool.map(forward, rest)
-            for out in [forward(first), *others]:
-                outputs.append(out.data.astype(np.float64))
+    for lo in range(0, features.shape[0], batch_size):
+        batch = features[lo : lo + batch_size]
+        parts = np.array_split(batch, min(cpus, batch.shape[0]))
+        for out in T.concurrently([functools.partial(forward, part) for part in parts]):
+            outputs.append(out.data.astype(np.float64))
     return np.concatenate(outputs, axis=0)

@@ -6,9 +6,22 @@ closure and returns its output through `_result`, which records the op's
 inputs and that closure on the output only when grad is enabled and some
 input requires grad; under `no_grad` ops record nothing. Whether grad is
 enabled is kept per thread, so a `no_grad` block in one thread leaves grad
-on in every other, and threads may run eval forwards at once. `backward` walks
-the implicit graph in reverse topological order and accumulates gradients
-into every tensor that requires them.
+on in every other, and threads may run eval forwards at once.
+`concurrently` runs a list of callables at once, on the calling thread and
+a pool that lives only for the call, each pool thread with the caller's
+grad flag, and gives their results in list order.
+
+`backward` walks the implicit graph in reverse topological order, cut into
+maximal stretches of consecutive closures none of which is an input of
+another (an inception unit's branches, say), and runs each stretch's
+closures through `concurrently`. While a closure runs in a stretch,
+`Tensor.accumulate` queues each (tensor, gradient) pair it is handed, per
+thread, and adds nothing; once the stretch is done the pairs are added in
+stretch order, which is the serial order, so every gradient has the bits a
+one-thread walk gives. Once its closure has run, an op output is released:
+its gradient, its closure and its parents are dropped, so the arrays the
+closure kept are freed as the walk goes, and a second `backward` through
+the same graph reaches nothing.
 
 The window ops have the geometries the networks give them. `conv2d` slides
 stride-1 'same' windows that reach (k - 1) // 2 cells before their centre
@@ -59,7 +72,8 @@ and `reshape` and `concat` hand over non-overlapping views of theirs. The
 gradient `g` a closure is handed is its output's own, which `backward`
 drops once the closure has run, so the closure may write into it, as
 `relu`, `dropout`, `conv_bn_relu`, `avg_pool` and `residual_norm` do, or
-hand it to an input.
+hand it to an input. The closures of a stretch run at once, so a closure
+writes into no array but that `g` and those it makes itself.
 
 The network settings are the module constants `BN_EPS`, `BN_MOMENTUM`,
 `RN_LAMBDA`, `RN_EPS` and `INCRES_K`; no caller sets them. Eval-mode
@@ -70,8 +84,11 @@ gamma, beta and the running buffers, so its backward reaches only its input.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,10 +124,13 @@ class Tensor:
     def accumulate(self, g):
         """Add the gradient `g`, of this tensor's shape and dtype, into `.grad`.
         A first gradient becomes `.grad` as is: so the caller must not write
-        to `g`, or hand it to another tensor, afterwards."""
+        to `g`, or hand it to another tensor, afterwards. Within a stretch of
+        `backward` the pair is queued on this thread and added later."""
         if not self.requires_grad:
             return
-        if self.grad is None:
+        if _grad.queue is not None:  # inside a stretch of `backward`
+            _grad.queue.append((self, g))
+        elif self.grad is None:
             self.grad = g
         else:
             self.grad += g
@@ -137,6 +157,7 @@ class Parameter(Tensor):
 
 class _GradState(threading.local):
     enabled = True
+    queue = None  # the (tensor, gradient) pairs a backward closure hands over
 
 
 _grad = _GradState()
@@ -165,12 +186,82 @@ def _result(data, parents, op, backward):
     return out
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps
+    one (`os.sched_getaffinity`, Linux), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def concurrently(calls) -> list:
+    """The results of the callables `calls`, in list order, run at once.
+
+    The calling thread and a pool of min(`_cpus()`, len(calls)) - 1 threads,
+    which lives only for this call, each take the next callable not yet
+    started until none is left; each pool thread runs with the caller's
+    grad flag. With one CPU or one callable, all run in order on the caller.
+    An exception a callable raises reaches the caller once every thread is
+    done, and the callables not yet started then do not run.
+    """
+    calls = list(calls)
+    workers = min(_cpus(), len(calls)) - 1
+    if workers < 1:
+        return [call() for call in calls]
+    results = [None] * len(calls)
+    left = list(enumerate(calls))[::-1]  # list.pop is atomic: each runs once
+    enabled = _grad.enabled
+
+    def drain():
+        while True:
+            try:
+                i, call = left.pop()
+            except IndexError:
+                return
+            try:
+                results[i] = call()
+            except BaseException:
+                left.clear()
+                raise
+
+    def work():
+        _grad.enabled = enabled
+        drain()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
+
+
+def _run_closure(node):
+    """Run `node`'s backward closure and return the (tensor, gradient) pairs
+    it handed over, in order, unapplied."""
+    _grad.queue = pairs = []
+    try:
+        node._backward(node.grad)
+    finally:
+        _grad.queue = None
+    return pairs
+
+
+def _release(node):
+    """Drop the op output's gradient, closure and parents: its graph."""
+    node.grad, node._backward, node._parents = None, None, ()
+
+
 def backward(loss: Tensor) -> None:
     """Populate the grads of the leaves the scalar `loss` depends on.
 
-    Gradients flow through every op output in reverse topological order;
-    each output's `.grad` is set back to None once its backward closure has
-    consumed it, so after the call only leaves and `Parameter`s hold one.
+    Gradients flow through every op output in reverse topological order, cut
+    into stretches of consecutive closures none of which is an input of
+    another: a stretch's closures run at once (`concurrently`), and the
+    gradients they hand over are added in stretch order, the serial order,
+    once all have run. Each op output is then released: its `.grad`, its
+    closure and its parents are dropped, so after the call only leaves and
+    `Parameter`s hold a gradient, and the graph behind `loss` is gone.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -190,10 +281,30 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+    stretch, inputs = [], set()
+    while order:
+        node = order.pop()  # so the list keeps no node once it is passed
+        if node._backward is None:
+            continue  # a leaf
+        if id(node) in inputs:
+            _run_stretch(stretch)
+            stretch, inputs = [], set()
+        if node.grad is None:
+            _release(node)  # no gradient reaches it
+        else:
+            stretch.append(node)
+            inputs.update(map(id, node._parents))
+    _run_stretch(stretch)
+
+
+def _run_stretch(nodes):
+    """Run the closures of `nodes` at once, then add the gradients they
+    handed over in node order and release each node."""
+    runs = concurrently([functools.partial(_run_closure, n) for n in nodes])
+    for node, pairs in zip(nodes, runs):
+        for t, g in pairs:
+            t.accumulate(g)
+        _release(node)
 
 
 def zero_grads(params) -> None:

@@ -178,7 +178,7 @@ class TestPredict:
         threads = threading.active_count()
         probs = models.predict(net, x, batch_size=3)
         assert threading.active_count() == threads
-        parts = _parts(x, 3, models._cpus())
+        parts = _parts(x, 3, T._cpus())
         assert len(outs) == len(parts)
         for _, out in outs:
             assert out._parents == () and out._backward is None and not out.requires_grad
@@ -193,7 +193,7 @@ class TestPredict:
     # than a 2-CPU host has CPUs
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_matches_serial_forwards_over_the_same_parts(self, nets, monkeypatch, cpus):
-        monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         x = np.random.default_rng(8).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
         net = nets["red03"]
         want = [net.forward(part, "eval").data for part in _parts(x, 4, cpus)]
@@ -209,9 +209,9 @@ class TestPredict:
     # of the machine, or runs one part when their count is unknown
     @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
     def test_splits_over_all_cpus_without_affinity(self, nets, monkeypatch, cpu_count, cpus):
-        monkeypatch.delattr(models.os, "sched_getaffinity")
-        monkeypatch.setattr(models.os, "cpu_count", lambda: cpu_count)
-        assert models._cpus() == cpus
+        monkeypatch.delattr(T.os, "sched_getaffinity")
+        monkeypatch.setattr(T.os, "cpu_count", lambda: cpu_count)
+        assert T._cpus() == cpus
         x = np.random.default_rng(9).normal(size=(5,) + models.INPUT_SHAPE).astype(np.float32)
         net = nets["red03"]
         want = [net.forward(part, "eval").data for part in _parts(x, 4, cpus)]
@@ -473,6 +473,115 @@ class TestTrainBackward:
         monkeypatch.setattr(T.Tensor, "accumulate", lambda t, g: accumulate(t, np.array(g)))
         for a, b in zip(got, grads()):
             assert a.tobytes() == b.grad.tobytes()
+
+
+def _faults_in_pool_threads():
+    """A function that wraps a callable so that on the calling thread it
+    waits until a pool thread has raised, then runs, and on a pool thread
+    raises ShapeMismatch; and the list the raised errors go into."""
+    caller, raised, done = threading.get_ident(), [], threading.Event()
+
+    def wrap(run):
+        def faulty(*args):
+            if threading.get_ident() != caller:
+                raised.append(ShapeMismatch("fault in a pool thread"))
+                done.set()
+                raise raised[-1]
+            done.wait(60)
+            return run(*args)
+        return faulty
+    return wrap, raised
+
+
+def _step_loss(seed):
+    """A red03 network, and the probabilities and loss of its B=2 train
+    forward, before any backward."""
+    net = models.build_network("red03", seed=0)
+    data = np.random.default_rng(seed)
+    x = T.Tensor(data.normal(size=(2,) + models.INPUT_SHAPE).astype(np.float32))
+    target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[data.integers(0, 10, 2)])
+    probs = net.forward(x, "train", np.random.default_rng(seed + 1))
+    return net, probs, T.tsum(T.mul(target, T.log(probs)))
+
+
+class TestTrainThreads:
+    def test_no_grad_reaches_the_branch_threads(self, monkeypatch):
+        # a pool thread with grad on would record each branch's graph; the
+        # fused units' running buffers still move under no_grad
+        monkeypatch.setattr(T, "_cpus", lambda: 3)
+        net = models.build_network("red03", seed=0)
+        before = {k: v.copy() for k, v in net.buffers().items()}
+        fused, outs, threads = T.conv_bn_relu, [], set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            outs.append(fused(*args))
+            return outs[-1]
+        monkeypatch.setattr(T, "conv_bn_relu", spy)
+        x = np.random.default_rng(21).normal(size=(2,) + models.INPUT_SHAPE)
+        with T.no_grad():
+            probs = net.forward(x, "train", np.random.default_rng(22))
+        assert probs._parents == () and probs._backward is None and not probs.requires_grad
+        assert len(outs) == 12 and len(threads) > 1
+        for out in outs:
+            assert out._parents == () and out._backward is None and not out.requires_grad
+        moved = [k for k, v in net.buffers().items() if not np.array_equal(v, before[k])]
+        assert len(moved) == len(before)
+
+    def test_backward_releases_the_graph(self):
+        net, probs, loss = _step_loss(23)
+        nodes = [n for n in _graph(loss) if n._backward is not None]
+        T.backward(loss)
+        assert len(nodes) > 40
+        for node in nodes:
+            assert node._parents == () and node._backward is None and node.grad is None
+        # a second backward through the same graph reaches nothing
+        grads = [p.grad.copy() for p in net.params()]
+        T.backward(loss)
+        for p, g in zip(net.params(), grads):
+            assert p.grad.tobytes() == g.tobytes()
+
+    def test_backward_frees_the_saved_arrays(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, probs, loss = _step_loss(25)
+            graph = tracemalloc.get_traced_memory()[0] - before
+            T.backward(loss)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the network and its graph take about 73 MB here; the network and
+        # its parameters' gradients, about 1.5 MB, stay
+        assert retained < 0.1 * graph, (retained, graph)
+        assert probs.data.shape == (2, models.N_CLASSES) and loss.data.size == 1
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_fault_in_a_pool_thread_reaches_the_caller(self, monkeypatch, where):
+        monkeypatch.setattr(T, "_cpus", lambda: 3)
+        fused, (wrap, raised) = T.conv_bn_relu, _faults_in_pool_threads()
+
+        def faulty_backward(*args):
+            out = fused(*args)
+            out._backward = wrap(out._backward)
+            return out
+        faulty = wrap(fused) if where == "forward" else faulty_backward
+        monkeypatch.setattr(T, "conv_bn_relu", faulty)
+        net = models.build_network("red03", seed=0)
+        threads = threading.active_count()
+        with pytest.raises(ShapeMismatch, match="fault in a pool thread") as info:
+            _train_step(net, batch=2, seed=27)
+        assert threading.active_count() == threads
+        assert info.value in raised
+
+    def test_no_thread_outlives_a_train_step_or_predict(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpus", lambda: 3)
+        net = models.build_network("red03", seed=0)
+        threads = threading.active_count()
+        _train_step(net, batch=2, seed=28)
+        assert threading.active_count() == threads
+        models.predict(net, np.zeros((3,) + models.INPUT_SHAPE), batch_size=3)
+        assert threading.active_count() == threads
 
 
 class TestNames:

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -561,6 +562,28 @@ class TestBackward:
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
 
+    def test_sibling_gradients_add_in_serial_order(self, monkeypatch):
+        # three sibling closures run at once and each hands x its own weights;
+        # x.grad must be (w0 + w1) + w2 however the threads finish. In each
+        # third of x one weight is 1 and the others 2^-53, so the sum depends
+        # on which weight is added last
+        monkeypatch.setattr(T, "_cpus", lambda: 3)
+        n = 100_000
+        tiny = 2.0 ** -53
+        w = [T.Tensor(np.repeat(np.where(np.arange(3) == i, 1.0, tiny), n)) for i in range(3)]
+        serial = (w[0].data + w[1].data) + w[2].data
+        others = [(w[0].data + w[2].data) + w[1].data, (w[1].data + w[2].data) + w[0].data]
+        assert all(o.tobytes() != serial.tobytes() for o in others)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                x = T.Tensor(np.ones(3 * n), requires_grad=True)
+                T.backward(T.tsum(T.concat([T.mul(x, wi) for wi in w])))
+                assert x.grad.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestShapeChecks:
     @pytest.mark.parametrize("make, message", [
@@ -736,3 +759,29 @@ class TestNoGraph:
         # and this thread still records
         w = net.params()[0]
         assert T.relu(w)._parents == (w,)
+
+
+class TestConcurrently:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_each_callable_runs_once_and_results_keep_list_order(self, monkeypatch, cpus):
+        # more threads than a 2-CPU host has CPUs, switching often; each
+        # callable reports the grad flag of the thread that runs it
+        monkeypatch.setattr(T, "_cpus", lambda: cpus)
+        ran, threads = [], threading.active_count()
+
+        def call(i):
+            ran.append(i)
+            return i, T._grad.enabled
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with T.no_grad():
+                got = T.concurrently([lambda i=i: call(i) for i in range(200)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [(i, False) for i in range(200)]
+        assert sorted(ran) == list(range(200))
+        assert threading.active_count() == threads
+        if cpus == 1:  # in order on the calling thread
+            assert ran == list(range(200))
