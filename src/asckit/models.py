@@ -28,6 +28,13 @@ three branches in one `tensor.avg_pool` and adds its shortcut with one
 `tensor.no_grad`: it records no graph, so nothing trains in eval mode and
 no graph outlives the call.
 
+A train forward's graph keeps only the arrays each backward reads (see
+`tensor`), so each op output is freed in the forward once the layers stop
+holding it: the inception concat, each block's BN, max-pool and dropout
+outputs, each unit's pooled sum, projection and shortcut sum, and the
+fused units' outputs. What stays are the units' inputs, the BN and
+residual-norm xhat arrays, and small masks and indices.
+
 A train forward runs each unit's branches at once (`tensor.concurrently`),
 and `tensor.backward` runs their closures at once too. The branches write
 only their own BN buffers, and they must not draw from the dropout RNG,

@@ -3,22 +3,40 @@
 Supports exactly the operations the classification networks need, on
 [batch, frequency, time, channel] layouts. Every op builds a backward
 closure and returns its output through `_result`, which records the op's
-inputs and that closure on the output only when grad is enabled and some
-input requires grad; under `no_grad` ops record nothing. Whether grad is
+inputs and that closure only when grad is enabled and some input requires
+grad (`_records`); under `no_grad` ops record nothing. Whether grad is
 enabled is kept per thread, so a `no_grad` block in one thread leaves grad
 on in every other, and threads may run eval forwards at once.
 `concurrently` runs a list of callables at once, on the calling thread and
 a pool that lives only for the call, each pool thread with the caller's
 grad flag, and gives their results in list order.
 
-`backward` walks the implicit graph in reverse topological order, cut into
+The graph is made of nodes (`Node`), which hold no data: a node has its
+tensor's gradient, its backward closure, its inputs' nodes (`_parents`)
+and its op name. A tensor made directly, a leaf, is its own node, and so is
+every `Parameter`. An op that records gives its output a node of its own
+(`_Output`), and the output's `grad`, `_backward`, `_parents`,
+`requires_grad` and `op` read and write that node's. Each closure captures
+its inputs' nodes and exactly the arrays its backward reads, taken at
+forward time, and never the tensor of an op output; so an intermediate
+array is freed as soon as the forward code drops its tensor, unless a
+closure saved it. `add`, `scale`, `tsum`, `reshape`, `concat`, `avg_pool`
+and `reduce_mean` keep no array of their inputs or output; `mul`, `log`,
+`relu` and `dense` keep the input arrays they read, `softmax` its output,
+and `conv2d` its input and kernel. `conv_bn_relu` keeps its input and
+kernel, the standardized conv output (xhat) and a bool mask of its
+output's sign; train-mode `batch_norm` and `residual_norm` keep xhat and
+per-channel vectors. `dropout` keeps a bool mask and its scale, `max_pool`
+a uint8 index of each tile's maximum and `reduce_max` its argmax index.
+
+`backward` walks the graph's nodes in reverse topological order, cut into
 maximal stretches of consecutive closures none of which is an input of
 another (an inception unit's branches, say), and runs each stretch's
 closures through `concurrently`. While a closure runs in a stretch,
-`Tensor.accumulate` queues each (tensor, gradient) pair it is handed, per
+`Node.accumulate` queues each (node, gradient) pair it is handed, per
 thread, and adds nothing; once the stretch is done the pairs are added in
 stretch order, which is the serial order, so every gradient has the bits a
-one-thread walk gives. Once its closure has run, an op output is released:
+one-thread walk gives. Once its closure has run, an op's node is released:
 its gradient, its closure and its parents are dropped, so the arrays the
 closure kept are freed as the walk goes, and a second `backward` through
 the same graph reaches nothing.
@@ -42,16 +60,18 @@ first two inputs share one frequency pass, and the backward runs the same
 boxes over the gradient divided by those counts. `max_pool` is the fixed
 2 x 2 tile max of every block, on even sides only: its four views are the
 cells of the non-overlapping tiles, which cover the input. Its forward is a
-running max over the views; its backward writes each tile cell once, the
-tile's gradient at its first maximum in row-major order and zero elsewhere.
+running max over the views and, when it records, the uint8 index of each
+tile's first maximum in row-major order, which is 1/16 of a float32
+input's bytes; its backward writes each tile cell once, the tile's gradient
+where the index is that cell's view and zero elsewhere.
 
 The conv core, `_conv_forward` and `_conv_backward`, has no bias; `conv2d`
 adds its own and sums its gradient. `conv_bn_relu` is the networks'
 train-mode conv -> batch norm -> ReLU unit as one op; its conv has no bias,
 which the batch mean would cancel exactly. It runs the core and train-mode
 `batch_norm` code, so its output, gradients and running buffers are
-bit-identical to the three-op chain with a zero bias, but its graph keeps
-only the conv input, the standardized conv output and its own output.
+bit-identical to the three-op chain with a zero bias, but its closure
+keeps a bool mask of its output's sign where the chain keeps the BN output.
 
 Every op stores its output, and every gradient, in its input's dtype
 (float32 in training, float64 in the gradient test-suite), and an op with
@@ -62,9 +82,9 @@ temporary. Batch norm's per-channel sums reduce (batch, frequency) first,
 over contiguous time x channel rows, then time; its per-channel vectors
 broadcast as [time, channel] rows (`_rows`), so numpy runs each op over the
 last two axes merged. After `backward` only leaves (tensors made directly, and
-`Parameter`s) keep their `.grad`; an op's output drops its gradient once
+`Parameter`s) keep their `.grad`; an op's node drops its gradient once
 its backward closure has consumed it. A backward hands each input a
-gradient of that input's shape and dtype through `Tensor.accumulate`, which
+gradient of that input's shape and dtype through `Node.accumulate`, which
 keeps a first gradient as is and adds later ones into it: the closure must
 not write to that array or give it to another input afterwards. So `add`
 gives one input a copy of its gradient and the other the gradient itself,
@@ -102,30 +122,30 @@ RN_EPS = 1e-5  # residual norm variance offset
 INCRES_K = 3  # odd side of the inception-residual unit's conv and pool windows
 
 
-class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
+class Node:
+    """A graph node: the gradient, the backward closure, the input nodes
+    (`_parents`) and the op name of one tensor. It holds no data."""
 
-    def __init__(self, data, requires_grad=False, parents=(), op="leaf"):
-        self.data = np.asarray(data)
+    __slots__ = ("requires_grad", "grad", "_parents", "_backward", "op")
+
+    def __init__(self, requires_grad=False, parents=(), backward=None, op="leaf"):
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = parents
-        self._backward = None
+        self._backward = backward
         self.op = op
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
+    def node(self):
+        """The node itself, so an op may take a tensor's node for the tensor."""
+        return self
 
     def accumulate(self, g):
-        """Add the gradient `g`, of this tensor's shape and dtype, into `.grad`.
-        A first gradient becomes `.grad` as is: so the caller must not write
-        to `g`, or hand it to another tensor, afterwards. Within a stretch of
-        `backward` the pair is queued on this thread and added later."""
+        """Add the gradient `g`, of this node's tensor's shape and dtype, into
+        `.grad`. A first gradient becomes `.grad` as is: so the caller must
+        not write to `g`, or hand it to another node, afterwards. Within a
+        stretch of `backward` the pair is queued on this thread and added
+        later."""
         if not self.requires_grad:
             return
         if _grad.queue is not None:  # inside a stretch of `backward`
@@ -135,8 +155,47 @@ class Tensor:
         else:
             self.grad += g
 
+
+class Tensor(Node):
+    """An array and its graph node. A tensor made directly, a leaf, is its
+    own node; an op that records a graph gives its output a separate one
+    (`_Output`)."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data, requires_grad=False, op="leaf"):
+        super().__init__(requires_grad, op=op)
+        self.data = np.asarray(data)
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
     def __repr__(self):
         return f"Tensor({self.op}, shape={self.shape}, grad={self.requires_grad})"
+
+
+def _on_node(name):
+    """A property that reads and writes the attribute `name` of the node."""
+    return property(lambda t: getattr(t.node, name), lambda t, v: setattr(t.node, name, v))
+
+
+class _Output(Tensor):
+    """The output of an op that recorded a graph. Its node lives apart from
+    it, in the graph, and every graph attribute reads and writes the node's;
+    so its array is freed once no code holds the tensor, unless a closure
+    saved the array."""
+
+    __slots__ = ("node",)
+    requires_grad, grad, _parents, _backward, op = map(_on_node, Node.__slots__)
+
+    def __init__(self, data, node):
+        self.data = data
+        self.node = node
 
 
 class Parameter(Tensor):
@@ -157,7 +216,7 @@ class Parameter(Tensor):
 
 class _GradState(threading.local):
     enabled = True
-    queue = None  # the (tensor, gradient) pairs a backward closure hands over
+    queue = None  # the (node, gradient) pairs a backward closure hands over
 
 
 _grad = _GradState()
@@ -175,15 +234,21 @@ def no_grad():
         _grad.enabled = before
 
 
+def _records(parents) -> bool:
+    """Whether an op on the tensors `parents` records a graph: grad is
+    enabled and some parent requires grad."""
+    return _grad.enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data, parents, op, backward):
-    """The output of `op`. It records `parents` and the closure `backward(g)`,
-    which hands each parent its gradient, only when grad is enabled and some
-    parent requires grad; otherwise it is a plain tensor with no parents."""
-    if not (_grad.enabled and any(p.requires_grad for p in parents)):
+    """The output of `op` on the tensors (or nodes) `parents`. When
+    `_records(parents)`, it gets a node of its own with the parents' nodes
+    and the closure `backward(g)`, which hands each of them its gradient;
+    otherwise it is a plain tensor with no parents, and `backward` may be
+    None."""
+    if not _records(parents):
         return Tensor(data, op=op)
-    out = Tensor(data, requires_grad=True, parents=parents, op=op)
-    out._backward = backward
-    return out
+    return _Output(data, Node(True, tuple(p.node for p in parents), backward, op))
 
 
 def _cpus() -> int:
@@ -237,7 +302,7 @@ def concurrently(calls) -> list:
 
 
 def _run_closure(node):
-    """Run `node`'s backward closure and return the (tensor, gradient) pairs
+    """Run `node`'s backward closure and return the (node, gradient) pairs
     it handed over, in order, unapplied."""
     _grad.queue = pairs = []
     try:
@@ -248,18 +313,18 @@ def _run_closure(node):
 
 
 def _release(node):
-    """Drop the op output's gradient, closure and parents: its graph."""
+    """Drop the op node's gradient, closure and parents: its graph."""
     node.grad, node._backward, node._parents = None, None, ()
 
 
 def backward(loss: Tensor) -> None:
     """Populate the grads of the leaves the scalar `loss` depends on.
 
-    Gradients flow through every op output in reverse topological order, cut
+    Gradients flow through every op node in reverse topological order, cut
     into stretches of consecutive closures none of which is an input of
     another: a stretch's closures run at once (`concurrently`), and the
     gradients they hand over are added in stretch order, the serial order,
-    once all have run. Each op output is then released: its `.grad`, its
+    once all have run. Each op node is then released: its `.grad`, its
     closure and its parents are dropped, so after the call only leaves and
     `Parameter`s hold a gradient, and the graph behind `loss` is gone.
     """
@@ -267,7 +332,7 @@ def backward(loss: Tensor) -> None:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
     order = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -280,7 +345,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    loss.node.grad = np.ones_like(loss.data)
     stretch, inputs = [], set()
     while order:
         node = order.pop()  # so the list keeps no node once it is passed
@@ -302,8 +367,8 @@ def _run_stretch(nodes):
     handed over in node order and release each node."""
     runs = concurrently([functools.partial(_run_closure, n) for n in nodes])
     for node, pairs in zip(nodes, runs):
-        for t, g in pairs:
-            t.accumulate(g)
+        for n, g in pairs:
+            n.accumulate(g)
         _release(node)
 
 
@@ -328,9 +393,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
 
+    na, nb = a.node, b.node
+
     def _bw(g):
-        a.accumulate(g.copy())
-        b.accumulate(g)
+        na.accumulate(g.copy())
+        nb.accumulate(g)
     return _result(a.data + b.data, (a, b), "add", _bw)
 
 
@@ -339,30 +406,36 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
 
+    na, nb, a, b = a.node, b.node, a.data, b.data
+
     def _bw(g):
-        a.accumulate(g * b.data)
-        b.accumulate(g * a.data)
-    return _result(a.data * b.data, (a, b), "mul", _bw)
+        na.accumulate(g * b)
+        nb.accumulate(g * a)
+    return _result(a * b, (na, nb), "mul", _bw)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    return _result(x.data * c, (x,), "scale", lambda g: x.accumulate(g * c))
+    n = x.node
+    return _result(x.data * c, (x,), "scale", lambda g: n.accumulate(g * c))
 
 
 def log(x: Tensor) -> Tensor:
-    return _result(np.log(x.data), (x,), "log", lambda g: x.accumulate(g / x.data))
+    n, x = x.node, x.data
+    return _result(np.log(x), (n,), "log", lambda g: n.accumulate(g / x))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Full reduction to a scalar, 64-bit accumulation."""
+    n, shape, dtype = x.node, x.shape, x.dtype
     total = x.data.sum(dtype=np.float64)
-    return _result(np.asarray(total, dtype=x.dtype), (x,), "sum",
-                   lambda g: x.accumulate(np.broadcast_to(g, x.shape).astype(x.dtype)))
+    return _result(np.asarray(total, dtype=dtype), (x,), "sum",
+                   lambda g: n.accumulate(np.broadcast_to(g, shape).astype(dtype)))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    n, before = x.node, x.shape
     return _result(x.data.reshape(shape), (x,), "reshape",
-                   lambda g: x.accumulate(g.reshape(x.shape)))
+                   lambda g: n.accumulate(g.reshape(before)))
 
 
 def concat(tensors) -> Tensor:
@@ -373,17 +446,18 @@ def concat(tensors) -> Tensor:
         raise ShapeMismatch(f"concat: inputs {[(t.shape, t.dtype.name) for t in tensors]} "
                             "do not join along the last axis")
     offsets = np.cumsum([0] + [t.shape[-1] for t in tensors])
+    nodes = [t.node for t in tensors]
 
     def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            t.accumulate(g[..., lo:hi])
-    return _result(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors),
-                   "concat", _bw)
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            n.accumulate(g[..., lo:hi])
+    return _result(np.concatenate([t.data for t in tensors], axis=-1), nodes, "concat", _bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    return _result(np.maximum(x.data, 0), (x,), "relu",
-                   lambda g: x.accumulate(np.multiply(g, x.data > 0, out=g)))
+    n, x = x.node, x.data
+    return _result(np.maximum(x, 0), (n,), "relu",
+                   lambda g: n.accumulate(np.multiply(g, x > 0, out=g)))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -393,10 +467,12 @@ def softmax(x: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     np.maximum(y, np.finfo(y.dtype).tiny, out=y)  # keeps log(y) and its gradient finite
 
+    n = x.node
+
     def _bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        x.accumulate((g - dot) * y)
-    return _result(y, (x,), "softmax", _bw)
+        n.accumulate((g - dot) * y)
+    return _result(y, (n,), "softmax", _bw)
 
 
 def check_mode(op, mode):
@@ -406,6 +482,12 @@ def check_mode(op, mode):
 
 
 def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
+    """Train mode zeroes each cell with probability p and scales the others
+    by c = 1 / (1 - p), the quotient the whole-mask division `keep = (rng
+    draws >= p) / (1 - p)` gives a kept cell, in x's dtype. The output is x
+    * mask * c with the bool mask, which has the bits of x * keep: x * 1 is
+    x, and x * 0 keeps its sign (or is NaN) through * c. The backward keeps
+    only the mask, a byte a cell, and c. Eval mode, or p = 0, returns x."""
     check_mode("dropout", mode)
     if not 0 <= p < 1:
         raise ConfigMismatch(f"dropout rate must be in [0, 1), got {p}")
@@ -413,10 +495,18 @@ def dropout(x: Tensor, p: float, mode: str, rng=None) -> Tensor:
         return x
     if rng is None:
         raise ConfigMismatch(f"train-mode dropout at rate {p} needs an RNG, got None")
-    keep = (rng.random(x.shape) >= p) / np.asarray(1.0 - p, dtype=x.dtype)
-    keep = keep.astype(x.dtype, copy=False)  # copies only if the division promoted
-    return _result(x.data * keep, (x,), "dropout",
-                   lambda g: x.accumulate(np.multiply(g, keep, out=g)))
+    mask = rng.random(x.shape) >= p
+    # one kept cell divided as the whole mask would be: keep's dtype and bits
+    c = (np.ones(1, bool) / np.asarray(1.0 - p, dtype=x.dtype)).astype(x.dtype)
+    y = np.multiply(x.data, mask)
+    y *= c
+    n = x.node
+
+    def _bw(g):
+        np.multiply(g, mask, out=g)
+        g *= c
+        n.accumulate(g)
+    return _result(y, (n,), "dropout", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +520,14 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise ShapeMismatch(f"dense bias: {b.shape}")
 
+    nodes = (nx, nw, nb) = x.node, w.node, b.node
+    x, w = x.data, w.data
+
     def _bw(g):
-        x.accumulate(g @ w.data.T)
-        w.accumulate(x.data.T @ g)
-        b.accumulate(g.sum(axis=0))
-    return _result(x.data @ w.data + b.data, (x, w, b), "dense", _bw)
+        nx.accumulate(g @ w.T)
+        nw.accumulate(x.T @ g)
+        nb.accumulate(g.sum(axis=0))
+    return _result(x @ w + b.data, nodes, "dense", _bw)
 
 
 def _span(n, d):
@@ -467,28 +560,28 @@ def _conv_forward(x, w):
     return y.reshape(x.shape[:3] + (cout,))
 
 
-def _conv_backward(g, x: Tensor, w: Tensor):
-    """Hand x and w their gradients from the output gradient g of
-    `_conv_forward(x.data, w.data)`: one GEMM per kernel offset (u, v) for
-    each. w's reads the windows' view at (u, v), padded anew from x.data.
-    x's pads nothing: output cell (i, j) reads input cell (i + u - pf,
-    j + v - pt), so the `_span`-clipped GEMM is added into those cells of a
-    zero array that x then owns."""
+def _conv_backward(g, x, w, nx, nw):
+    """Hand the nodes nx and nw of the arrays x and w their gradients from
+    the output gradient g of `_conv_forward(x, w)`: one GEMM per kernel
+    offset (u, v) for each. w's reads the windows' view at (u, v), padded
+    anew from x. x's pads nothing: output cell (i, j) reads input cell
+    (i + u - pf, j + v - pt), so the `_span`-clipped GEMM is added into
+    those cells of a zero array that nx then owns."""
     kf, kt, cin, cout = w.shape
     pf, pt = (kf - 1) // 2, (kt - 1) // 2
     g2 = g.reshape(-1, cout)
-    if w.requires_grad:
-        windows = _windows(x.data, (kf, kt))
-        gw = np.empty_like(w.data)
+    if nw.requires_grad:
+        windows = _windows(x, (kf, kt))
+        gw = np.empty_like(w)
         for u, v in np.ndindex(kf, kt):
             np.matmul(windows[..., u, v].reshape(-1, cin).T, g2, out=gw[u, v])
-        w.accumulate(gw)
-    if x.requires_grad:
-        gx = np.zeros_like(x.data)
+        nw.accumulate(gw)
+    if nx.requires_grad:
+        gx = np.zeros_like(x)
         for u, v in np.ndindex(kf, kt):
             (to_f, frm_f), (to_t, frm_t) = _span(x.shape[1], u - pf), _span(x.shape[2], v - pt)
-            gx[:, frm_f, frm_t] += (g2 @ w.data[u, v].T).reshape(x.shape)[:, to_f, to_t]
-        x.accumulate(gx)
+            gx[:, frm_f, frm_t] += (g2 @ w[u, v].T).reshape(x.shape)[:, to_f, to_t]
+        nx.accumulate(gx)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -503,13 +596,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != y.shape[3:]:
         raise ShapeMismatch(f"conv bias: {b.shape}")
     y += b.data
+    nodes = (nx, nw, nb) = x.node, w.node, b.node
+    x, w, (cout,), dtype = x.data, w.data, b.shape, b.dtype
 
     def _bw(g):
-        if b.requires_grad:
-            b.accumulate(g.reshape(-1, b.shape[0]).sum(axis=0, dtype=np.float64)
-                         .astype(b.dtype))
-        _conv_backward(g, x, w)
-    return _result(y, (x, w, b), "conv2d", _bw)
+        if nb.requires_grad:
+            nb.accumulate(g.reshape(-1, cout).sum(axis=0, dtype=np.float64).astype(dtype))
+        _conv_backward(g, x, w, nx, nw)
+    return _result(y, nodes, "conv2d", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +614,14 @@ def max_pool(x: Tensor) -> Tensor:
     """Max over the non-overlapping 2 x 2 (frequency, time) tiles, which
     cover the input: both sides must be even. Each tile's gradient goes to
     its first maximum in row-major order.
+
+    When it records a graph, the forward also builds a uint8 index of that
+    maximum's offset k in each tile, 0-3 in row-major order, which is all
+    the backward keeps: the output's shape at a byte a cell, 1/16 of a
+    float32 input's bytes. The backward writes the tile's gradient into view
+    k where the index is k and zeros elsewhere; a tile whose max is NaN
+    equals no cell, has index 4 and gets no gradient. Under `no_grad`, or on
+    an input that requires no grad, no index is built.
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"max_pool expects B x F x T x C, got {x.shape}")
@@ -530,17 +632,25 @@ def max_pool(x: Tensor) -> Tensor:
     y = x.data[tiles[0]].copy()
     for o in tiles[1:]:
         np.maximum(y, x.data[o], out=y)
+    if not _records((x,)):
+        return _result(y, (x,), "max_pool", None)
+    # a tile's index counts the views before the first to hold its max, each
+    # still marked in the running `missed`: 4 if none does, as a NaN max
+    missed = np.not_equal(x.data[tiles[0]], y)
+    index = missed.astype(np.uint8)
+    ne = np.empty(y.shape, bool)
+    for o in tiles[1:]:
+        missed &= np.not_equal(x.data[o], y, out=ne)
+        index += missed
+    n, shape = x.node, x.shape
 
     def _bw(g):
-        gx = np.empty_like(x.data)  # the tile views write every cell
-        open_ = np.ones(y.shape, dtype=bool)  # tiles whose max is not yet found
-        for o in tiles:
-            hit = x.data[o] == y
-            hit &= open_
-            open_ ^= hit
-            np.multiply(g, hit, out=gx[o])  # the tile views are disjoint
-        x.accumulate(gx)
-    return _result(y, (x,), "max_pool", _bw)
+        gx = np.empty_like(g, shape=shape)  # the tile views write every cell
+        hit = np.empty(index.shape, bool)
+        for k, o in enumerate(tiles):
+            np.multiply(g, np.equal(index, k, out=hit), out=gx[o])  # the views are disjoint
+        n.accumulate(gx)
+    return _result(y, (n,), "max_pool", _bw)
 
 
 def _box_sum(a, axis, out):
@@ -589,14 +699,15 @@ def avg_pool(xs) -> Tensor:
     s = _box_sum(x2.data, 2, s)
     s /= ct
     y += s
+    nodes = (n0, n1, n2) = x0.node, x1.node, x2.node
 
     def _bw(g):
         h = box(g / cf, 1)
-        x1.accumulate(box(h / ct, 2))
-        x0.accumulate(h)
+        n1.accumulate(box(h / ct, 2))
+        n0.accumulate(h)
         g /= ct  # g is this output's own gradient
-        x2.accumulate(box(g, 2))
-    return _result(y, (x0, x1, x2), "avg_pool", _bw)
+        n2.accumulate(box(g, 2))
+    return _result(y, nodes, "avg_pool", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +804,7 @@ def _batch_norm_train(x, gamma: Tensor, beta: Tensor, running_mean, running_var)
     gamma_rows = _rows(gamma.data, x.shape[2])
     np.multiply(xhat, gamma_rows, out=y)
     y += _rows(beta.data, x.shape[2])
+    gamma, beta = gamma.node, beta.node
 
     def grad(g):
         dx, g_sum, gx_sum = _standardize_grad(g, xhat, gamma_rows * inv, axes)
@@ -714,6 +826,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     """
     check_mode("batch_norm", mode)
     _check_channels("batch_norm", x.shape, gamma, beta, running_mean, running_var)
+    n = x.node
     if mode == "eval":
         # the mean is subtracted in x's dtype; the error of casting it there
         # goes into the float64 per-channel bias
@@ -725,9 +838,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
         y = np.subtract(x.data, _rows(shift, t))
         y *= scale
         y += _rows(bias, t)
-        return _result(y, (x,), "batch_norm", lambda g: x.accumulate(g * scale))
+        return _result(y, (n,), "batch_norm", lambda g: n.accumulate(g * scale))
     y, grad = _batch_norm_train(x.data, gamma, beta, running_mean, running_var)
-    return _result(y, (x, gamma, beta), "batch_norm", lambda g: x.accumulate(grad(g)))
+    return _result(y, (n, gamma, beta), "batch_norm", lambda g: n.accumulate(grad(g)))
 
 
 def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean,
@@ -736,16 +849,21 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     running_var, "train")) as one op, with the same arithmetic and so the
     same bits, buffer update included; its conv has no bias.
 
-    Its graph keeps x, BN's xhat and the output, where the chain keeps the
-    conv output, xhat, the BN output and the ReLU output: the ReLU is taken
-    in place, and its backward needs only the output's sign.
+    Its closure keeps the arrays x and w, BN's xhat and the bool mask y > 0
+    of its output y, a byte a cell, where the chain keeps x, w, xhat and the
+    BN output: the ReLU is taken in place, and its backward needs only the
+    output's sign. So the output is freed once the ops it feeds are done.
     """
     y = _conv_forward(x.data, w.data)
     _check_channels("conv_bn_relu", y.shape, gamma, beta, running_mean, running_var)
     y, bn_grad = _batch_norm_train(y, gamma, beta, running_mean, running_var)
     np.maximum(y, 0, out=y)
-    return _result(y, (x, w, gamma, beta), "conv_bn_relu",
-                   lambda g: _conv_backward(bn_grad(np.multiply(g, y > 0, out=g)), x, w))
+    nodes = (nx, nw) = x.node, w.node
+    x, w, positive = x.data, w.data, y > 0
+
+    def _bw(g):
+        _conv_backward(bn_grad(np.multiply(g, positive, out=g)), x, w, nx, nw)
+    return _result(y, nodes + (gamma, beta), "conv_bn_relu", _bw)
 
 
 def residual_norm(x: Tensor) -> Tensor:
@@ -761,13 +879,14 @@ def residual_norm(x: Tensor) -> Tensor:
     _, _, inv, xhat, y = _standardize(x.data, axes, RN_EPS)
     np.multiply(x.data, RN_LAMBDA, out=y)
     y += xhat
+    n = x.node
 
     def _bw(g):
         dx, _, _ = _standardize_grad(g, xhat, inv, axes)
         g *= RN_LAMBDA
         dx += g
-        x.accumulate(dx)
-    return _result(y, (x,), "residual_norm", _bw)
+        n.accumulate(dx)
+    return _result(y, (n,), "residual_norm", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -781,22 +900,23 @@ def _check_axis(op, x, axis):
 
 def reduce_mean(x: Tensor, axis: int) -> Tensor:
     _check_axis("reduce_mean", x, axis)
-    n = x.shape[axis]
-    return _result(x.data.mean(axis=axis, dtype=np.float64).astype(x.dtype), (x,),
+    node, n = x.node, x.shape[axis]
+    return _result(x.data.mean(axis=axis, dtype=np.float64).astype(x.dtype), (node,),
                    "reduce_mean",
-                   lambda g: x.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis)))
+                   lambda g: node.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis)))
 
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     _check_axis("reduce_max", x, axis)
-    idx = x.data.argmax(axis=axis)
-    out_data = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
+    idx = np.expand_dims(x.data.argmax(axis=axis), axis)
+    out_data = np.take_along_axis(x.data, idx, axis=axis)
+    n, shape, dtype = x.node, x.shape, x.dtype
 
     def _bw(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        x.accumulate(gx)
-    return _result(np.squeeze(out_data, axis=axis), (x,), "reduce_max", _bw)
+        gx = np.zeros(shape, dtype)
+        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
+        n.accumulate(gx)
+    return _result(np.squeeze(out_data, axis=axis), (n,), "reduce_max", _bw)
 
 
 def global_pool(x: Tensor) -> Tensor:

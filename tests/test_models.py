@@ -14,7 +14,7 @@ from asckit import tensor as T
 from asckit.augment import AugmentConfig, AugmentPipeline, LabeledBatch
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 from byte_fuzz import entry_offset
-from test_tensor import _avg_pool_loop
+from test_tensor import _avg_pool_loop, _closure_arrays, _reached
 
 VARIANTS = ["baseline", "red01", "red02", "red03"]
 # variant -> {"params": ..., "buffers": ...}, each a list of [name, shape] in model order
@@ -350,8 +350,8 @@ def _train_step(net, batch, seed):
 
 
 def _graph(out):
-    """Every tensor `out` depends on, itself included."""
-    seen, stack = {}, [out]
+    """Every graph node `out` depends on, its own included."""
+    seen, stack = {}, [out.node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -360,26 +360,18 @@ def _graph(out):
     return list(seen.values())
 
 
-def _closure_arrays(fn):
-    """The arrays a closure reaches through its cells, each once: through
-    tensors, nested closures, lists, tuples and dict values included."""
-    seen, arrays, stack = set(), [], [fn]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, T.Tensor):
-            value = value.data
-        if id(value) in seen:
-            continue
-        seen.add(id(value))
-        if isinstance(value, np.ndarray):
-            arrays.append(value)
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
-        elif isinstance(value, dict):
-            stack.extend(value.values())
-        elif callable(value) and hasattr(value, "__closure__"):
-            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
-    return arrays
+def _spy_inputs(monkeypatch, ops):
+    """Patch the `T` ops named in `ops` to record, at each call, the
+    output's graph node and the shape of the (first) input; returns the
+    list of those (node, shape) pairs, which keeps the nodes alive."""
+    calls = []
+    for name in ops:
+        def spy(x, *args, _op=getattr(T, name)):
+            out = _op(x, *args)
+            calls.append((out.node, (x[0] if isinstance(x, list) else x).shape))
+            return out
+        monkeypatch.setattr(T, name, spy)
+    return calls
 
 
 def _retained():
@@ -414,41 +406,57 @@ class TestTrainBackward:
         dead = [p.name for p, g in zip(net.params(), grads) if np.abs(g).max() <= 1e-5]
         assert dead == []
 
-    def test_window_closures_keep_no_padded_input(self):
+    def test_window_closures_keep_no_padded_input(self, monkeypatch):
+        calls = _spy_inputs(monkeypatch, ("conv2d", "avg_pool", "conv_bn_relu"))
         net = models.build_network("red03", seed=0)
         x = np.random.default_rng(12).normal(size=(1,) + models.INPUT_SHAPE)
-        out = net.forward(x, "train", np.random.default_rng(13))
-        checked = 0
-        for node in _graph(out):
-            if node.op in ("conv2d", "avg_pool", "conv_bn_relu"):
-                checked += 1
-                b, f, t, c = node._parents[0].shape
-                for a in _closure_arrays(node._backward):
-                    # a padded copy of the input: its batch and channels, and
-                    # more frequency or time cells
-                    padded = (a.ndim == 4 and (a.shape[0], a.shape[3]) == (b, c)
-                              and (a.shape[1] > f or a.shape[2] > t))
-                    assert not padded, (node.op, a.shape)
-        assert checked == 12 + 3 + 3  # fused units, pooled sums, 1x1 projections
+        net.forward(x, "train", np.random.default_rng(13))
+        for node, (b, f, t, c) in calls:
+            for a in _closure_arrays(node._backward):
+                # a padded copy of the input: its batch and channels, and
+                # more frequency or time cells
+                padded = (a.ndim == 4 and (a.shape[0], a.shape[3]) == (b, c)
+                          and (a.shape[1] > f or a.shape[2] > t))
+                assert not padded, (node.op, a.shape)
+        assert len(calls) == 12 + 3 + 3  # fused units, pooled sums, 1x1 projections
 
     def test_fused_graph_retains_less(self, monkeypatch):
         fused = _retained()
         monkeypatch.setattr(models._ConvBnRelu, "__call__", _unfolded)
         chain = _retained()
-        # the fused graph keeps about 72 MB here and the chain about 102 MB
+        # the fused graph keeps about 32 MB here and the chain about 44 MB,
+        # as the fused units keep a bool mask of their output's sign where
+        # the chain's ReLU keeps the BN output (72 and 102 MB while every op
+        # output stayed in the graph)
         assert fused <= 0.8 * chain, (fused, chain)
 
-    def test_pooled_sum_graph_retains_less(self):
-        # each pooled sum's backward keeps its three inputs and no other
-        # full-size array: neither its output nor a pass over an input
+    def test_graph_keeps_only_what_each_backward_reads(self):
+        # no closure reaches an op output's tensor, only graph nodes, arrays
+        # and leaves (the forward's input and target, and the parameters),
+        # so each intermediate array is freed unless a closure saved it.
+        # By tracemalloc this forward's graph read 71.8 MB while every op
+        # output stayed in it, 45.3 MB with only the block intermediates
+        # freed, and 32.3 MB with the fused units' bool ReLU masks too
+        _, _, loss = _step_loss(29)
+        nodes = [n for n in _graph(loss) if n._backward is not None]
+        tensors = [v for n in nodes for v in _reached(n._backward) if isinstance(v, T.Tensor)]
+        assert len(nodes) > 40 and tensors
+        assert all(t.op in ("leaf", "param") for t in tensors), {t.op for t in tensors}
+        retained = _retained()
+        assert retained <= 50e6, retained
+
+    def test_pooled_sum_graph_retains_less(self, monkeypatch):
+        # each pooled sum's backward keeps no full-size array: neither an
+        # input, nor its output, nor a pass over an input
+        pools = _spy_inputs(monkeypatch, ("avg_pool",))
         net = models.build_network("red03", seed=0)
         x = np.random.default_rng(12).normal(size=(1,) + models.INPUT_SHAPE)
-        out = net.forward(x, "train", np.random.default_rng(13))
-        pools = [node for node in _graph(out) if node.op == "avg_pool"]
+        net.forward(x, "train", np.random.default_rng(13))
         assert len(pools) == 3
-        for node in pools:
-            full = [a for a in _closure_arrays(node._backward) if a.size >= node.data.size]
-            assert sorted(map(id, full)) == sorted(id(p.data) for p in node._parents)
+        for node, shape in pools:
+            assert node.op == "avg_pool"
+            full = [a.shape for a in _closure_arrays(node._backward) if a.size >= np.prod(shape)]
+            assert full == []
 
     def test_gradients_own_their_memory(self, monkeypatch):
         def grads():
@@ -469,8 +477,8 @@ class TestTrainBackward:
             for b in got[i + 1:]:
                 assert not np.shares_memory(a, b)
         # the same values as when every first gradient is copied
-        accumulate = T.Tensor.accumulate
-        monkeypatch.setattr(T.Tensor, "accumulate", lambda t, g: accumulate(t, np.array(g)))
+        accumulate = T.Node.accumulate
+        monkeypatch.setattr(T.Node, "accumulate", lambda n, g: accumulate(n, np.array(g)))
         for a, b in zip(got, grads()):
             assert a.tobytes() == b.grad.tobytes()
 

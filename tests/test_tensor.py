@@ -243,6 +243,30 @@ class TestActivations:
         x = T.Tensor(np.random.default_rng(8).normal(size=(4, 4)))
         assert T.dropout(x, 0.5, "eval") is x
 
+    def test_dropout_mask_gives_the_bits_of_the_keep_product(self):
+        # the output and the input gradient are x * keep and g * keep to the
+        # bit, keep = (draws >= p) / (1 - p) in float32, for x and g holding
+        # negatives, +-0 and +-inf; the closure keeps the bool mask and the
+        # scale, and no float array of x's size
+        p = 0.1
+        special = np.array([-1.5, -0.0, 0.0, np.inf, -np.inf, 1e-40], np.float32)
+        rng = np.random.default_rng(24)
+        x, g = (rng.permutation(np.concatenate([np.tile(special, 40), rng.normal(size=16)]))
+                .astype(np.float32).reshape(4, 64) for _ in range(2))
+        keep = (np.random.default_rng(25).random(x.shape) >= p) / np.asarray(1 - p, np.float32)
+        assert keep.dtype == np.float32
+        for a in (x, g):  # each special value both kept and dropped
+            for v in special.view(np.uint32):
+                assert len(set(keep[a.view(np.uint32) == v])) == 2
+        with np.errstate(invalid="ignore"):  # inf * 0
+            xt = T.Tensor(x, requires_grad=True)
+            out = T.dropout(xt, p, "train", np.random.default_rng(25))
+            assert out.data.tobytes() == (x * keep).tobytes()
+            out._backward(g.copy())
+            assert xt.grad.tobytes() == (g * keep).tobytes()
+        arrays = [a for a in _closure_arrays(out._backward) if a is not x]  # xt is a leaf
+        assert [a.dtype for a in arrays if a.size == x.size] == [np.bool_]
+
     @pytest.mark.parametrize("mode", ["Train", "evaluate"])
     def test_dropout_unknown_mode_rejected(self, mode):
         with pytest.raises(ConfigMismatch, match=repr(mode)):
@@ -334,6 +358,24 @@ class TestPooling:
             want[2 * i + u, 2 * j + v] = g[i, j]
         np.testing.assert_array_equal(_max_pool_grad(x, g), want)
 
+    def test_max_pool_keeps_only_its_index_when_recording(self):
+        # ties included; under no_grad the output has the same bytes and no
+        # index is kept, since there is no closure. x is an op output, whose
+        # node holds no array, where a leaf would be its own node
+        rng = np.random.default_rng(26)
+        leaf = T.Tensor(rng.integers(0, 3, size=(2, 6, 8, 3)).astype(np.float32),
+                        requires_grad=True)
+        x = T.scale(leaf, 1.0)
+        out = T.max_pool(x)
+        with T.no_grad():
+            plain = T.max_pool(x)
+        assert plain.data.tobytes() == out.data.tobytes()
+        assert plain._backward is None and plain._parents == () and not plain.requires_grad
+        arrays = _closure_arrays(out._backward)
+        assert [(a.dtype, a.shape) for a in arrays if a.dtype == np.uint8] == [
+            (np.uint8, out.shape)]
+        assert all(a.size < x.data.size for a in arrays)
+
     @pytest.mark.parametrize("f, t", [(1, 4), (4, 1)])
     def test_max_pool_input_under_2x2_rejected(self, f, t):
         with pytest.raises(ShapeMismatch, match=rf"at least 2 x 2 .*got \({f}, {t}\)"):
@@ -364,6 +406,33 @@ def _avg_pool_loop(x, kernel, g):
     return out, gp[:, pad[1][0]:pad[1][0] + f, pad[2][0]:pad[2][0] + t]
 
 
+def _reached(fn):
+    """The values a closure reaches through its cells, each once: through
+    tensors to their arrays, nested closures, lists, tuples and dict values.
+    A graph node holds no array, so the walk stops at one."""
+    seen, values, stack = set(), [], [fn]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        values.append(value)
+        if isinstance(value, T.Tensor):
+            stack.append(value.data)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif callable(value) and hasattr(value, "__closure__"):
+            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
+    return values
+
+
+def _closure_arrays(fn):
+    """The arrays a closure reaches (see `_reached`), each once."""
+    return [v for v in _reached(fn) if isinstance(v, np.ndarray)]
+
+
 def _max_pool_grad(x, g):
     """Input gradient of max_pool for the output gradient g ([F, T] arrays)."""
     xt = T.Tensor(np.asarray(x, float)[None, :, :, None], requires_grad=True)
@@ -387,6 +456,13 @@ class TestMaxPoolTies:
              [5, 2, 0, 7]]
         grad = _max_pool_grad(x, [[1, 2]])
         np.testing.assert_array_equal(grad, [[0, 1, 2, 0],
+                                             [0, 0, 0, 0]])
+
+    def test_a_nan_window_gets_no_gradient(self):
+        # its max is NaN, which equals no cell
+        grad = _max_pool_grad([[1, 5, np.nan, 0],
+                               [5, 2, 0, 7]], [[1, 2]])
+        np.testing.assert_array_equal(grad, [[0, 1, 0, 0],
                                              [0, 0, 0, 0]])
 
 
