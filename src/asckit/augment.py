@@ -7,9 +7,17 @@ sample with a partner using a Beta(MIXUP_ALPHA, MIXUP_ALPHA) weight. All
 three transforms keep label rows on the probability simplex.
 
 The pipeline is a fixed function of (seed, epoch, sample index): every
-per-sample draw comes from that sample's own stream, made from those three
-numbers, so batches can be processed in any sample order without changing
-the result; only mixup's permutation comes from a (seed, epoch) stream.
+per-sample draw comes from a stream made from those three numbers, so
+batches can be processed in any sample order without changing the result;
+only mixup's permutation comes from a (seed, epoch) stream.
+
+Those streams are not all apart. numpy's `SeedSequence` ignores trailing
+zeros of a key, so the stream of sample index 0, default_rng([seed, epoch,
+0]), is the state of mixup's default_rng([seed, epoch]), and at epoch 0
+both are default_rng(seed). So sample 0's draws are not apart from the
+permutation's, nor at epoch 0 from any other stream seeded with `seed`
+alone. Mending the keys changes the draws, and with them the benchmark's
+stored reference values.
 """
 
 from __future__ import annotations

@@ -26,16 +26,21 @@ class ShapeMismatch(AscKitError):
     resample below `audio.MIN_RATE`, to segment not at 32 kHz or shorter than
     a segment, or to extract features from not one 10 s / 32 kHz segment;
     features that overflow; a batch too small for a crop or mask, or given a
-    number of sample indices other than its size; or a forward batch with no
-    examples."""
+    number of sample indices other than its size; a forward batch with no
+    examples; a training or held-out label not below `models.N_CLASSES`; or
+    a training set, or features to recalibrate BN on, of fewer records than
+    one `train.BATCH`."""
 
 
 class ConfigMismatch(AscKitError):
     """A setting or name is invalid: an unknown variant, front-end or mode,
     a duplicate parameter name, a dropout rate outside [0, 1), a train-mode
     dropout or forward with no RNG, a predict batch size that is not an
-    integer of at least 1, or a network seed or augmentation seed, epoch or
-    sample index that is not a non-negative integer (see `check_integer`)."""
+    integer of at least 1, a network seed or augmentation seed, epoch or
+    sample index that is not a non-negative integer (see `check_integer`), a
+    training epoch count that is not an integer of at least 1 or a training
+    seed that is not an integer in 0..2**32 - 1, or a training and a
+    held-out set of different front-ends."""
 
 
 def check_integer(what: str, value, least: int = 0):

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asckit import models
+from asckit import models, train
 from asckit import tensor as T
-from asckit.augment import AugmentConfig, AugmentPipeline, LabeledBatch
+from asckit.augment import AugmentConfig, AugmentPipeline
 from asckit.errors import ConfigMismatch, IOFailure, ShapeMismatch
 from byte_fuzz import entry_offset
 from test_tensor import _avg_pool_loop, _closure_arrays, _reached
@@ -341,10 +341,10 @@ def _train_step(net, batch, seed):
     the gradients, the buffers and the dropout RNG's state after it."""
     data = np.random.default_rng(seed)
     x = T.Tensor(data.normal(size=(batch,) + models.INPUT_SHAPE).astype(np.float32))
-    target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[data.integers(0, 10, batch)])
+    target = np.eye(models.N_CLASSES)[data.integers(0, 10, batch)]
     rng = np.random.default_rng(seed + 1)
     probs = net.forward(x, "train", rng)
-    T.backward(T.tsum(T.mul(target, T.log(probs))))
+    T.backward(train.cross_entropy(probs, target))
     return ([p.grad for p in net.params()], list(net.buffers().values()),
             rng.bit_generator.state)
 
@@ -464,9 +464,8 @@ class TestTrainBackward:
             rng = np.random.default_rng(9)
             x = T.Tensor(rng.normal(size=(2,) + models.INPUT_SHAPE).astype(np.float32),
                          requires_grad=True)
-            target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[[1, 4]])
             probs = net.forward(x, "train", rng=np.random.default_rng(10))
-            T.backward(T.tsum(T.mul(target, T.log(probs))))
+            T.backward(train.cross_entropy(probs, np.eye(models.N_CLASSES)[[1, 4]]))
             return [x] + net.params()
 
         tensors = grads()
@@ -507,9 +506,9 @@ def _step_loss(seed):
     net = models.build_network("red03", seed=0)
     data = np.random.default_rng(seed)
     x = T.Tensor(data.normal(size=(2,) + models.INPUT_SHAPE).astype(np.float32))
-    target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[data.integers(0, 10, 2)])
+    target = np.eye(models.N_CLASSES)[data.integers(0, 10, 2)]
     probs = net.forward(x, "train", np.random.default_rng(seed + 1))
-    return net, probs, T.tsum(T.mul(target, T.log(probs)))
+    return net, probs, train.cross_entropy(probs, target)
 
 
 class TestTrainThreads:
@@ -656,19 +655,14 @@ class TestDeterminism:
         # augment -> train forward -> cross-entropy -> backward -> SGD, twice
         # from the same seeds on fresh networks
         rng = np.random.default_rng(4)
-        batch = LabeledBatch(rng.normal(size=(2, 128, 305, 3)).astype(np.float32),
-                             np.eye(models.N_CLASSES)[[2, 8]])
+        batch = ([11, 4], rng.normal(size=(2, 128, 305, 3)).astype(np.float32),
+                 np.eye(models.N_CLASSES)[[2, 8]])
         losses, states = [], []
         for _ in range(2):
             net = models.build_network("red03", seed=5)
-            aug = AugmentPipeline(AugmentConfig(rng_seed=9))(batch, 3, [11, 4])
-            probs = net.forward(aug.features, "train", rng=np.random.default_rng(6))
-            target = T.Tensor(aug.labels.astype(np.float32))
-            loss = T.scale(T.tsum(T.mul(target, T.log(probs))), -1.0 / len(batch.features))
-            T.backward(loss)
-            for p in net.params():
-                p.data -= 0.01 * (p.grad + 1e-3 * p.data if p.l2_included else p.grad)
-            losses.append(loss.data.copy())
+            loss, _, _ = train.step(net, AugmentPipeline(AugmentConfig(rng_seed=9)), batch, 3,
+                                    np.random.default_rng(6))
+            losses.append(np.float64(loss))
             states.append(_snapshot(net))
         assert losses[0].tobytes() == losses[1].tobytes()
         assert list(states[0]) == list(states[1])

@@ -9,7 +9,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from asckit import models  # noqa: E402
+from asckit import models, train  # noqa: E402
 from asckit import tensor as T  # noqa: E402
 from measure import TENSOR_OPS, Tracer  # noqa: E402
 
@@ -18,9 +18,8 @@ def _train_step(net):
     """The loss and output of one B=2 train forward and backward of `net`."""
     rng = np.random.default_rng(31)
     x = T.Tensor(rng.standard_normal((2,) + models.INPUT_SHAPE).astype(np.float32))
-    target = T.Tensor(np.eye(models.N_CLASSES, dtype=np.float32)[[3, 8]])
     probs = net.forward(x, "train", rng=np.random.default_rng(32))
-    loss = T.scale(T.tsum(T.mul(target, T.log(probs))), -0.5)
+    loss = train.cross_entropy(probs, np.eye(models.N_CLASSES)[[3, 8]])
     T.backward(loss)
     return [loss.data, probs.data]
 
