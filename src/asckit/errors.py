@@ -27,9 +27,11 @@ class ShapeMismatch(AscKitError):
     a segment, or to extract features from not one 10 s / 32 kHz segment;
     features that overflow; a batch too small for a crop or mask, or given a
     number of sample indices other than its size; a forward batch with no
-    examples; a training or held-out label not below `models.N_CLASSES`; or
-    a training set, or features to recalibrate BN on, of fewer records than
-    one `train.BATCH`."""
+    examples; a training or held-out label not below `models.N_CLASSES`;
+    training, held-out or BN recalibration features of a shape other than
+    [N, 128, T, 3] with T of at least `augment.CROP_WIDTH`; or a training
+    set, or features to recalibrate BN on, of fewer records than one
+    `train.BATCH`."""
 
 
 class ConfigMismatch(AscKitError):

@@ -35,8 +35,9 @@ outputs, each unit's pooled sum, projection and shortcut sum, and the
 fused units' outputs. What stays are the units' inputs, the BN and
 residual-norm xhat arrays, and small masks and indices.
 
-A train forward runs each unit's branches at once (`tensor.concurrently`),
-and `tensor.backward` runs their closures at once too. The branches write
+A train forward runs each unit's branches at once (`tensor.concurrently`).
+`tensor.backward` runs at once each round of closures whose consumers have
+all run, so a unit's branch closures run together. The branches write
 only their own BN buffers, and they must not draw from the dropout RNG,
 which the block draws from after them, so the bits do not depend on the
 order the threads run in. Eval forwards run their branches one after

@@ -29,17 +29,20 @@ output's sign; train-mode `batch_norm` and `residual_norm` keep xhat and
 per-channel vectors. `dropout` keeps a bool mask and its scale, `max_pool`
 a uint8 index of each tile's maximum and `reduce_max` its argmax index.
 
-`backward` walks the graph's nodes in reverse topological order, cut into
-maximal stretches of consecutive closures none of which is an input of
-another (an inception unit's branches, say), and runs each stretch's
-closures through `concurrently`. While a closure runs in a stretch,
-`Node.accumulate` queues each (node, gradient) pair it is handed, per
-thread, and adds nothing; once the stretch is done the pairs are added in
-stretch order, which is the serial order, so every gradient has the bits a
-one-thread walk gives. Once its closure has run, an op's node is released:
-its gradient, its closure and its parents are dropped, so the arrays the
-closure kept are freed as the walk goes, and a second `backward` through
-the same graph reaches nothing.
+`backward` schedules the op nodes with the standard library's
+`graphlib.TopologicalSorter`, in which each op node comes after all of its
+consumers: so a closure runs once all its consumers have run. Each round of
+ready nodes (an inception unit's branches, say) runs its closures through
+`concurrently`. While a closure runs in a round, `Node.accumulate` queues
+each (node, gradient) pair it is handed, per thread, and adds nothing; once
+the round is done the pairs are added in ready order, the order the sorter
+gives the round's nodes, which follows the order the graph was gathered in.
+So the order gradients are added in, and with it every gradient's bits,
+depends neither on `id()` values nor on how the threads run, nor on the
+CPU count. Once its round has run, an op's node is released: its gradient,
+its closure and its parents are dropped, so the arrays the closure kept
+are freed as the rounds go, and a second `backward` through the same graph
+reaches nothing.
 
 The window ops have the geometries the networks give them. `conv2d` slides
 stride-1 'same' windows that reach (k - 1) // 2 cells before their centre
@@ -92,7 +95,7 @@ and `reshape` and `concat` hand over non-overlapping views of theirs. The
 gradient `g` a closure is handed is its output's own, which `backward`
 drops once the closure has run, so the closure may write into it, as
 `relu`, `dropout`, `conv_bn_relu`, `avg_pool` and `residual_norm` do, or
-hand it to an input. The closures of a stretch run at once, so a closure
+hand it to an input. The closures of a round run at once, so a closure
 writes into no array but that `g` and those it makes itself.
 
 The network settings are the module constants `BN_EPS`, `BN_MOMENTUM`,
@@ -105,6 +108,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import graphlib
 import math
 import os
 import threading
@@ -144,11 +148,11 @@ class Node:
         """Add the gradient `g`, of this node's tensor's shape and dtype, into
         `.grad`. A first gradient becomes `.grad` as is: so the caller must
         not write to `g`, or hand it to another node, afterwards. Within a
-        stretch of `backward` the pair is queued on this thread and added
-        later."""
+        round of `backward` the pair is queued on this thread and added in
+        ready order once the round is done."""
         if not self.requires_grad:
             return
-        if _grad.queue is not None:  # inside a stretch of `backward`
+        if _grad.queue is not None:  # inside a round of `backward`
             _grad.queue.append((self, g))
         elif self.grad is None:
             self.grad = g
@@ -216,7 +220,7 @@ class Parameter(Tensor):
 
 class _GradState(threading.local):
     enabled = True
-    queue = None  # the (node, gradient) pairs a backward closure hands over
+    queue = None  # the (node, gradient) pairs a closure of a backward round hands over
 
 
 _grad = _GradState()
@@ -320,55 +324,44 @@ def _release(node):
 def backward(loss: Tensor) -> None:
     """Populate the grads of the leaves the scalar `loss` depends on.
 
-    Gradients flow through every op node in reverse topological order, cut
-    into stretches of consecutive closures none of which is an input of
-    another: a stretch's closures run at once (`concurrently`), and the
-    gradients they hand over are added in stretch order, the serial order,
-    once all have run. Each op node is then released: its `.grad`, its
-    closure and its parents are dropped, so after the call only leaves and
-    `Parameter`s hold a gradient, and the graph behind `loss` is gone.
+    Gradients flow through the op nodes in rounds of a
+    `graphlib.TopologicalSorter` in which each op node comes after all of
+    its consumers: a round's closures run at once (`concurrently`), and the
+    gradients they hand over are added in ready order once all have run.
+    Each op node is then released: its `.grad`, its closure and its parents
+    are dropped, so after the call only leaves and `Parameter`s hold a
+    gradient, and the graph behind `loss` is gone.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
-    order = []
-    visited = set()
-    stack = [(loss.node, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
     loss.node.grad = np.ones_like(loss.data)
-    stretch, inputs = [], set()
-    while order:
-        node = order.pop()  # so the list keeps no node once it is passed
-        if node._backward is None:
-            continue  # a leaf
-        if id(node) in inputs:
-            _run_stretch(stretch)
-            stretch, inputs = [], set()
-        if node.grad is None:
-            _release(node)  # no gradient reaches it
-        else:
-            stretch.append(node)
-            inputs.update(map(id, node._parents))
-    _run_stretch(stretch)
+    if loss.node._backward is None:
+        return  # a leaf, or a graph already released
+    consumers, found = {loss.node: []}, [loss.node]
+    for node in found:  # grows by each op node met for the first time
+        for p in node._parents:
+            if p._backward is not None:  # an op node, not a leaf
+                if p not in consumers:
+                    consumers[p] = []
+                    found.append(p)
+                consumers[p].append(node)
+    sorter = graphlib.TopologicalSorter(consumers)
+    sorter.prepare()
+    while sorter.is_active():
+        ready = sorter.get_ready()
+        _run_round(ready)
+        sorter.done(*ready)
 
 
-def _run_stretch(nodes):
-    """Run the closures of `nodes` at once, then add the gradients they
-    handed over in node order and release each node."""
-    runs = concurrently([functools.partial(_run_closure, n) for n in nodes])
-    for node, pairs in zip(nodes, runs):
+def _run_round(nodes):
+    """Run at once the closures of those op nodes of `nodes` a gradient
+    reached, add the gradients they handed over in node order, then release
+    every node."""
+    reached = [n for n in nodes if n.grad is not None]
+    for pairs in concurrently([functools.partial(_run_closure, n) for n in reached]):
         for n, g in pairs:
             n.accumulate(g)
+    for node in nodes:
         _release(node)
 
 

@@ -55,15 +55,17 @@ dropout precedes, did not move.
 `python -m asckit.train TRAIN.ascf HELD_OUT.ascf OUT.ascw --variant V
 --epochs N --seed S` builds `models.build_network(V, seed=S)`, prints each
 line of `fit` as one JSON line on stdout and saves the weights with
-`Module.save`. The network's init stream default_rng(S) is also
-augmentation's epoch-0 mixup stream and sample 0's epoch-0 stream (the
-collision the `augment` docstring states).
+`Module.save`. An OUT.ascw whose directory does not exist is a usage
+error (exit code 2) before any cache is read. The network's init stream
+default_rng(S) is also augmentation's epoch-0 mixup stream and sample 0's
+epoch-0 stream (the collision the `augment` docstring states).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import time
 
@@ -114,11 +116,24 @@ def step(network, pipeline, batch, epoch, rng):
     return float(loss.data), probs.data, aug.labels
 
 
+def _check_features(what, features) -> None:
+    """Raise ShapeMismatch unless `features` is [N, F, T, C] with the (F, C)
+    of `models.INPUT_SHAPE` and T of at least `CROP_WIDTH`, which a centre
+    crop and the augmentation's random crop need."""
+    f, _, c = models.INPUT_SHAPE
+    shape = np.shape(features)
+    if len(shape) != 4 or (shape[1], shape[3]) != (f, c) or shape[2] < CROP_WIDTH:
+        raise ShapeMismatch(f"{what} are {shape}, not N x {f} x T x {c} with T of at "
+                            f"least {CROP_WIDTH}")
+
+
 def recalibrate(network, features) -> None:
     """Recompute every BN running buffer of `network` as the exponentially
     weighted mean of the batch statistics over the [N, F, T, C] `features`
-    (see the module docstring). Fewer than `BATCH` records raise
+    (see the module docstring). Features of a shape other than [N, 128, T, 3]
+    with T of at least `CROP_WIDTH`, or fewer than `BATCH` records, raise
     `ShapeMismatch` before any buffer moves."""
+    _check_features("features to recalibrate on", features)
     n_batches = len(features) // BATCH
     if not n_batches:
         raise ShapeMismatch(f"recalibrate needs at least {BATCH} records, got {len(features)}")
@@ -168,7 +183,9 @@ def fit(network, train_set, held_out, epochs, seed):
     count other than an integer of at least 1, or a seed other than an
     integer in 0..2**32 - 1, or sets of different front-ends
     (`ConfigMismatch`); a label of either set not below `models.N_CLASSES`,
-    or a training set of fewer than `BATCH` records (`ShapeMismatch`)."""
+    features of either set of a shape other than [N, 128, T, 3] with T of
+    at least `CROP_WIDTH`, or a training set of fewer than `BATCH` records
+    (`ShapeMismatch`)."""
     check_integer("epochs", epochs, least=1)
     if check_integer("seed", seed) >= 2**32:
         raise ConfigMismatch(f"seed must be below 2**32, got {seed}")
@@ -176,6 +193,7 @@ def fit(network, train_set, held_out, epochs, seed):
         raise ConfigMismatch(f"train set is {train_set.frontend}, held-out set is "
                              f"{held_out.frontend}")
     for name, fs in (("train", train_set), ("held-out", held_out)):
+        _check_features(f"{name} features", fs.features)
         labels = np.asarray(fs.labels)
         bad = np.flatnonzero(labels >= models.N_CLASSES)
         if bad.size:
@@ -219,6 +237,9 @@ def main(argv=None) -> None:
     parser.add_argument("--epochs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    weights_dir = os.path.dirname(os.path.abspath(args.weights))
+    if not os.path.isdir(weights_dir):
+        parser.error(f"weights: directory {weights_dir} does not exist")
     network = models.build_network(args.variant, seed=args.seed)
     for line in fit(network, read_cache(args.train), read_cache(args.held_out),
                     args.epochs, args.seed):

@@ -535,6 +535,19 @@ class TestTrainThreads:
         moved = [k for k, v in net.buffers().items() if not np.array_equal(v, before[k])]
         assert len(moved) == len(before)
 
+    def test_gradients_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # the branches and each backward round run on as many threads as
+        # `_cpus` allows; the bits must not follow that count
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(T, "_cpus", lambda n=cpus: n)
+            net, probs, loss = _step_loss(29)
+            T.backward(loss)
+            runs.append([loss.data.tobytes(), probs.data.tobytes()]
+                        + [p.grad.tobytes() for p in net.params()]
+                        + [b.tobytes() for b in net.buffers().values()])
+        assert runs[0] == runs[1] == runs[2]
+
     def test_backward_releases_the_graph(self):
         net, probs, loss = _step_loss(23)
         nodes = [n for n in _graph(loss) if n._backward is not None]

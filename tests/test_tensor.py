@@ -639,10 +639,10 @@ class TestBackward:
         np.testing.assert_array_equal(a, b)
 
     def test_sibling_gradients_add_in_serial_order(self, monkeypatch):
-        # three sibling closures run at once and each hands x its own weights;
-        # x.grad must be (w0 + w1) + w2 however the threads finish. In each
-        # third of x one weight is 1 and the others 2^-53, so the sum depends
-        # on which weight is added last
+        # three sibling closures run at once in one round and each hands x its
+        # own weights; x.grad must be (w0 + w1) + w2, the round's ready order,
+        # however the threads finish. In each third of x one weight is 1 and
+        # the others 2^-53, so the sum depends on which weight is added last
         monkeypatch.setattr(T, "_cpus", lambda: 3)
         n = 100_000
         tiny = 2.0 ** -53

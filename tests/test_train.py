@@ -27,15 +27,15 @@ TRAIN_DEVICES, HELD_OUT_DEVICES = ("a", "b"), ("a", "b", "c")
 EPOCHS = 2
 
 
-def _records(seed, count, devices, labels=None):
+def _records(seed, count, devices, labels=None, shape=RECORD_SHAPE):
     rng = np.random.default_rng(seed)
     for i in range(count):
         label = i % models.N_CLASSES if labels is None else labels[i]
-        yield rng.standard_normal(RECORD_SHAPE, dtype=np.float32), label, devices[i % len(devices)]
+        yield rng.standard_normal(shape, dtype=np.float32), label, devices[i % len(devices)]
 
 
-def _cache(path, seed, count, devices, frontend="logmel", labels=None):
-    write_cache(path, frontend, _records(seed, count, devices, labels))
+def _cache(path, seed, count, devices, frontend="logmel", labels=None, shape=RECORD_SHAPE):
+    write_cache(path, frontend, _records(seed, count, devices, labels, shape))
     return read_cache(path)
 
 
@@ -159,6 +159,16 @@ def test_recalibrate_rejects_less_than_a_batch(sets):
     assert _state_bytes(net) == before
 
 
+@pytest.mark.parametrize("shape", [(4, 128, 200, 3), (4, 64, 300, 3)],
+                         ids=["under-a-crop", "too-few-bins"])
+def test_recalibrate_rejects_features_it_cannot_use(shape):
+    net = models.build_network("red03", seed=3)
+    before = {k: v.tobytes() for k, v in net.buffers().items()}
+    with pytest.raises(ShapeMismatch, match="features to recalibrate on are"):
+        train.recalibrate(net, np.zeros(shape, np.float32))
+    assert {k: v.tobytes() for k, v in net.buffers().items()} == before
+
+
 def test_fit_is_deterministic(runs):
     (lines_a, state_a, _), (lines_b, state_b, _) = runs
     assert state_a == state_b
@@ -243,6 +253,28 @@ def test_fit_rejects_a_train_set_under_one_batch(sets, tmp_path):
     small = _cache(tmp_path / "small.ascf", 3, 3, TRAIN_DEVICES)
     with pytest.raises(ShapeMismatch, match="holds 3 records, fewer than one batch of 4"):
         _fit_fault(sets, train_set=small)
+
+
+@pytest.mark.parametrize("which", ["train_set", "held_out"])
+def test_fit_rejects_records_under_a_crop(sets, tmp_path, which):
+    # `_evaluate`'s centre crop of a held-out set would raise only after the
+    # epoch and the recalibration had moved every entry
+    short = _cache(tmp_path / "short.ascf", 3, 8, TRAIN_DEVICES,
+                   shape=(models.INPUT_SHAPE[0], 200, models.INPUT_SHAPE[2]))
+    name = {"train_set": "train", "held_out": "held-out"}[which]
+    with pytest.raises(ShapeMismatch, match=rf"^{name} features are \(8, 128, 200, 3\)"):
+        _fit_fault(sets, **{which: short})
+
+
+def test_main_rejects_a_weights_path_in_no_directory(tmp_path, capsys):
+    _cache(tmp_path / "train.ascf", 1, 4, TRAIN_DEVICES)
+    _cache(tmp_path / "held.ascf", 2, 4, HELD_OUT_DEVICES)
+    with pytest.raises(SystemExit) as info:
+        train.main([str(tmp_path / "train.ascf"), str(tmp_path / "held.ascf"),
+                    str(tmp_path / "no_such_dir" / "w.ascw"), "--epochs", "1"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no_such_dir" in err and "does not exist" in err
 
 
 def test_main_prints_json_lines_and_saves_the_weights(tmp_path, capsys):
